@@ -140,7 +140,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
             if args.abbreviations is not None
             else load_abbreviations(default_abbreviations_path())
         )
-    except OSError:
+    except (OSError, ValueError) as exc:
+        if args.abbreviations is not None:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         abbreviations = DEFAULT_ABBREVIATIONS
     try:
         config = (

@@ -14,7 +14,6 @@ import html
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .store import EventStore, SummaryStats
@@ -35,7 +34,6 @@ _CANVAS_WIDTH = 760
 class RenderedReport:
     json_text: str
     html_text: str
-    generated_at: datetime
     store_version: str
 
 
@@ -233,7 +231,6 @@ def render(store: EventStore, **filters: object) -> RenderedReport:
     return RenderedReport(
         json_text=emit_json(stats),
         html_text=emit_html(stats, store_version=version),
-        generated_at=datetime.now(timezone.utc),
         store_version=version,
     )
 

@@ -2,7 +2,10 @@
 
 Two tables: ``reports`` keyed by report id, and ``events`` referencing
 them.  Ingestion replaces whole reports, so re-extracting a brief never
-duplicates its events.  The CSV interchange format is fixed:
+duplicates its events.  Each report row also caches the interchange-CSV
+text of its events (``csv_rows``), rewritten in the same transaction as
+every write that can change it, so export and the content hash read one
+row per report.  The CSV interchange format is fixed:
 
     report_id,year,month,country,species,product,quantity,weight_kg,arrest_count
 
@@ -18,7 +21,7 @@ import io
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .assembler import TraffickingEvent
 
@@ -50,13 +53,20 @@ class CsvFormatError(ValueError):
     """Raised for a bad header or unparseable row in the interchange CSV."""
 
 
-_SCHEMA = """
+# Bumped whenever opening a store must upgrade its tables; version 1 added
+# reports.csv_rows.  Stores at this version open without any scan.
+_SCHEMA_VERSION = 1
+
+_SCHEMA = (
+    """
 CREATE TABLE IF NOT EXISTS reports (
     report_id   TEXT PRIMARY KEY,
     year        INTEGER NOT NULL,
     month       INTEGER NOT NULL CHECK (month BETWEEN 1 AND 12),
-    source_path TEXT NOT NULL DEFAULT ''
-);
+    source_path TEXT NOT NULL DEFAULT '',
+    csv_rows    TEXT NOT NULL DEFAULT ''
+)""",
+    """
 CREATE TABLE IF NOT EXISTS events (
     event_id       INTEGER PRIMARY KEY,
     report_id      TEXT NOT NULL REFERENCES reports(report_id),
@@ -67,9 +77,9 @@ CREATE TABLE IF NOT EXISTS events (
     quantity       INTEGER CHECK (quantity IS NULL OR quantity >= 1),
     weight_kg      REAL    CHECK (weight_kg IS NULL OR weight_kg > 0),
     arrest_count   INTEGER CHECK (arrest_count IS NULL OR arrest_count >= 0)
-);
-CREATE INDEX IF NOT EXISTS events_by_report ON events(report_id);
-"""
+)""",
+    "CREATE INDEX IF NOT EXISTS events_by_report ON events(report_id)",
+)
 
 
 def format_weight(kg: float) -> str:
@@ -97,11 +107,47 @@ class EventStore:
         try:
             self._conn = sqlite3.connect(str(path))
             self._conn.execute("PRAGMA foreign_keys = ON")
-            self._conn.executescript(_SCHEMA)
-            self._conn.commit()
+            if self._conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
+                self._upgrade()
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open event store at {path}: {exc}") from exc
         self.path = str(path)
+
+    def _upgrade(self) -> None:
+        """Create missing tables and fill ``csv_rows`` of stores written before it."""
+        with self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            for statement in _SCHEMA:
+                self._conn.execute(statement)
+            columns = {row[1] for row in self._conn.execute("PRAGMA table_info(reports)")}
+            if "csv_rows" not in columns:
+                self._conn.execute(
+                    "ALTER TABLE reports ADD COLUMN csv_rows TEXT NOT NULL DEFAULT ''"
+                )
+                self._refresh_csv_rows(
+                    [row[0] for row in self._conn.execute("SELECT report_id FROM reports")]
+                )
+            self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
+
+    def _refresh_csv_rows(self, report_ids: Iterable[str]) -> None:
+        """Rewrite the cached CSV text of each report from its stored events.
+
+        Reading the rows back, rather than formatting the caller's events,
+        keeps the text equal to what ``events()`` returns after SQLite's
+        column affinity has converted the values.
+        """
+        for report_id in report_ids:
+            rows = self._conn.execute(
+                "SELECT r.report_id, r.year, r.month, e.country, e.species, e.product,"
+                " e.quantity, e.weight_kg, e.arrest_count"
+                " FROM events e JOIN reports r ON r.report_id = e.report_id"
+                " WHERE e.report_id = ? ORDER BY e.sentence_index, e.event_id",
+                (report_id,),
+            )
+            self._conn.execute(
+                "UPDATE reports SET csv_rows = ? WHERE report_id = ?",
+                (_csv_text(rows), report_id),
+            )
 
     def close(self) -> None:
         self._conn.close()
@@ -117,15 +163,18 @@ class EventStore:
     ) -> None:
         """Insert or update one report row."""
         try:
-            self._conn.execute(
-                "INSERT INTO reports (report_id, year, month, source_path)"
-                " VALUES (?, ?, ?, ?)"
-                " ON CONFLICT(report_id) DO UPDATE SET"
-                " year = excluded.year, month = excluded.month,"
-                " source_path = excluded.source_path",
-                (report_id, year, month, source_path),
-            )
-            self._conn.commit()
+            known = self.report_date(report_id)
+            with self._conn:
+                self._conn.execute(
+                    "INSERT INTO reports (report_id, year, month, source_path)"
+                    " VALUES (?, ?, ?, ?)"
+                    " ON CONFLICT(report_id) DO UPDATE SET"
+                    " year = excluded.year, month = excluded.month,"
+                    " source_path = excluded.source_path",
+                    (report_id, year, month, source_path),
+                )
+                if known is not None and known != (year, month):
+                    self._refresh_csv_rows([report_id])
         except sqlite3.IntegrityError as exc:
             raise SchemaError(f"cannot register report {report_id!r}: {exc}") from exc
         except sqlite3.Error as exc:
@@ -191,6 +240,7 @@ class EventStore:
                         for e in events
                     ],
                 )
+                self._refresh_csv_rows(affected)
         except sqlite3.IntegrityError as exc:
             raise SchemaError(f"event batch violates store constraints: {exc}") from exc
         except sqlite3.Error as exc:
@@ -221,19 +271,27 @@ class EventStore:
             for r in rows
         ]
 
+    def _csv_chunks(self) -> Iterator[str]:
+        """The interchange CSV: the header, then each report's cached rows."""
+        yield CSV_HEADER + "\n"
+        for (text,) in self._conn.execute("SELECT csv_rows FROM reports ORDER BY report_id"):
+            yield text
+
     def export_csv(self, dest: str | Path | TextIO) -> int:
         """Write the interchange CSV; returns the number of data rows."""
-        events = self.events()
         if hasattr(dest, "write"):
-            return _write_csv(dest, events)
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            return _write_csv(handle, events)
+            dest.writelines(self._csv_chunks())
+        else:
+            with open(dest, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(self._csv_chunks())
+        return self._conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
 
     def content_hash(self) -> str:
         """Digest of the exported rows; identical stores hash identically."""
-        buffer = io.StringIO()
-        _write_csv(buffer, self.events())
-        return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()[:16]
+        digest = hashlib.sha256()
+        for chunk in self._csv_chunks():
+            digest.update(chunk.encode("utf-8"))
+        return digest.hexdigest()[:16]
 
     def summarize(
         self,
@@ -297,26 +355,25 @@ class EventStore:
         )
 
 
-def _write_csv(handle: TextIO, events: Iterable[TraffickingEvent]) -> int:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    count = 0
-    for e in events:
+def _csv_text(rows: Iterable[tuple]) -> str:
+    """CSV lines, without header, of rows holding the interchange columns."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for report_id, year, month, country, species, product, quantity, weight_kg, arrests in rows:
         writer.writerow(
             [
-                e.report_id,
-                str(e.year),
-                str(e.month),
-                e.country or "",
-                e.species or "",
-                e.product or "",
-                "" if e.quantity is None else str(e.quantity),
-                "" if e.weight_kg is None else format_weight(e.weight_kg),
-                "" if e.arrest_count is None else str(e.arrest_count),
+                report_id,
+                str(year),
+                str(month),
+                country or "",
+                species or "",
+                product or "",
+                "" if quantity is None else str(quantity),
+                "" if weight_kg is None else format_weight(weight_kg),
+                "" if arrests is None else str(arrests),
             ]
         )
-        count += 1
-    return count
+    return buffer.getvalue()
 
 
 def _parse_int(value: str, column: str, row: int) -> int:

@@ -84,6 +84,15 @@ class TestExtract:
         )
         assert code == 1 and "error:" in err
 
+    def test_missing_abbreviations_file_is_fatal(self, tmp_path, capsys):
+        store = tmp_path / "e.db"
+        code, out, err = run(
+            capsys, "extract", BRIEFS_DIR, "--store", store,
+            "--abbreviations", tmp_path / "missing.txt",
+        )
+        assert code == 1 and "error:" in err and "missing.txt" in err
+        assert out == "" and not store.exists()
+
     def test_missing_lexicon_file_is_fatal(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "extract", BRIEFS_DIR, "--store", tmp_path / "e.db",

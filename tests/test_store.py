@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import io
 import random
+import shutil
+import sqlite3
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from brieflens.assembler import TraffickingEvent
 from brieflens.store import (
+    CSV_COLUMNS,
     CSV_HEADER,
     CsvFormatError,
     EventStore,
@@ -305,3 +314,171 @@ class TestSummarize:
             ),
         )
         assert stats.top_species == [(name, -neg) for neg, name in recount]
+
+
+def reference_csv(events):
+    """The interchange CSV written event by event from ``events()``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for e in events:
+        writer.writerow(
+            [
+                e.report_id,
+                str(e.year),
+                str(e.month),
+                e.country or "",
+                e.species or "",
+                e.product or "",
+                "" if e.quantity is None else str(e.quantity),
+                "" if e.weight_kg is None else format_weight(e.weight_kg),
+                "" if e.arrest_count is None else str(e.arrest_count),
+            ]
+        )
+    return buffer.getvalue()
+
+
+def text_hash(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+# ids whose byte order differs from their case-insensitive order, and ids that
+# need CSV quoting
+REPORT_IDS = ("a", "a-2021-01", "B-2020-07", "b,2021", 'c"q', "\u00e9-2020-12")
+NAMES = st.one_of(
+    st.none(),
+    st.sampled_from(("gabon", "c\u00f4te d'ivoire", "a,b", 'say "x"', "line\nbreak", "")),
+)
+EVENT_FIELDS = st.fixed_dictionaries(
+    {
+        "country": NAMES,
+        "species": NAMES,
+        "product": NAMES,
+        "quantity": st.none() | st.integers(1, 10**9),
+        "weight_kg": st.none()
+        | st.integers(1, 10**6)
+        | st.floats(1e-9, 1e9, allow_nan=False, allow_infinity=False),
+        "arrest_count": st.none() | st.integers(0, 10**4),
+        "sentence_index": st.integers(0, 3),
+    }
+).filter(
+    lambda f: not (f["species"] is None and f["product"] is None and f["arrest_count"] is None)
+)
+
+
+class StoreCacheMachine(RuleBasedStateMachine):
+    """Random writes and reopens; export and hash must match ``events()``."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp())
+        self.path = self.dir / "events.db"
+        self.store = EventStore(self.path)
+        self.dates = {}
+
+    @rule(report_id=st.sampled_from(REPORT_IDS), year=st.integers(2018, 2022),
+          month=st.integers(1, 12))
+    def register_report(self, report_id, year, month):
+        self.store.register_report(report_id, year, month)
+        self.dates[report_id] = (year, month)
+
+    @precondition(lambda self: self.dates)
+    @rule(data=st.data())
+    def ingest(self, data):
+        batch = data.draw(
+            st.lists(st.tuples(st.sampled_from(sorted(self.dates)), EVENT_FIELDS), max_size=8)
+        )
+        events = [
+            TraffickingEvent(report_id=rid, year=self.dates[rid][0], month=self.dates[rid][1],
+                             **fields)
+            for rid, fields in batch
+        ]
+        assert self.store.ingest(events) == len(events)
+
+    @rule()
+    def reopen(self):
+        self.store.close()
+        self.store = EventStore(self.path)
+
+    @invariant()
+    def cache_matches_events(self):
+        events = self.store.events()
+        expected = reference_csv(events)
+        assert self.store.content_hash() == text_hash(expected)
+        out = self.dir / "export.csv"
+        assert self.store.export_csv(out) == len(events)
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.dir)
+
+
+TestStoreCache = StoreCacheMachine.TestCase
+TestStoreCache.settings = settings(max_examples=50, stateful_step_count=30, deadline=None)
+
+
+SEED_SCHEMA = """
+CREATE TABLE reports (
+    report_id   TEXT PRIMARY KEY,
+    year        INTEGER NOT NULL,
+    month       INTEGER NOT NULL CHECK (month BETWEEN 1 AND 12),
+    source_path TEXT NOT NULL DEFAULT ''
+);
+CREATE TABLE events (
+    event_id       INTEGER PRIMARY KEY,
+    report_id      TEXT NOT NULL REFERENCES reports(report_id),
+    sentence_index INTEGER NOT NULL DEFAULT 0,
+    country        TEXT,
+    species        TEXT,
+    product        TEXT,
+    quantity       INTEGER CHECK (quantity IS NULL OR quantity >= 1),
+    weight_kg      REAL    CHECK (weight_kg IS NULL OR weight_kg > 0),
+    arrest_count   INTEGER CHECK (arrest_count IS NULL OR arrest_count >= 0)
+);
+CREATE INDEX events_by_report ON events(report_id);
+INSERT INTO reports VALUES ('b-2021-02', 2021, 2, ''), ('a-2021-01', 2021, 1, ''),
+                           ('c-2021-03', 2021, 3, '');
+INSERT INTO events (report_id, sentence_index, country, species, product, quantity,
+                    weight_kg, arrest_count)
+VALUES ('b-2021-02', 0, 'togo', NULL, 'ivory', NULL, 513.0, 1),
+       ('a-2021-01', 1, NULL, 'pangolin', NULL, NULL, 12.5, NULL),
+       ('a-2021-01', 0, 'gabon', 'elephant', 'tusk', 2, NULL, 3);
+"""
+
+
+class TestSeedSchemaMigration:
+    @pytest.fixture()
+    def seed_store(self, tmp_path):
+        path = tmp_path / "seed.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(SEED_SCHEMA)
+        conn.close()
+        return path
+
+    def test_hash_and_export_unchanged(self, seed_store, tmp_path):
+        with EventStore(seed_store) as s:
+            assert s.content_hash() == text_hash(GOLDEN_CSV)
+            assert s.export_csv(tmp_path / "out.csv") == 3
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == GOLDEN_CSV
+        conn = sqlite3.connect(seed_store)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 1
+        conn.close()
+        with EventStore(seed_store) as s:
+            assert s.content_hash() == text_hash(GOLDEN_CSV)
+            s.ingest([ev("c-2021-03", month=3, species="leopard")])
+            assert s.content_hash() == text_hash(reference_csv(s.events()))
+
+    def test_migrated_store_opens_without_reading_reports(self, seed_store, monkeypatch):
+        EventStore(seed_store).close()
+        statements = []
+        connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        EventStore(seed_store).close()
+        assert statements and not [s for s in statements if "reports" in s]
