@@ -19,8 +19,9 @@ mention) contributes events by a fixed proximity procedure:
 5. the country is the nearest COUNTRY span in the sentence, falling back to
    the first COUNTRY span of the surrounding paragraph.
 
-All distances are token distances, so the procedure is deterministic for a
-given document, span list and configuration.
+All distances are token distances, read from each span's token range, so
+the procedure is deterministic for a given document, span list and
+configuration.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import ReportDocument, SentenceSpan
+from .corpus import ReportDocument
 from .lexicon import ANIMAL, COUNTRY, PRODUCT
 from .matcher import CARDINAL, WEIGHT, EntitySpan
 from .measures import detect_arrest_count, has_arrest_lexeme
@@ -112,25 +113,11 @@ class _Shell:
         starts = [s.start_char for s in (self.species_span, self.product_span) if s]
         return min(starts) if starts else -1
 
-    def anchor_token_range(
-        self, index: dict[EntitySpan, tuple[int, int]]
-    ) -> tuple[int, int] | None:
-        ranges = [index[s] for s in (self.species_span, self.product_span) if s]
-        if not ranges:
+    def anchor_token_range(self) -> tuple[int, int] | None:
+        anchors = [s for s in (self.species_span, self.product_span) if s]
+        if not anchors:
             return None
-        return min(r[0] for r in ranges), max(r[1] for r in ranges)
-
-
-def _token_range(sentence: SentenceSpan, span: EntitySpan) -> tuple[int, int]:
-    # first and last token index overlapped by the span
-    indices = [
-        i
-        for i, tok in enumerate(sentence.tokens)
-        if tok.start_char < span.end_char and span.start_char < tok.end_char
-    ]
-    if not indices:
-        raise ValueError(f"span {span!r} covers no token of its sentence")
-    return indices[0], indices[-1]
+        return min(s.first_token for s in anchors), max(s.last_token for s in anchors)
 
 
 def _interval_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -142,12 +129,21 @@ def _interval_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return 0
 
 
-def _spans_in_sentence(spans: Sequence[EntitySpan], sentence: SentenceSpan) -> list[EntitySpan]:
-    return [
-        s
-        for s in spans
-        if sentence.start_char <= s.start_char and s.end_char <= sentence.end_char
-    ]
+def _spans_within(
+    ranges: Sequence[tuple[int, int]], spans: Sequence[EntitySpan]
+) -> list[list[EntitySpan]]:
+    # The spans lying inside each half-open range, found in one walk: the
+    # ranges are disjoint and both sequences are sorted by offset.
+    groups: list[list[EntitySpan]] = []
+    k = 0
+    for start, end in ranges:
+        group: list[EntitySpan] = []
+        while k < len(spans) and spans[k].start_char < end:
+            if start <= spans[k].start_char and spans[k].end_char <= end:
+                group.append(spans[k])
+            k += 1
+        groups.append(group)
+    return groups
 
 
 def assemble(
@@ -155,22 +151,25 @@ def assemble(
     spans: Iterable[EntitySpan],
     config: HeuristicConfig = HeuristicConfig(),
 ) -> list[TraffickingEvent]:
-    """Turn annotated spans into events, sentence order then left to right."""
-    all_spans = sorted(spans, key=lambda s: (s.start_char, s.end_char))
+    """Turn annotated spans into events, sentence order then left to right.
 
+    ``spans`` are spans of ``doc``'s sentences, each carrying its token range
+    within its sentence (see :class:`EntitySpan`).
+    """
+    all_spans = sorted(spans, key=lambda s: (s.start_char, s.end_char))
     # paragraph fallback for country attribution
-    paragraph_countries: dict[int, list[EntitySpan]] = {}
-    for span in all_spans:
-        if span.label != COUNTRY:
-            continue
-        for pi, (start, end) in enumerate(doc.paragraphs):
-            if start <= span.start_char < end:
-                paragraph_countries.setdefault(pi, []).append(span)
-                break
+    paragraph_countries = [
+        next((s.canonical for s in group if s.label == COUNTRY), None)
+        for group in _spans_within(doc.paragraphs, all_spans)
+    ]
+    by_sentence = _spans_within([(s.start_char, s.end_char) for s in doc.sentences], all_spans)
 
     events: list[TraffickingEvent] = []
-    for si, sentence in enumerate(doc.sentences):
-        sentence_spans = _spans_in_sentence(all_spans, sentence)
+    pi = 0
+    for si, (sentence, sentence_spans) in enumerate(zip(doc.sentences, by_sentence)):
+        # every sentence lies inside one paragraph
+        while doc.paragraphs[pi][1] <= sentence.start_char:
+            pi += 1
         animals = [s for s in sentence_spans if s.label == ANIMAL]
         products = [s for s in sentence_spans if s.label == PRODUCT]
         cardinals = [s for s in sentence_spans if s.label == CARDINAL]
@@ -180,15 +179,13 @@ def assemble(
         if not animals and not products and not has_arrest_lexeme(sentence):
             continue
 
-        token_index = {s: _token_range(sentence, s) for s in sentence_spans}
-
-        shells = _build_shells(animals, products, token_index, config.pair_window)
+        shells = _build_shells(animals, products, config.pair_window)
         if not shells:
             shells = [_Shell()]
 
-        consumed = _attach_quantities(shells, cardinals, token_index, config.quantity_window)
-        _attach_weights(shells, weights, token_index)
-        _attach_countries(shells, countries, token_index)
+        consumed = _attach_quantities(shells, cardinals, config.quantity_window)
+        _attach_weights(shells, weights)
+        _attach_countries(shells, countries)
 
         arrest = detect_arrest_count(
             sentence,
@@ -197,13 +194,7 @@ def assemble(
             exclude=consumed,
         )
 
-        paragraph_fallback: str | None = None
-        if not countries:
-            pi = doc.paragraph_index_of(sentence)
-            fallback_spans = paragraph_countries.get(pi)
-            if fallback_spans:
-                paragraph_fallback = fallback_spans[0].canonical
-
+        paragraph_fallback = None if countries else paragraph_countries[pi]
         for shell in shells:
             events.append(
                 TraffickingEvent(
@@ -225,17 +216,16 @@ def assemble(
 def _build_shells(
     animals: list[EntitySpan],
     products: list[EntitySpan],
-    token_index: dict[EntitySpan, tuple[int, int]],
     pair_window: int,
 ) -> list[_Shell]:
     shells: list[_Shell] = []
     modifier_animals: set[EntitySpan] = set()
     for product in products:
-        p_first = token_index[product][0]
+        p_first = product.first_token
         best: EntitySpan | None = None
         best_last = -1
         for animal in animals:
-            a_last = token_index[animal][1]
+            a_last = animal.last_token
             if a_last < p_first and p_first - a_last <= pair_window and a_last > best_last:
                 best = animal
                 best_last = a_last
@@ -252,7 +242,6 @@ def _build_shells(
 def _attach_quantities(
     shells: list[_Shell],
     cardinals: list[EntitySpan],
-    token_index: dict[EntitySpan, tuple[int, int]],
     quantity_window: int,
 ) -> set[EntitySpan]:
     """Attach item counts; returns the cardinals consumed as quantities."""
@@ -263,11 +252,11 @@ def _attach_quantities(
         for anchor in (shell.species_span, shell.product_span):
             if anchor is None:
                 continue
-            a_first = token_index[anchor][0]
+            a_first = anchor.first_token
             for cardinal in cardinals:
                 if cardinal in used or int(cardinal.canonical) < 1:
                     continue
-                c_last = token_index[cardinal][1]
+                c_last = cardinal.last_token
                 gap = a_first - c_last
                 if 1 <= gap <= quantity_window and c_last > best_last:
                     best = cardinal
@@ -278,19 +267,15 @@ def _attach_quantities(
     return used
 
 
-def _attach_weights(
-    shells: list[_Shell],
-    weights: list[EntitySpan],
-    token_index: dict[EntitySpan, tuple[int, int]],
-) -> None:
+def _attach_weights(shells: list[_Shell], weights: list[EntitySpan]) -> None:
     for weight in weights:
-        w_range = token_index[weight]
+        w_range = (weight.first_token, weight.last_token)
         best: _Shell | None = None
         best_distance: int | None = None
         for shell in shells:
             if shell.weight_kg is not None:
                 continue
-            anchor = shell.anchor_token_range(token_index)
+            anchor = shell.anchor_token_range()
             distance = 0 if anchor is None else _interval_distance(w_range, anchor)
             if best_distance is None or distance < best_distance:
                 best = shell
@@ -299,20 +284,19 @@ def _attach_weights(
             best.weight_kg = float(weight.canonical)
 
 
-def _attach_countries(
-    shells: list[_Shell],
-    countries: list[EntitySpan],
-    token_index: dict[EntitySpan, tuple[int, int]],
-) -> None:
+def _attach_countries(shells: list[_Shell], countries: list[EntitySpan]) -> None:
     if not countries:
         return
     for shell in shells:
-        anchor = shell.anchor_token_range(token_index)
+        anchor = shell.anchor_token_range()
         if anchor is None:
             shell.country = countries[0].canonical
             continue
         best = min(
             countries,
-            key=lambda c: (_interval_distance(token_index[c], anchor), c.start_char),
+            key=lambda c: (
+                _interval_distance((c.first_token, c.last_token), anchor),
+                c.start_char,
+            ),
         )
         shell.country = best.canonical

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .assembler import HeuristicConfig, load_heuristics
@@ -20,11 +19,7 @@ from .lexicon import Lexicon, LexiconError, load_lexicon, merge_lexicons
 from .matcher import compile_lexicon
 from .pipeline import extract_document
 from .report import write_report_files
-from .resources import (
-    default_abbreviations_path,
-    default_heuristics_path,
-    default_lexicon_paths,
-)
+from .resources import default_heuristics_path, default_lexicon_paths
 from .store import CsvFormatError, EventStore, StoreError, import_csv
 
 __all__ = ["main"]
@@ -76,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="key=value window configuration (default: shipped config)")
     p_extract.add_argument("--store", type=Path, default=Path("events.db"),
                            help="event store path (default: events.db)")
-    p_extract.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers for parsing (default: 1)")
     p_extract.set_defaults(func=cmd_extract)
 
     p_eval = sub.add_parser("eval", help="score predictions against a gold CSV")
@@ -134,17 +127,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     matcher = compile_lexicon(lexicon)
 
-    try:
-        abbreviations = (
-            load_abbreviations(args.abbreviations)
-            if args.abbreviations is not None
-            else load_abbreviations(default_abbreviations_path())
-        )
-    except (OSError, ValueError) as exc:
-        if args.abbreviations is not None:
+    abbreviations = DEFAULT_ABBREVIATIONS
+    if args.abbreviations is not None:
+        try:
+            abbreviations = load_abbreviations(args.abbreviations)
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        abbreviations = DEFAULT_ABBREVIATIONS
     try:
         config = (
             load_heuristics(args.heuristics)
@@ -162,47 +151,27 @@ def cmd_extract(args: argparse.Namespace) -> int:
         print("no briefs found", file=sys.stderr)
         return EXIT_OK
 
-    def process(path: Path):
-        doc = load_report(path, abbreviations)
-        return doc, extract_document(doc, matcher, config)
-
+    extracted = 0
     failures = 0
-    results = []
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        outcomes = []
-        for path in paths:
-            try:
-                outcomes.append((path, process(path), None))
-            except Exception as exc:  # keep the batch going
-                outcomes.append((path, None, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(path, pool.submit(process, path)) for path in paths]
-            outcomes = []
-            for path, future in futures:
-                try:
-                    outcomes.append((path, future.result(), None))
-                except Exception as exc:
-                    outcomes.append((path, None, exc))
-
     try:
         with EventStore(args.store) as store:
-            for path, result, exc in outcomes:
-                if exc is not None:
+            for path in paths:
+                try:
+                    doc = load_report(path, abbreviations)
+                    events = extract_document(doc, matcher, config)
+                except Exception as exc:  # keep the batch going
                     failures += 1
                     print(f"error: {path.name}: {exc}", file=sys.stderr)
                     continue
-                doc, events = result
                 store.register_report(doc.report_id, doc.year, doc.month, str(path))
                 store.ingest(events)
-                results.append((doc.report_id, len(events)))
+                extracted += 1
                 print(f"{doc.report_id}: {len(events)} events")
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    LOGGER.info("extracted %d reports, %d failures", len(results), failures)
+    LOGGER.info("extracted %d reports, %d failures", extracted, failures)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -31,9 +31,12 @@ __all__ = [
     "tokenize",
 ]
 
-# Periods that end these strings never close a sentence.  The shipped config
-# file extends this list; see data/abbreviations.txt.
-DEFAULT_ABBREVIATIONS: tuple[str, ...] = ("Mr.", "Dr.", "No.", "kg.", "e.g.", "i.e.")
+# Periods that end these strings never close a sentence.  The library and
+# the CLI both default to this list; data/abbreviations.txt ships the same
+# entries as a file to copy and edit for ``--abbreviations``.
+DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
+    "Mr.", "Mrs.", "Ms.", "Dr.", "Prof.", "St.", "No.", "kg.", "e.g.", "i.e.", "vs.",
+)
 
 _FILENAME_RE = re.compile(r"(?P<source>.+)-(?P<year>\d{4})-(?P<month>\d{2})\.txt")
 

@@ -5,6 +5,10 @@ fires inside "escalates" and multi-word surfaces such as "sea turtle" are
 matched as phrases.  Overlaps are resolved leftmost-longest: the candidate
 starting earliest wins, and among candidates sharing a start the longest
 wins.  The result is always a sorted, non-overlapping list of spans.
+
+Every span records both its character offsets and the token range it
+covers, so later stages measure token distances without re-scanning the
+sentence.
 """
 
 from __future__ import annotations
@@ -32,13 +36,22 @@ WEIGHT = "WEIGHT"
 
 @dataclass(frozen=True)
 class EntitySpan:
-    """A labeled span with document-relative character offsets."""
+    """A labeled span of one sentence, in characters and in tokens.
+
+    ``start_char`` and ``end_char`` are document-relative character offsets.
+    ``first_token`` and ``last_token`` are the inclusive range of the tokens
+    it covers, as indices into its sentence's ``tokens``: the span starts
+    where token ``first_token`` starts and ends where token ``last_token``
+    ends.  Spans never cross a sentence boundary.
+    """
 
     start_char: int
     end_char: int
     text: str
     label: str
     canonical: str
+    first_token: int
+    last_token: int
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,8 @@ def find_entities(doc: ReportDocument, matcher: CompiledMatcher) -> list[EntityS
                     text=doc.raw_text[start:end],
                     label=label,
                     canonical=canonical,
+                    first_token=i,
+                    last_token=i + length - 1,
                 )
             )
             i += length
@@ -115,14 +130,22 @@ def merge_spans(
     """Union lexical and numeric spans; on overlap the lexical span wins.
 
     Both inputs must individually be free of overlaps.  The result is sorted
-    by start offset and non-overlapping.
+    by start offset and non-overlapping.  One merge of the two sorted lists:
+    a numeric span can only overlap the first lexical span that ends after
+    the numeric span starts.
     """
-    kept = sorted(lexical, key=lambda s: (s.start_char, s.end_char))
-    intervals = [(s.start_char, s.end_char) for s in kept]
-    merged = list(kept)
-    for span in numeric:
-        if any(span.start_char < end and start < span.end_char for start, end in intervals):
-            continue
-        merged.append(span)
-    merged.sort(key=lambda s: (s.start_char, s.end_char))
+    kept = sorted(lexical, key=_offsets)
+    merged: list[EntitySpan] = []
+    i = 0
+    for span in sorted(numeric, key=_offsets):
+        while i < len(kept) and kept[i].end_char <= span.start_char:
+            merged.append(kept[i])
+            i += 1
+        if i == len(kept) or span.end_char <= kept[i].start_char:
+            merged.append(span)
+    merged.extend(kept[i:])
     return merged
+
+
+def _offsets(span: EntitySpan) -> tuple[int, int]:
+    return span.start_char, span.end_char

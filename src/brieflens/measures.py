@@ -89,7 +89,8 @@ def _texts(tokens: Sequence[Token | str]) -> list[str]:
 
 def _parse_digits(texts: Sequence[str], i: int) -> NumberMatch | None:
     tok = texts[i]
-    if not tok.isdigit():
+    # isdecimal, not isdigit: int() rejects digits such as "¹" that isdigit accepts
+    if not tok.isdecimal():
         return None
     value = int(tok)
     if value > MAX_NUMBER:
@@ -100,7 +101,7 @@ def _parse_digits(texts: Sequence[str], i: int) -> NumberMatch | None:
         while (
             j + 1 < len(texts)
             and texts[j] == ","
-            and texts[j + 1].isdigit()
+            and texts[j + 1].isdecimal()
             and len(texts[j + 1]) == 3
         ):
             candidate = value * 1000 + int(texts[j + 1])
@@ -201,6 +202,40 @@ def _to_kg(value: int, unit: str) -> float:
     raise ValueError(f"unknown weight unit {unit!r}")
 
 
+def _is_weight(texts: Sequence[str], m: NumberMatch) -> bool:
+    # a positive number immediately followed by a unit token
+    return m.end < len(texts) and texts[m.end] in WEIGHT_UNIT_TOKENS and m.value > 0
+
+
+def _weight(
+    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
+) -> tuple[EntitySpan, Weight]:
+    unit_index = m.end
+    kg = _to_kg(m.value, texts[unit_index])
+    span = EntitySpan(
+        start_char=tokens[m.start].start_char,
+        end_char=tokens[unit_index].end_char,
+        text=_join_text(tokens, m.start, unit_index + 1),
+        label=WEIGHT,
+        canonical=repr(kg),
+        first_token=m.start,
+        last_token=unit_index,
+    )
+    return span, Weight(kg, float(m.value), tokens[unit_index].text)
+
+
+def _cardinal(tokens: Sequence[Token], m: NumberMatch) -> EntitySpan:
+    return EntitySpan(
+        start_char=tokens[m.start].start_char,
+        end_char=tokens[m.end - 1].end_char,
+        text=_join_text(tokens, m.start, m.end),
+        label=CARDINAL,
+        canonical=str(m.value),
+        first_token=m.start,
+        last_token=m.end - 1,
+    )
+
+
 def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     """Find every ``<number> <unit>`` weight in the sentence.
 
@@ -210,57 +245,22 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
-    results: list[tuple[EntitySpan, Weight]] = []
-    i = 0
-    while i < len(tokens):
-        m = _parse_digits(texts, i) or _parse_words(texts, i)
-        if m is None:
-            i += 1
-            continue
-        unit_index = m.end
-        if unit_index < len(tokens) and texts[unit_index] in WEIGHT_UNIT_TOKENS and m.value > 0:
-            kg = _to_kg(m.value, texts[unit_index])
-            span = EntitySpan(
-                start_char=tokens[m.start].start_char,
-                end_char=tokens[unit_index].end_char,
-                text=_join_text(tokens, m.start, unit_index + 1),
-                label=WEIGHT,
-                canonical=repr(kg),
-            )
-            results.append((span, Weight(kg, float(m.value), tokens[unit_index].text)))
-            i = unit_index + 1
-        else:
-            i = m.end
-    return results
+    return [_weight(tokens, texts, m) for m in _iter_numbers(texts) if _is_weight(texts, m)]
 
 
 def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
-    """All numeric spans of a sentence: weights first, then leftover cardinals.
+    """All numeric spans of a sentence, sorted: weights and cardinals.
 
-    A number consumed by a weight never doubles as a CARDINAL.
+    A number followed by a unit is a WEIGHT and never doubles as a
+    CARDINAL.  No unit token parses as a number, so one pass of the number
+    grammar finds every weight and every cardinal.
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
-    spans = [span for span, _ in parse_weights(sentence)]
-    taken: set[int] = set()
-    for span in spans:
-        for idx, tok in enumerate(tokens):
-            if tok.start_char >= span.start_char and tok.end_char <= span.end_char:
-                taken.add(idx)
-    for m in _iter_numbers(texts):
-        if any(idx in taken for idx in range(m.start, m.end)):
-            continue
-        spans.append(
-            EntitySpan(
-                start_char=tokens[m.start].start_char,
-                end_char=tokens[m.end - 1].end_char,
-                text=_join_text(tokens, m.start, m.end),
-                label=CARDINAL,
-                canonical=str(m.value),
-            )
-        )
-    spans.sort(key=lambda s: (s.start_char, s.end_char))
-    return spans
+    return [
+        _weight(tokens, texts, m)[0] if _is_weight(texts, m) else _cardinal(tokens, m)
+        for m in _iter_numbers(texts)
+    ]
 
 
 def has_arrest_lexeme(sentence: SentenceSpan) -> bool:
@@ -278,27 +278,22 @@ def detect_arrest_count(
 
     The count is the nearest standalone number within ``window`` tokens of
     an arrest lexeme.  Numbers that belong to a weight are never
-    candidates, nor are numbers covered by a span in ``exclude`` (the
-    assembler passes cardinals already spoken for as item quantities).  A
-    lexeme with no candidate in range yields ``default``.
+    candidates, nor are numbers sharing a token with a span of this
+    sentence in ``exclude`` (the assembler passes cardinals already spoken
+    for as item quantities).  A lexeme with no candidate in range yields
+    ``default``.
     """
-    tokens = sentence.tokens
-    texts = _texts(tokens)
+    texts = _texts(sentence.tokens)
     lexeme_positions = [i for i, t in enumerate(texts) if t in ARREST_LEXEMES]
     if not lexeme_positions:
         return None
 
-    skip_tokens: set[int] = set()
-    excluded_spans = [span for span, _ in parse_weights(sentence)]
-    excluded_spans.extend(exclude)
-    for span in excluded_spans:
-        for idx, tok in enumerate(tokens):
-            if tok.start_char >= span.start_char and tok.end_char <= span.end_char:
-                skip_tokens.add(idx)
-
+    skip_tokens = {
+        idx for span in exclude for idx in range(span.first_token, span.last_token + 1)
+    }
     best: tuple[int, int, int] | None = None  # (distance, number start, value)
     for m in _iter_numbers(texts):
-        if any(idx in skip_tokens for idx in range(m.start, m.end)):
+        if _is_weight(texts, m) or any(idx in skip_tokens for idx in range(m.start, m.end)):
             continue
         for pos in lexeme_positions:
             if m.start > pos:

@@ -3,7 +3,8 @@
 Everything in this module is written from the documented contracts alone,
 deliberately using the dumbest correct algorithm available: the phrase
 matcher oracle tries every surface at every position and resolves overlaps
-with an explicit sweep, and the number speller is a plain lookup-table
+with an explicit sweep, the span merger tests every numeric span against
+every lexical span, and the number speller is a plain lookup-table
 composition.  Keep these naive; their value is that they share no code
 with the implementations they check.
 """
@@ -11,6 +12,7 @@ with the implementations they check.
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from brieflens.corpus import ReportDocument, tokenize
 from brieflens.lexicon import Lexicon
@@ -50,10 +52,27 @@ def naive_leftmost_longest(doc: ReportDocument, lexicon: Lexicon) -> list[Entity
                     text=doc.raw_text[start:end],
                     label=label,
                     canonical=canonical,
+                    first_token=i,
+                    last_token=j - 1,
                 )
             )
             taken_until = j - 1
     return chosen
+
+
+def naive_merge_spans(
+    lexical: Iterable[EntitySpan], numeric: Iterable[EntitySpan]
+) -> list[EntitySpan]:
+    """Quadratic merge: drop every numeric span overlapping any lexical one."""
+    kept = sorted(lexical, key=lambda s: (s.start_char, s.end_char))
+    intervals = [(s.start_char, s.end_char) for s in kept]
+    merged = list(kept)
+    for span in numeric:
+        if any(span.start_char < end and start < span.end_char for start, end in intervals):
+            continue
+        merged.append(span)
+    merged.sort(key=lambda s: (s.start_char, s.end_char))
+    return merged
 
 
 _ONES = [

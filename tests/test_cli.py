@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from brieflens import cli
 from brieflens.cli import main
+from brieflens.corpus import document_from_text
 from brieflens.store import EventStore
 
 from conftest import BRIEFS_DIR, GOLD_CSV
@@ -48,11 +50,26 @@ class TestExtract:
         with EventStore(store) as s:
             assert s.content_hash() == first
 
-    def test_parallel_matches_serial(self, tmp_path, capsys):
-        run(capsys, "extract", BRIEFS_DIR, "--store", tmp_path / "serial.db")
-        run(capsys, "extract", BRIEFS_DIR, "--store", tmp_path / "par.db", "--jobs", "4")
-        with EventStore(tmp_path / "serial.db") as a, EventStore(tmp_path / "par.db") as b:
-            assert a.content_hash() == b.content_hash()
+    def test_segments_like_the_library(self, tmp_path, capsys, monkeypatch):
+        text = "Officers met Prof. Mbeki in Gabon. Two tusks were seized."
+        brief = tmp_path / "probe-2021-01.txt"
+        brief.write_text(text, encoding="utf-8")
+        real_load_report = cli.load_report
+        loaded = []
+
+        def recording_load_report(*args, **kwargs):
+            doc = real_load_report(*args, **kwargs)
+            loaded.append(doc)
+            return doc
+
+        monkeypatch.setattr(cli, "load_report", recording_load_report)
+        code, _, _ = run(capsys, "extract", brief, "--store", tmp_path / "e.db")
+        assert code == 0
+        library = document_from_text("probe-2021-01", 2021, 1, text)
+        assert [(s.start_char, s.end_char) for s in loaded[0].sentences] == [
+            (s.start_char, s.end_char) for s in library.sentences
+        ]
+        assert len(library.sentences) == 2
 
     def test_bad_brief_fails_that_file_only(self, tmp_path, capsys):
         briefs = tmp_path / "briefs"

@@ -17,6 +17,7 @@ from brieflens.corpus import (
     segment_sentences,
     tokenize,
 )
+from brieflens.resources import default_abbreviations_path
 
 
 def texts_of(tokens):
@@ -182,6 +183,9 @@ class TestAbbreviationFile:
 
     def test_defaults_are_period_terminated(self):
         assert all(a.endswith(".") for a in DEFAULT_ABBREVIATIONS)
+
+    def test_defaults_match_shipped_file(self):
+        assert load_abbreviations(default_abbreviations_path()) == DEFAULT_ABBREVIATIONS
 
 
 @given(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, strategies as st
+
 from brieflens.corpus import document_from_text
 from brieflens.lexicon import Lexicon
 from brieflens.matcher import (
@@ -14,8 +16,9 @@ from brieflens.matcher import (
     find_entities,
     merge_spans,
 )
+from brieflens.measures import numeric_spans
 
-from oracles import naive_leftmost_longest, random_matcher_case
+from oracles import naive_leftmost_longest, naive_merge_spans, random_matcher_case
 
 
 def doc_of(text: str):
@@ -98,20 +101,66 @@ class TestOracleEquivalence:
 
 
 class TestMergeSpans:
-    def _cardinal(self, start, end, text="3", value="3"):
-        return EntitySpan(start, end, text, CARDINAL, value)
+    def _cardinal(self, start, end, text="3", value="3", tokens=(0, 0)):
+        return EntitySpan(start, end, text, CARDINAL, value, *tokens)
 
     def test_union_with_empty(self):
         numeric = [self._cardinal(0, 1)]
         assert merge_spans([], numeric) == numeric
 
     def test_lexical_wins_on_overlap(self):
-        lexical = [EntitySpan(0, 8, "elephant", "ANIMAL", "elephant")]
+        lexical = [EntitySpan(0, 8, "elephant", "ANIMAL", "elephant", 0, 0)]
         numeric = [self._cardinal(0, 8, "elephant", "8")]
         assert merge_spans(lexical, numeric) == lexical
 
     def test_disjoint_union_sorted(self):
-        lexical = [EntitySpan(10, 14, "tusk", "PRODUCT", "tusk")]
+        lexical = [EntitySpan(10, 14, "tusk", "PRODUCT", "tusk", 2, 2)]
         numeric = [self._cardinal(0, 1)]
         merged = merge_spans(lexical, numeric)
         assert [s.start_char for s in merged] == [0, 10]
+
+
+# Surfaces that share tokens with the number grammar ("big five", "two
+# tusks", "kg bag"), so lexical and numeric spans overlap from either side
+# and the merge must drop some.
+_FUZZ_MATCHER = compile_lexicon(
+    Lexicon.from_rows(
+        [
+            ("elephant", "ANIMAL", ""),
+            ("sea turtle", "ANIMAL", ""),
+            ("big five", "ANIMAL", ""),
+            ("hundred", "ANIMAL", ""),
+            ("ivory", "PRODUCT", ""),
+            ("two tusk", "PRODUCT", ""),
+            ("kg bag", "PRODUCT", ""),
+            ("gabon", "COUNTRY", ""),
+            ("côte d'ivoire", "COUNTRY", ""),
+        ]
+    )
+)
+_FUZZ_PIECES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        [
+            "Elephant", "sea turtle", "Big five", "five hundred", "ivory", "Two tusks",
+            "two", "3 kg bag", "kg", "hundred", "and", "twenty-five", "1,200", "0",
+            "tons", "Gabon", "Côte d'Ivoire", "arrested", "Mr.", "İstanbul", "ß",
+        ]
+    ),
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "\n", "\r\n", "\n\n", "\r\n \r\n", ". ", ", "])
+
+
+@given(st.lists(st.tuples(_FUZZ_PIECES, _SEPARATORS), max_size=40))
+def test_spans_carry_their_token_range(parts):
+    doc = doc_of("".join(piece + separator for piece, separator in parts))
+    lexical = find_entities(doc, _FUZZ_MATCHER)
+    numeric = [span for sentence in doc.sentences for span in numeric_spans(sentence)]
+    merged = merge_spans(lexical, numeric)
+    for span in lexical + numeric + merged:
+        sentence = next(s for s in doc.sentences if s.start_char <= span.start_char < s.end_char)
+        assert 0 <= span.first_token <= span.last_token < len(sentence.tokens)
+        assert sentence.tokens[span.first_token].start_char == span.start_char
+        assert sentence.tokens[span.last_token].end_char == span.end_char
+    assert all(left.end_char <= right.start_char for left, right in zip(merged, merged[1:]))
+    assert merged == naive_merge_spans(lexical, numeric)

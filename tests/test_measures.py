@@ -62,6 +62,12 @@ class TestParseNumber:
         assert parse_number(["elephant"]) is None
         assert parse_number([]) is None
 
+    def test_non_decimal_digits_are_not_numbers(self):
+        # str.isdigit accepts superscripts, which int() rejects
+        assert parse_number(["¹"]) is None
+        assert parse_number(tokenize("1,²³⁴")).value == 1
+        assert parse_number(["٣"]).value == 3
+
     def test_words_exhaustive_to_one_hundred(self):
         for n in range(101):
             for hyphen in (True, False):
