@@ -8,69 +8,4 @@ JSON plus static HTML summaries.  Extraction quality is measured against
 gold annotations with a four-outcome taxonomy.
 """
 
-from .assembler import HeuristicConfig, TraffickingEvent, assemble, load_heuristics
-from .corpus import (
-    DEFAULT_ABBREVIATIONS,
-    ReportDocument,
-    SentenceSpan,
-    Token,
-    document_from_text,
-    load_abbreviations,
-    load_report,
-    segment_sentences,
-    tokenize,
-)
-from .evaluation import (
-    EvalOutcome,
-    EvalReport,
-    MatchResult,
-    compute_report,
-    evaluate_corpus,
-    field_agree,
-    match_events,
-)
-from .lexicon import (
-    ANIMAL,
-    COUNTRY,
-    PRODUCT,
-    Lexicon,
-    LexiconEntry,
-    LexiconError,
-    load_lexicon,
-    merge_lexicons,
-    pluralize,
-    singularize,
-)
-from .matcher import (
-    CARDINAL,
-    WEIGHT,
-    CompiledMatcher,
-    EntitySpan,
-    compile_lexicon,
-    find_entities,
-    merge_spans,
-)
-from .measures import (
-    ARREST_LEXEMES,
-    NumberMatch,
-    Weight,
-    detect_arrest_count,
-    numeric_spans,
-    parse_number,
-    parse_weights,
-)
-from .pipeline import extract_document
-from .report import RenderedReport, emit_html, emit_json, render, write_report_files
-from .store import (
-    CSV_COLUMNS,
-    CSV_HEADER,
-    CsvFormatError,
-    EventStore,
-    SchemaError,
-    StoreError,
-    SummaryStats,
-    format_weight,
-    import_csv,
-)
-
 __version__ = "0.1.0"

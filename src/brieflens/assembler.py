@@ -26,7 +26,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,12 +52,18 @@ class HeuristicConfig:
     arrest_window: int = 5
     arrest_default: int = 1
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"{f.name} must not be negative, got {value}")
 
-_HEURISTIC_KEYS = ("pair_window", "quantity_window", "arrest_window", "arrest_default")
+
+_HEURISTIC_KEYS = tuple(f.name for f in fields(HeuristicConfig))
 
 
 def load_heuristics(path: str | Path) -> HeuristicConfig:
-    """Read a key=value heuristics file; unknown keys are rejected."""
+    """Read a key=value heuristics file; unknown keys and negative values are rejected."""
     values: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -71,7 +77,10 @@ def load_heuristics(path: str | Path) -> HeuristicConfig:
             values[key] = int(value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {value.strip()!r} is not an integer") from exc
-    return HeuristicConfig(**values)
+    try:
+        return HeuristicConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .lexicon import Lexicon, LexiconError, load_lexicon, merge_lexicons
 from .matcher import compile_lexicon
 from .pipeline import extract_document
 from .report import write_report_files
-from .resources import default_heuristics_path, default_lexicon_paths
+from .resources import default_lexicon_paths
 from .store import CsvFormatError, EventStore, StoreError, import_csv
 
 __all__ = ["main"]
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--abbreviations", type=Path, default=None,
                            help="sentence-abbreviation list (default: shipped list)")
     p_extract.add_argument("--heuristics", type=Path, default=None,
-                           help="key=value window configuration (default: shipped config)")
+                           help="key=value window configuration (default: built-in windows)")
     p_extract.add_argument("--store", type=Path, default=Path("events.db"),
                            help="event store path (default: events.db)")
     p_extract.set_defaults(func=cmd_extract)
@@ -120,31 +120,18 @@ def _collect_brief_paths(inputs: list[Path]) -> list[Path]:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    try:
+    try:  # LexiconError is a ValueError
         lexicon = _load_merged_lexicon(args)
-    except (LexiconError, OSError) as exc:
+        abbreviations = (
+            DEFAULT_ABBREVIATIONS
+            if args.abbreviations is None
+            else load_abbreviations(args.abbreviations)
+        )
+        config = HeuristicConfig() if args.heuristics is None else load_heuristics(args.heuristics)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     matcher = compile_lexicon(lexicon)
-
-    abbreviations = DEFAULT_ABBREVIATIONS
-    if args.abbreviations is not None:
-        try:
-            abbreviations = load_abbreviations(args.abbreviations)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        config = (
-            load_heuristics(args.heuristics)
-            if args.heuristics is not None
-            else load_heuristics(default_heuristics_path())
-        )
-    except (OSError, ValueError) as exc:
-        if args.heuristics is not None:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        config = HeuristicConfig()
 
     paths = _collect_brief_paths(args.inputs)
     if not paths:
@@ -186,10 +173,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             with EventStore(args.store) as store:
                 predicted = store.events()
-    except (CsvFormatError, StoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CsvFormatError, StoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

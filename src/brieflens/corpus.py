@@ -95,13 +95,6 @@ class ReportDocument:
     sentences: tuple[SentenceSpan, ...]
     paragraphs: tuple[tuple[int, int], ...]
 
-    def paragraph_index_of(self, sentence: SentenceSpan) -> int:
-        """Index of the paragraph containing ``sentence``."""
-        for i, (start, end) in enumerate(self.paragraphs):
-            if start <= sentence.start_char < end:
-                return i
-        raise ValueError(f"sentence at {sentence.start_char} is outside every paragraph")
-
 
 def tokenize(text: str, offset: int = 0) -> list[Token]:
     """Split ``text`` into offset-stable tokens.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .assembler import TraffickingEvent
 
@@ -27,7 +27,6 @@ __all__ = [
     "COMPARED_FIELDS",
     "EvalOutcome",
     "EvalReport",
-    "GoldEvent",
     "MatchResult",
     "WEIGHT_TOLERANCE_KG",
     "compute_report",
@@ -36,9 +35,6 @@ __all__ = [
     "field_agree",
     "match_events",
 ]
-
-# gold annotations use the same record shape as extracted events
-GoldEvent = TraffickingEvent
 
 COMPARED_FIELDS = ("arrest_count", "country", "product", "species", "quantity", "weight_kg")
 
@@ -115,7 +111,6 @@ class MatchResult:
 def match_events(
     predicted: Sequence[TraffickingEvent],
     gold: Sequence[TraffickingEvent],
-    eligible: Callable[[TraffickingEvent, TraffickingEvent], bool] = default_eligibility,
 ) -> MatchResult:
     """Greedy one-to-one matching for a single report."""
     report_ids = {e.report_id for e in predicted} | {e.report_id for e in gold}
@@ -126,7 +121,7 @@ def match_events(
     candidates: list[tuple[int, int, int]] = []  # (-score, pred idx, gold idx)
     for pi, p in enumerate(predicted):
         for gi, g in enumerate(gold):
-            if eligible(p, g):
+            if default_eligibility(p, g):
                 candidates.append((-pair_score(p, g), pi, gi))
     candidates.sort()
 
@@ -169,7 +164,6 @@ def match_events(
 def evaluate_corpus(
     predicted: Iterable[TraffickingEvent],
     gold: Iterable[TraffickingEvent],
-    eligible: Callable[[TraffickingEvent, TraffickingEvent], bool] = default_eligibility,
 ) -> list[MatchResult]:
     """Group both sides by report id and match report by report."""
     by_report_pred: dict[str, list[TraffickingEvent]] = {}
@@ -181,11 +175,7 @@ def evaluate_corpus(
     results = []
     for report_id in sorted(by_report_pred.keys() | by_report_gold.keys()):
         results.append(
-            match_events(
-                by_report_pred.get(report_id, []),
-                by_report_gold.get(report_id, []),
-                eligible,
-            )
+            match_events(by_report_pred.get(report_id, []), by_report_gold.get(report_id, []))
         )
     return results
 

@@ -117,18 +117,13 @@ def _singularize_word(word: str) -> str:
     return word
 
 
-def singularize(surface: str, lexicon: "Lexicon | None" = None) -> str:
-    """Return the canonical singular for ``surface``.
+def singularize(surface: str) -> str:
+    """Return the singular of ``surface``.
 
-    A lexicon hit answers directly from the stored canonical; otherwise the
-    inverse of the pluralization cascade is applied to the case-folded
+    The inverse of the pluralization cascade is applied to the case-folded
     surface, last word only for multi-word terms.
     """
     key = surface.casefold()
-    if lexicon is not None:
-        hit = lexicon.lookup(key)
-        if hit is not None:
-            return hit[1]
     if " " in key:
         head, _, last = key.rpartition(" ")
         return f"{head} {_singularize_word(last)}"
@@ -168,14 +163,6 @@ class Lexicon:
 
     def lookup(self, surface: str) -> tuple[str, str] | None:
         return self.entries.get(surface.casefold())
-
-    def canonicals(self, label: str | None = None) -> set[str]:
-        """Distinct canonical forms, optionally restricted to one label."""
-        return {
-            canonical
-            for lbl, canonical in self.entries.values()
-            if label is None or lbl == label
-        }
 
     @classmethod
     def from_rows(cls, rows: Iterable[LexiconEntry | tuple], version: str = "") -> "Lexicon":

@@ -13,6 +13,7 @@ window; a lexeme with no number nearby means a single arrest.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 MAX_NUMBER = 999_999
+_MAX_DIGITS = len(str(MAX_NUMBER))
 
 _UNITS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
@@ -92,7 +94,12 @@ def _parse_digits(texts: Sequence[str], i: int) -> NumberMatch | None:
     # isdecimal, not isdigit: int() rejects digits such as "¹" that isdigit accepts
     if not tok.isdecimal():
         return None
-    value = int(tok)
+    # int() refuses strings of more than 4,300 digits, so a token with more
+    # significant digits than MAX_NUMBER is rejected before converting; the
+    # leading zeros may come from any script
+    if len(tok) > _MAX_DIGITS and any(unicodedata.decimal(ch) for ch in tok[:-_MAX_DIGITS]):
+        return None
+    value = int(tok[-_MAX_DIGITS:])
     if value > MAX_NUMBER:
         return None
     length = 1
@@ -270,8 +277,9 @@ def has_arrest_lexeme(sentence: SentenceSpan) -> bool:
 
 def detect_arrest_count(
     sentence: SentenceSpan,
-    window: int = 5,
-    default: int = 1,
+    *,
+    window: int,
+    default: int,
     exclude: Iterable[EntitySpan] = (),
 ) -> int | None:
     """Arrest count for a sentence, or None when no arrest lexeme occurs.

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = [
-    "DATA_DIR",
-    "default_abbreviations_path",
-    "default_heuristics_path",
-    "default_lexicon_paths",
-]
+__all__ = ["DATA_DIR", "default_lexicon_paths"]
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -22,10 +17,3 @@ def default_lexicon_paths() -> dict[str, Path]:
         "countries": DATA_DIR / "countries.csv",
     }
 
-
-def default_abbreviations_path() -> Path:
-    return DATA_DIR / "abbreviations.txt"
-
-
-def default_heuristics_path() -> Path:
-    return DATA_DIR / "heuristics.cfg"

@@ -10,6 +10,7 @@ import pytest
 from brieflens.assembler import HeuristicConfig, load_heuristics
 from brieflens.lexicon import COUNTRY
 from brieflens.pipeline import extract_document
+from brieflens.resources import DATA_DIR
 
 
 def events_for(make_doc, matcher, text, config=HeuristicConfig()):
@@ -246,6 +247,20 @@ class TestHeuristicsFile:
         path = tmp_path / "h.cfg"
         path.write_text("sprocket=3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="h.cfg:1"):
+            load_heuristics(path)
+
+    def test_shipped_template_equals_defaults(self):
+        assert load_heuristics(DATA_DIR / "heuristics.cfg") == HeuristicConfig()
+
+    @pytest.mark.parametrize(
+        "key", ["pair_window", "quantity_window", "arrest_window", "arrest_default"]
+    )
+    def test_negative_value_rejected(self, tmp_path, key):
+        with pytest.raises(ValueError, match=key):
+            HeuristicConfig(**{key: -1})
+        path = tmp_path / "h.cfg"
+        path.write_text(f"{key}=-1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="h.cfg"):
             load_heuristics(path)
 
     def test_non_integer_rejected(self, tmp_path):

@@ -101,6 +101,23 @@ class TestExtract:
         )
         assert code == 1 and "error:" in err
 
+    def test_negative_heuristics_fail_before_the_store_opens(self, tmp_path, capsys):
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text("arrest_default=-1\n", encoding="utf-8")
+        store = tmp_path / "e.db"
+        code, out, err = run(
+            capsys, "extract", BRIEFS_DIR, "--store", store, "--heuristics", cfg,
+        )
+        assert code == 1 and "error:" in err and "negative.cfg" in err
+        assert out == "" and not store.exists()
+
+    def test_overlong_digit_run_is_skipped(self, tmp_path, capsys):
+        brief = tmp_path / "long-2021-01.txt"
+        brief.write_text(f"Rangers in Gabon seized {'1' * 5000} tusks.\n", encoding="utf-8")
+        code, out, err = run(capsys, "extract", brief, "--store", tmp_path / "e.db")
+        assert code == 0 and err == ""
+        assert out == "long-2021-01: 1 events\n"
+
     def test_missing_abbreviations_file_is_fatal(self, tmp_path, capsys):
         store = tmp_path / "e.db"
         code, out, err = run(

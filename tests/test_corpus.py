@@ -17,7 +17,9 @@ from brieflens.corpus import (
     segment_sentences,
     tokenize,
 )
-from brieflens.resources import default_abbreviations_path
+from brieflens.pipeline import extract_document
+from brieflens.resources import DATA_DIR
+from brieflens.store import EventStore
 
 
 def texts_of(tokens):
@@ -116,9 +118,12 @@ class TestDocument:
         doc = make_doc("Alpha beta.\nGamma delta.\n\nNew paragraph here.\n")
         assert len(doc.paragraphs) == 2
         assert len(doc.sentences) == 3
-        assert doc.paragraph_index_of(doc.sentences[0]) == 0
-        assert doc.paragraph_index_of(doc.sentences[1]) == 0
-        assert doc.paragraph_index_of(doc.sentences[2]) == 1
+        containing = [
+            [i for i, (start, end) in enumerate(doc.paragraphs)
+             if start <= s.start_char and s.end_char <= end]
+            for s in doc.sentences
+        ]
+        assert containing == [[0], [0], [1]]
 
     def test_sentences_never_cross_paragraphs(self, make_doc):
         # no terminator before the blank line: the break still ends the sentence
@@ -185,7 +190,7 @@ class TestAbbreviationFile:
         assert all(a.endswith(".") for a in DEFAULT_ABBREVIATIONS)
 
     def test_defaults_match_shipped_file(self):
-        assert load_abbreviations(default_abbreviations_path()) == DEFAULT_ABBREVIATIONS
+        assert load_abbreviations(DATA_DIR / "abbreviations.txt") == DEFAULT_ABBREVIATIONS
 
 
 @given(
@@ -203,3 +208,40 @@ def test_segmentation_idempotent_without_abbreviations(parts):
     assert [rejoined[s.start_char : s.end_char] for s in second] == [
         text[s.start_char : s.end_char] for s in first
     ]
+
+
+_DOC_PIECES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        [
+            "Rangers", "In Gabon", "Côte d'Ivoire", "elephant tusks", "Two pangolins",
+            "ivory", "513 kg", "0 kg", "zero", "0", "1,200", "twenty-five", "three hundred",
+            "arrested", "Three traffickers were arrested", "Mr.", "İstanbul", "ß", ".", "?",
+        ]
+    ),
+)
+# str.splitlines, which finds the paragraphs, breaks lines at \r, \x0b, \x0c,
+# \x1c and \x85 as well as at \n
+_DOC_SEPARATORS = st.sampled_from(
+    ["\r\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x85", " ", ". ",
+     "\n\n", "\r\n\r\n", "\n \t\n", "\r\r"]
+)
+
+
+@given(st.lists(st.tuples(_DOC_PIECES, _DOC_SEPARATORS), max_size=40))
+def test_document_invariants_on_arbitrary_text(shipped_matcher, parts):
+    text = "".join(piece + separator for piece, separator in parts)
+    doc = document_from_text("fuzz-2021-01", 2021, 1, text)
+    for sentence in doc.sentences:
+        for token in sentence.tokens:
+            assert text[token.start_char : token.end_char] == token.text
+        inside = [
+            (start, end) for start, end in doc.paragraphs
+            if start <= sentence.start_char and sentence.end_char <= end
+        ]
+        assert len(inside) == 1
+    events = extract_document(doc, shipped_matcher)
+    with EventStore() as store:
+        store.register_report(doc.report_id, doc.year, doc.month)
+        assert store.ingest(events) == len(events)
+        assert len(store.events()) == len(events)

@@ -61,13 +61,6 @@ def test_singularize_without_lexicon(surface, singular):
     assert singularize(surface) == singular
 
 
-def test_singularize_prefers_lexicon_canonical():
-    lexicon = Lexicon.from_rows([("hippo", "ANIMAL", "hippopotamus")])
-    assert singularize("hippos", lexicon) == "hippopotamus"
-    # outside the lexicon the cascade still answers
-    assert singularize("zebras", lexicon) == "zebra"
-
-
 class TestFromRows:
     def test_plurals_added_automatically(self):
         lexicon = Lexicon.from_rows([("elephant", "ANIMAL", ""), ("ivory", "PRODUCT", ""),
@@ -155,7 +148,8 @@ def test_shipped_lists_round_trip(shipped_lexicon):
     failures = []
     for surface, (_, canonical) in shipped_lexicon.entries.items():
         plural = pluralize(canonical)
-        if singularize(plural, shipped_lexicon) != canonical:
+        hit = shipped_lexicon.lookup(plural)
+        if hit is None or hit[1] != canonical:
             failures.append((surface, canonical, plural))
         if surface == canonical and singularize(plural) != canonical:
             failures.append(("bare:" + surface, canonical, plural))
@@ -167,7 +161,9 @@ def test_shipped_lists_cover_core_terms(shipped_lexicon):
                  "côte d'ivoire", "burkina faso", "uganda"):
         hit = shipped_lexicon.lookup(name)
         assert hit is not None and hit[0] == "COUNTRY"
-    products = shipped_lexicon.canonicals("PRODUCT")
-    assert products == {"ivory", "tusk", "skin", "scale", "horn", "bone",
-                        "tooth", "claw", "meat"}
-    assert len(shipped_lexicon.canonicals("ANIMAL")) >= 100
+    canonicals = {label: set() for label in ("ANIMAL", "PRODUCT", "COUNTRY")}
+    for label, canonical in shipped_lexicon.entries.values():
+        canonicals[label].add(canonical)
+    assert canonicals["PRODUCT"] == {"ivory", "tusk", "skin", "scale", "horn", "bone",
+                                     "tooth", "claw", "meat"}
+    assert len(canonicals["ANIMAL"]) >= 100

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from brieflens.assembler import HeuristicConfig
 from brieflens.corpus import document_from_text, tokenize
 from brieflens.matcher import CARDINAL, WEIGHT
 from brieflens.measures import (
@@ -20,6 +21,10 @@ from brieflens.measures import (
 )
 
 from oracles import spell_number
+
+
+CONFIG = HeuristicConfig()
+ARREST = {"window": CONFIG.arrest_window, "default": CONFIG.arrest_default}
 
 
 def sentence_of(text: str):
@@ -67,6 +72,13 @@ class TestParseNumber:
         assert parse_number(["¹"]) is None
         assert parse_number(tokenize("1,²³⁴")).value == 1
         assert parse_number(["٣"]).value == 3
+
+    def test_overlong_digit_runs_are_not_numbers(self):
+        # int() refuses more than 4,300 digits; leading zeros of any script are not significant
+        assert parse_number(["1" * 5000]) is None
+        assert parse_number(["0" * 5000 + "7"]).value == 7
+        assert parse_number(["٠" * 9 + "١٢"]).value == 12
+        assert parse_number(["1" + "0" * 6]) is None
 
     def test_words_exhaustive_to_one_hundred(self):
         for n in range(101):
@@ -164,45 +176,45 @@ class TestNumericSpans:
 
 class TestArrestDetection:
     def test_number_word_within_window(self):
-        assert detect_arrest_count(sentence_of("Three traffickers were arrested")) == 3
+        assert detect_arrest_count(sentence_of("Three traffickers were arrested"), **ARREST) == 3
 
     def test_lexeme_without_number_defaults(self):
-        assert detect_arrest_count(sentence_of("A dealer was arrested with ivory")) == 1
+        assert detect_arrest_count(sentence_of("A dealer was arrested with ivory"), **ARREST) == 1
 
     def test_no_lexeme_is_absent(self):
-        assert detect_arrest_count(sentence_of("Leopard skins were seized")) is None
+        assert detect_arrest_count(sentence_of("Leopard skins were seized"), **ARREST) is None
         assert not has_arrest_lexeme(sentence_of("Leopard skins were seized"))
 
     def test_all_lexemes_recognised(self):
         for lexeme in ARREST_LEXEMES:
             sentence = sentence_of(f"Two men were {lexeme} yesterday")
-            assert detect_arrest_count(sentence) == 2, lexeme
+            assert detect_arrest_count(sentence, **ARREST) == 2, lexeme
 
     def test_nearest_number_wins(self):
         # "two" is 2 tokens from the lexeme, "three" is 3
         sentence = sentence_of("Three traffickers were arrested with two elephant tusks")
-        assert detect_arrest_count(sentence) == 2
+        assert detect_arrest_count(sentence, **ARREST) == 2
 
     def test_excluded_cardinals_are_skipped(self):
         sentence = sentence_of("Three traffickers were arrested with two elephant tusks")
         cardinals = [s for s in numeric_spans(sentence) if s.canonical == "2"]
-        assert detect_arrest_count(sentence, exclude=cardinals) == 3
+        assert detect_arrest_count(sentence, **ARREST, exclude=cardinals) == 3
 
     def test_weight_numbers_are_never_arrest_counts(self):
         sentence = sentence_of("Police arrested smugglers with 513 kg of ivory")
-        assert detect_arrest_count(sentence) == 1
+        assert detect_arrest_count(sentence, **ARREST) == 1
 
     def test_number_outside_window_ignored(self):
         sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")
         # "nine" sits more than five tokens from the lexeme
-        assert detect_arrest_count(sentence) == 1
+        assert detect_arrest_count(sentence, **ARREST) == 1
 
     def test_window_is_configurable(self):
         sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")
-        assert detect_arrest_count(sentence, window=20) == 9
+        assert detect_arrest_count(sentence, window=20, default=CONFIG.arrest_default) == 9
 
     @given(st.lists(st.sampled_from(["rangers", "seized", "five", "skins", "the"]), max_size=8))
     def test_never_fires_without_lexeme(self, words):
         doc = document_from_text("m-2021-01", 2021, 1, " ".join(words) or "quiet")
         for sentence in doc.sentences:
-            assert detect_arrest_count(sentence) is None
+            assert detect_arrest_count(sentence, **ARREST) is None
