@@ -6,7 +6,10 @@ tens and the hundred/thousand multipliers ("twenty-five", "three hundred
 and six").  Values outside 0..999,999 are not recognised.
 
 Weights are a number immediately followed by a unit token and are always
-normalised to kilograms.  Arrest detection looks for a small closed set of
+normalised to kilograms.  A weight's number may also be a decimal written
+without spaces ("12.5 kg"): the tokenizer splits it into "12", "." and
+"5", and the three tokens are read back as one value, so none of them
+becomes a cardinal of its own.  Arrest detection looks for a small closed set of
 arrest lexemes and takes the nearest standalone number within a token
 window; a lexeme with no number nearby means a single arrest.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 from .corpus import SentenceSpan, Token
@@ -49,7 +53,7 @@ _TENS = {
 }
 _SMALL = {"zero": 0, **_UNITS, **_TEENS}
 
-# unit token -> kilograms per unit; grams divide to stay exact for integers
+# unit token -> kilograms per unit
 _KG_UNITS = frozenset({"kg", "kilogram", "kilograms", "kilo", "kilos"})
 _TON_UNITS = frozenset({"t", "ton", "tons", "tonne", "tonnes"})
 _GRAM_UNITS = frozenset({"g", "gram", "grams"})
@@ -65,9 +69,13 @@ ARREST_LEXEMES = frozenset(
 
 @dataclass(frozen=True)
 class NumberMatch:
-    """A parsed number and the token span it consumed."""
+    """A parsed number and the token span it consumed.
 
-    value: int
+    The value is a Decimal only for a decimal weight; every other number is
+    an int.
+    """
+
+    value: int | Decimal
     start: int
     length: int
 
@@ -180,11 +188,33 @@ def parse_number(tokens: Sequence[Token | str], start: int = 0) -> NumberMatch |
     return _parse_digits(texts, start) or _parse_words(texts, start)
 
 
-def _iter_numbers(texts: Sequence[str]) -> list[NumberMatch]:
+def _decimal_weight(
+    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
+) -> NumberMatch | None:
+    """``m`` extended over ``.<digits>`` written against it and followed by a unit."""
+    dot = m.end
+    if not (
+        dot + 2 < len(texts)
+        and texts[dot] == "."
+        and texts[dot + 1].isdecimal()
+        and texts[dot + 2] in WEIGHT_UNIT_TOKENS
+        and tokens[dot - 1].end_char == tokens[dot].start_char
+        and tokens[dot].end_char == tokens[dot + 1].start_char
+    ):
+        return None
+    value = Decimal(f"{m.value}.{texts[dot + 1]}")
+    return NumberMatch(value=value, start=m.start, length=m.length + 2) if value else None
+
+
+def _iter_numbers(tokens: Sequence[Token], texts: Sequence[str]) -> list[NumberMatch]:
     matches: list[NumberMatch] = []
     i = 0
     while i < len(texts):
-        m = _parse_digits(texts, i) or _parse_words(texts, i)
+        m = _parse_digits(texts, i)
+        if m is not None:
+            m = _decimal_weight(tokens, texts, m) or m
+        else:
+            m = _parse_words(texts, i)
         if m is None:
             i += 1
         else:
@@ -197,15 +227,16 @@ def _join_text(tokens: Sequence[Token], start: int, end: int) -> str:
     return " ".join(tok.text for tok in tokens[start:end])
 
 
-def _to_kg(value: int, unit: str) -> float:
+def _to_kg(value: int | Decimal, unit: str) -> float:
+    # exact arithmetic rounded once, so 1.1 tonnes is 1100.0 kg
     if unit in _KG_UNITS:
         return float(value)
     if unit in _TON_UNITS:
-        return value * 1000.0
+        return float(value * 1000)
     if unit in _GRAM_UNITS:
-        return value / 1000.0
+        return float(value / 1000)
     if unit in _POUND_UNITS:
-        return value * _POUND_KG
+        return float(value) * _POUND_KG
     raise ValueError(f"unknown weight unit {unit!r}")
 
 
@@ -252,21 +283,24 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
-    return [_weight(tokens, texts, m) for m in _iter_numbers(texts) if _is_weight(texts, m)]
+    return [
+        _weight(tokens, texts, m) for m in _iter_numbers(tokens, texts) if _is_weight(texts, m)
+    ]
 
 
 def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
     """All numeric spans of a sentence, sorted: weights and cardinals.
 
     A number followed by a unit is a WEIGHT and never doubles as a
-    CARDINAL.  No unit token parses as a number, so one pass of the number
-    grammar finds every weight and every cardinal.
+    CARDINAL; neither do the pieces of a decimal weight.  No unit token
+    parses as a number, so one pass of the number grammar finds every
+    weight and every cardinal.
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
     return [
         _weight(tokens, texts, m)[0] if _is_weight(texts, m) else _cardinal(tokens, m)
-        for m in _iter_numbers(texts)
+        for m in _iter_numbers(tokens, texts)
     ]
 
 
@@ -291,7 +325,8 @@ def detect_arrest_count(
     for as item quantities).  A lexeme with no candidate in range yields
     ``default``.
     """
-    texts = _texts(sentence.tokens)
+    tokens = sentence.tokens
+    texts = _texts(tokens)
     lexeme_positions = [i for i, t in enumerate(texts) if t in ARREST_LEXEMES]
     if not lexeme_positions:
         return None
@@ -300,7 +335,7 @@ def detect_arrest_count(
         idx for span in exclude for idx in range(span.first_token, span.last_token + 1)
     }
     best: tuple[int, int, int] | None = None  # (distance, number start, value)
-    for m in _iter_numbers(texts):
+    for m in _iter_numbers(tokens, texts):
         if _is_weight(texts, m) or any(idx in skip_tokens for idx in range(m.start, m.end)):
             continue
         for pos in lexeme_positions:

@@ -224,9 +224,9 @@ def emit_html(stats: SummaryStats, store_version: str = "") -> str:
     return "\n".join(part for part in parts if part) + "\n"
 
 
-def render(store: EventStore, **filters: object) -> RenderedReport:
+def render(store: EventStore) -> RenderedReport:
     """Summarize a store and render both output formats."""
-    stats = store.summarize(**filters)  # type: ignore[arg-type]
+    stats = store.summarize()
     version = store.content_hash()
     return RenderedReport(
         json_text=emit_json(stats),

@@ -5,7 +5,10 @@ them.  Ingestion replaces whole reports, so re-extracting a brief never
 duplicates its events.  Each report row also caches the interchange-CSV
 text of its events (``csv_rows``), rewritten in the same transaction as
 every write that can change it, so export and the content hash read one
-row per report.  The CSV interchange format is fixed:
+row per report.  A third table, ``tallies``, holds the running totals
+that ``summarize`` reads; triggers on ``events`` and ``reports`` keep it
+current, so no write path does its own bookkeeping.  The CSV interchange
+format is fixed:
 
     report_id,year,month,country,species,product,quantity,weight_kg,arrest_count
 
@@ -54,8 +57,9 @@ class CsvFormatError(ValueError):
 
 
 # Bumped whenever opening a store must upgrade its tables; version 1 added
-# reports.csv_rows.  Stores at this version open without any scan.
-_SCHEMA_VERSION = 1
+# reports.csv_rows, version 2 the tallies.  Stores at this version open
+# without any scan.
+_SCHEMA_VERSION = 2
 
 _SCHEMA = (
     """
@@ -79,7 +83,86 @@ CREATE TABLE IF NOT EXISTS events (
     arrest_count   INTEGER CHECK (arrest_count IS NULL OR arrest_count >= 0)
 )""",
     "CREATE INDEX IF NOT EXISTS events_by_report ON events(report_id)",
+    # One row per running total: kind 'total', one 'country' or 'species'
+    # row per name, one 'month' row per (year, month).  Each counts events
+    # and the arrests they carry; a row whose count reaches 0 is deleted.
+    """
+CREATE TABLE IF NOT EXISTS tallies (
+    kind    TEXT NOT NULL,
+    name    TEXT NOT NULL,
+    year    INTEGER NOT NULL,
+    month   INTEGER NOT NULL,
+    events  INTEGER NOT NULL,
+    arrests INTEGER NOT NULL,
+    PRIMARY KEY (kind, name, year, month)
+) WITHOUT ROWID""",
+    """
+CREATE TRIGGER IF NOT EXISTS tally_event_insert AFTER INSERT ON events BEGIN
+    INSERT INTO tallies (kind, name, year, month, events, arrests)
+    SELECT 'total', '', 0, 0, 1, COALESCE(NEW.arrest_count, 0)
+    UNION ALL SELECT 'country', NEW.country, 0, 0, 1, COALESCE(NEW.arrest_count, 0)
+        WHERE NEW.country IS NOT NULL
+    UNION ALL SELECT 'species', NEW.species, 0, 0, 1, COALESCE(NEW.arrest_count, 0)
+        WHERE NEW.species IS NOT NULL
+    UNION ALL SELECT 'month', '', year, month, 1, COALESCE(NEW.arrest_count, 0)
+        FROM reports WHERE report_id = NEW.report_id
+    ON CONFLICT (kind, name, year, month) DO UPDATE SET
+        events = events + excluded.events, arrests = arrests + excluded.arrests;
+END""",
+    """
+CREATE TRIGGER IF NOT EXISTS tally_event_delete AFTER DELETE ON events BEGIN
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0;
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'country' AND name = OLD.country AND year = 0 AND month = 0;
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'species' AND name = OLD.species AND year = 0 AND month = 0;
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'month' AND name = ''
+        AND (year, month) = (SELECT year, month FROM reports WHERE report_id = OLD.report_id);
+END""",
+    # a re-dated report moves its events from the old month to the new one
+    """
+CREATE TRIGGER IF NOT EXISTS tally_report_redate AFTER UPDATE OF year, month ON reports
+WHEN OLD.year IS NOT NEW.year OR OLD.month IS NOT NEW.month BEGIN
+    INSERT INTO tallies (kind, name, year, month, events, arrests)
+    SELECT 'month', '', NEW.year, NEW.month, n, a FROM (
+        SELECT COUNT(*) AS n, SUM(COALESCE(arrest_count, 0)) AS a
+        FROM events WHERE report_id = NEW.report_id
+    ) WHERE n > 0
+    ON CONFLICT (kind, name, year, month) DO UPDATE SET
+        events = events + excluded.events, arrests = arrests + excluded.arrests;
+    UPDATE tallies SET
+        events = events - (SELECT COUNT(*) FROM events WHERE report_id = NEW.report_id),
+        arrests = arrests - (SELECT COALESCE(SUM(arrest_count), 0)
+                             FROM events WHERE report_id = NEW.report_id)
+    WHERE kind = 'month' AND name = '' AND year = OLD.year AND month = OLD.month;
+END""",
+    """
+CREATE TRIGGER IF NOT EXISTS tally_drop_empty AFTER UPDATE OF events ON tallies
+WHEN NEW.events = 0 BEGIN
+    DELETE FROM tallies
+    WHERE kind = NEW.kind AND name = NEW.name AND year = NEW.year AND month = NEW.month;
+END""",
 )
+
+# Counts every tally from the events, once, when a store written before the
+# tallies existed is upgraded; from then on the triggers keep them.
+_FILL_TALLIES = """
+INSERT INTO tallies (kind, name, year, month, events, arrests)
+SELECT 'total', '', 0, 0, n, a FROM (
+    SELECT COUNT(*) AS n, SUM(COALESCE(arrest_count, 0)) AS a FROM events
+) WHERE n > 0
+UNION ALL
+SELECT 'country', country, 0, 0, COUNT(*), SUM(COALESCE(arrest_count, 0))
+FROM events WHERE country IS NOT NULL GROUP BY country
+UNION ALL
+SELECT 'species', species, 0, 0, COUNT(*), SUM(COALESCE(arrest_count, 0))
+FROM events WHERE species IS NOT NULL GROUP BY species
+UNION ALL
+SELECT 'month', '', r.year, r.month, COUNT(*), SUM(COALESCE(e.arrest_count, 0))
+FROM events e JOIN reports r ON r.report_id = e.report_id GROUP BY r.year, r.month
+"""
 
 
 def format_weight(kg: float) -> str:
@@ -90,7 +173,7 @@ def format_weight(kg: float) -> str:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Aggregates over the (optionally filtered) event table."""
+    """Aggregates over all stored events."""
 
     total_events: int
     total_arrests: int
@@ -114,11 +197,12 @@ class EventStore:
         self.path = str(path)
 
     def _upgrade(self) -> None:
-        """Create missing tables and fill ``csv_rows`` of stores written before it."""
+        """Create missing tables and fill ``csv_rows`` and ``tallies`` of older stores."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             for statement in _SCHEMA:
                 self._conn.execute(statement)
+            self._conn.execute(_FILL_TALLIES)
             columns = {row[1] for row in self._conn.execute("PRAGMA table_info(reports)")}
             if "csv_rows" not in columns:
                 self._conn.execute(
@@ -199,12 +283,14 @@ class EventStore:
         event must reference a registered report and agree with its date.
         """
         events = list(events)
+        affected = sorted({e.report_id for e in events})
+        dates = {report_id: self.report_date(report_id) for report_id in affected}
         for event in events:
             if event.species is None and event.product is None and event.arrest_count is None:
                 raise SchemaError(
                     f"event in {event.report_id!r} has no species, product or arrest count"
                 )
-            known = self.report_date(event.report_id)
+            known = dates[event.report_id]
             if known is None:
                 raise SchemaError(
                     f"event references unknown report {event.report_id!r};"
@@ -215,7 +301,6 @@ class EventStore:
                     f"event date {(event.year, event.month)} disagrees with report"
                     f" {event.report_id!r} registered as {known}"
                 )
-        affected = sorted({e.report_id for e in events})
         try:
             with self._conn:
                 for report_id in affected:
@@ -293,65 +378,31 @@ class EventStore:
             digest.update(chunk.encode("utf-8"))
         return digest.hexdigest()[:16]
 
-    def summarize(
-        self,
-        country: str | None = None,
-        year_min: int | None = None,
-        year_max: int | None = None,
-    ) -> SummaryStats:
-        """Aggregate the store, optionally filtered by country and year range."""
-        where = ["1 = 1"]
-        params: list[object] = []
-        if country is not None:
-            where.append("e.country = ?")
-            params.append(country)
-        if year_min is not None:
-            where.append("r.year >= ?")
-            params.append(year_min)
-        if year_max is not None:
-            where.append("r.year <= ?")
-            params.append(year_max)
-        base = (
-            " FROM events e JOIN reports r ON r.report_id = e.report_id WHERE "
-            + " AND ".join(where)
-        )
-        q = self._conn.execute
-        total_events, total_arrests, distinct_species = q(
-            "SELECT COUNT(*), COALESCE(SUM(COALESCE(e.arrest_count, 0)), 0),"
-            " COUNT(DISTINCT e.species)" + base,
-            params,
-        ).fetchone()
-        per_country = {
-            row[0]: row[1]
-            for row in q(
-                "SELECT e.country, COUNT(*)" + base + " AND e.country IS NOT NULL"
-                " GROUP BY e.country ORDER BY e.country",
-                params,
-            )
-        }
-        per_month = {
-            (row[0], row[1]): row[2]
-            for row in q(
-                "SELECT r.year, r.month, COUNT(*)" + base
-                + " GROUP BY r.year, r.month ORDER BY r.year, r.month",
-                params,
-            )
-        }
-        top_species = [
-            (row[0], row[1])
-            for row in q(
-                "SELECT e.species, COUNT(*)" + base + " AND e.species IS NOT NULL"
-                " GROUP BY e.species ORDER BY COUNT(*) DESC, e.species",
-                params,
-            )
-        ]
+    def summarize(self) -> SummaryStats:
+        """The dashboard's aggregates, read from the running totals."""
+        total_events = total_arrests = 0
+        per_country: dict[str, int] = {}
+        per_month: dict[tuple[int, int], int] = {}
+        species: list[tuple[str, int]] = []
+        for kind, name, year, month, events, arrests in self._conn.execute(
+            "SELECT kind, name, year, month, events, arrests FROM tallies"
+        ):
+            if kind == "total":
+                total_events, total_arrests = events, arrests
+            elif kind == "country":
+                per_country[name] = events
+            elif kind == "species":
+                species.append((name, events))
+            else:
+                per_month[(year, month)] = events
+        species.sort(key=lambda item: (-item[1], item[0]))
         return SummaryStats(
             total_events=total_events,
             total_arrests=total_arrests,
-            distinct_species=distinct_species,
+            distinct_species=len(species),
             per_country=per_country,
             per_month=per_month,
-            top_species=top_species,
+            top_species=species,
         )
 
 

@@ -107,6 +107,12 @@ class TestAssembly:
             ("scale", 2000.0),
         ]
 
+    def test_decimal_weight(self, make_doc, shipped_matcher):
+        events = events_for(
+            make_doc, shipped_matcher, "In Gabon, 12.5 kg of ivory was seized."
+        )
+        assert [core(e) for e in events] == [("gabon", None, "ivory", None, 12.5, None)]
+
     def test_weight_tie_goes_to_leftmost(self, make_doc, shipped_matcher):
         events = events_for(make_doc, shipped_matcher, "The ivory , 40 kg , skins were seized.")
         assert [(e.product, e.weight_kg) for e in events] == [

@@ -155,6 +155,27 @@ class TestParseWeights:
         (span, _), = parse_weights(sentence_of(text))
         assert text[span.start_char : span.end_char] == "513 kg"
 
+    @pytest.mark.parametrize(
+        ("text", "kg", "original"),
+        [
+            ("12.5 kg", 12.5, 12.5),
+            ("1.5 tonnes", 1500.0, 1.5),
+            ("1.1 tonnes", 1100.0, 1.1),
+            ("0.5 kg", 0.5, 0.5),
+            ("5.5 g", 0.0055, 5.5),
+            ("1,200.75 kg", 1200.75, 1200.75),
+        ],
+    )
+    def test_decimal_weights(self, text, kg, original):
+        (span, weight), = parse_weights(sentence_of(f"about {text} of ivory"))
+        assert (weight.value_kg, weight.original_value) == (kg, original)
+        assert float(span.canonical) == kg
+        assert f"about {text} of ivory"[span.start_char : span.end_char] == text
+
+    def test_spaced_decimal_point_is_not_a_decimal(self):
+        (_, weight), = parse_weights(sentence_of("about 12 . 5 kg of ivory"))
+        assert weight.value_kg == 5.0
+
 
 class TestNumericSpans:
     def test_weight_number_never_doubles_as_cardinal(self):
@@ -167,6 +188,14 @@ class TestNumericSpans:
             (CARDINAL, "3"),
             (WEIGHT, "513.0"),
         ]
+
+    def test_decimal_weight_pieces_are_not_cardinals(self):
+        text = "In Gabon, 12.5 kg of ivory was seized."
+        spans = numeric_spans(sentence_of(text))
+        assert [(s.label, s.canonical, text[s.start_char : s.end_char]) for s in spans] == [
+            (WEIGHT, "12.5", "12.5 kg"),
+        ]
+        assert (spans[0].first_token, spans[0].last_token) == (3, 6)
 
     def test_sorted_by_offset(self):
         spans = numeric_spans(sentence_of("five tusks and 2 tons of meat"))
@@ -203,6 +232,10 @@ class TestArrestDetection:
     def test_weight_numbers_are_never_arrest_counts(self):
         sentence = sentence_of("Police arrested smugglers with 513 kg of ivory")
         assert detect_arrest_count(sentence, **ARREST) == 1
+
+    def test_decimal_weight_numbers_are_never_arrest_counts(self):
+        sentence = sentence_of("Two men were arrested with 3.5 kg of ivory")
+        assert detect_arrest_count(sentence, **ARREST) == 2
 
     def test_number_outside_window_ignored(self):
         sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")

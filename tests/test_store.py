@@ -9,6 +9,7 @@ import random
 import shutil
 import sqlite3
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from brieflens.store import (
     CsvFormatError,
     EventStore,
     SchemaError,
+    SummaryStats,
     format_weight,
     import_csv,
 )
@@ -271,22 +273,23 @@ class TestSummarize:
         assert stats.per_month == {(2021, 1): 2, (2021, 2): 1}
         assert stats.top_species == [("elephant", 1), ("pangolin", 1)]
 
-    def test_country_filter(self):
+    def test_redated_report_moves_its_events(self):
         with EventStore() as s:
             self.seed(s)
-            stats = s.summarize(country="gabon")
-        assert (stats.total_events, stats.total_arrests) == (2, 4)
-        assert stats.per_country == {"gabon": 2}
+            s.register_report("a-2021-01", 2021, 2)
+            s.ingest([ev(month=2, species="leopard")])
+            s.register_report("a-2021-01", 2020, 12)
+            stats = s.summarize()
+        assert stats.per_month == {(2020, 12): 1, (2021, 2): 1}
 
-    def test_year_filter(self):
+    def test_names_without_events_disappear(self):
         with EventStore() as s:
             self.seed(s)
-            s.register_report("c-2019-12", 2019, 12)
-            s.ingest([ev("c-2019-12", year=2019, month=12, species="leopard")])
-            assert s.summarize().total_events == 4
-            assert s.summarize(year_min=2020).total_events == 3
-            assert s.summarize(year_max=2019).total_events == 1
-            assert s.summarize(year_min=2020, year_max=2020).total_events == 0
+            s.ingest([ev(country="togo", species="leopard")])
+            stats = s.summarize()
+        assert stats.per_country == {"togo": 2}
+        assert stats.top_species == [("leopard", 1)]
+        assert (stats.total_events, stats.total_arrests, stats.distinct_species) == (2, 0, 1)
 
     def test_matches_naive_recount(self):
         rng = random.Random(4242)
@@ -314,6 +317,19 @@ class TestSummarize:
             ),
         )
         assert stats.top_species == [(name, -neg) for neg, name in recount]
+
+
+def reference_summary(events):
+    """The summary recounted event by event from ``events()``."""
+    species = Counter(e.species for e in events if e.species is not None)
+    return SummaryStats(
+        total_events=len(events),
+        total_arrests=sum(e.arrest_count or 0 for e in events),
+        distinct_species=len(species),
+        per_country=dict(Counter(e.country for e in events if e.country is not None)),
+        per_month=dict(Counter((e.year, e.month) for e in events)),
+        top_species=sorted(species.items(), key=lambda item: (-item[1], item[0])),
+    )
 
 
 def reference_csv(events):
@@ -367,7 +383,7 @@ EVENT_FIELDS = st.fixed_dictionaries(
 
 
 class StoreCacheMachine(RuleBasedStateMachine):
-    """Random writes and reopens; export and hash must match ``events()``."""
+    """Random writes and reopens; export, hash and summary must match ``events()``."""
 
     def __init__(self):
         super().__init__()
@@ -399,6 +415,10 @@ class StoreCacheMachine(RuleBasedStateMachine):
     def reopen(self):
         self.store.close()
         self.store = EventStore(self.path)
+
+    @invariant()
+    def tallies_match_events(self):
+        assert self.store.summarize() == reference_summary(self.store.events())
 
     @invariant()
     def cache_matches_events(self):
@@ -447,14 +467,31 @@ VALUES ('b-2021-02', 0, 'togo', NULL, 'ivory', NULL, 513.0, 1),
 """
 
 
+def traced_statements(monkeypatch):
+    """Collect every statement of the connections opened from now on."""
+    statements = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    return statements
+
+
+def raw_store(path, script):
+    conn = sqlite3.connect(path)
+    conn.executescript(script)
+    conn.close()
+    return path
+
+
 class TestSeedSchemaMigration:
     @pytest.fixture()
     def seed_store(self, tmp_path):
-        path = tmp_path / "seed.db"
-        conn = sqlite3.connect(path)
-        conn.executescript(SEED_SCHEMA)
-        conn.close()
-        return path
+        return raw_store(tmp_path / "seed.db", SEED_SCHEMA)
 
     def test_hash_and_export_unchanged(self, seed_store, tmp_path):
         with EventStore(seed_store) as s:
@@ -462,7 +499,7 @@ class TestSeedSchemaMigration:
             assert s.export_csv(tmp_path / "out.csv") == 3
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == GOLDEN_CSV
         conn = sqlite3.connect(seed_store)
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == 1
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
         conn.close()
         with EventStore(seed_store) as s:
             assert s.content_hash() == text_hash(GOLDEN_CSV)
@@ -471,14 +508,45 @@ class TestSeedSchemaMigration:
 
     def test_migrated_store_opens_without_reading_reports(self, seed_store, monkeypatch):
         EventStore(seed_store).close()
-        statements = []
-        connect = sqlite3.connect
-
-        def traced_connect(*args, **kwargs):
-            conn = connect(*args, **kwargs)
-            conn.set_trace_callback(statements.append)
-            return conn
-
-        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        statements = traced_statements(monkeypatch)
         EventStore(seed_store).close()
         assert statements and not [s for s in statements if "reports" in s]
+
+
+# a store as version 1 wrote it: csv_rows filled, no tallies
+VERSION_1_SCHEMA = SEED_SCHEMA + """
+ALTER TABLE reports ADD COLUMN csv_rows TEXT NOT NULL DEFAULT '';
+UPDATE reports SET csv_rows = 'a-2021-01,2021,1,gabon,elephant,tusk,2,,3
+a-2021-01,2021,1,,pangolin,,,12.5,
+' WHERE report_id = 'a-2021-01';
+UPDATE reports SET csv_rows = 'b-2021-02,2021,2,togo,,ivory,,513,1
+' WHERE report_id = 'b-2021-02';
+PRAGMA user_version = 1;
+"""
+
+
+class TestVersion1Migration:
+    @pytest.fixture()
+    def v1_store(self, tmp_path):
+        return raw_store(tmp_path / "v1.db", VERSION_1_SCHEMA)
+
+    def test_tallies_filled_from_events(self, v1_store):
+        with EventStore(v1_store) as s:
+            stats = s.summarize()
+            assert stats == reference_summary(s.events())
+            assert s.content_hash() == text_hash(GOLDEN_CSV)
+        assert (stats.total_events, stats.total_arrests, stats.distinct_species) == (3, 4, 2)
+        conn = sqlite3.connect(v1_store)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
+        conn.close()
+        with EventStore(v1_store) as s:
+            s.register_report("a-2021-01", 2021, 3)
+            s.ingest([ev("c-2021-03", month=3, species="leopard")])
+            assert s.summarize() == reference_summary(s.events())
+
+    def test_upgraded_store_opens_without_reading_reports(self, v1_store, monkeypatch):
+        EventStore(v1_store).close()
+        statements = traced_statements(monkeypatch)
+        EventStore(v1_store).close()
+        tables = ("reports", "events", "tallies")
+        assert statements and not [s for s in statements if any(t in s for t in tables)]
