@@ -146,12 +146,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 try:
                     doc = load_report(path, abbreviations)
                     events = extract_document(doc, matcher, config)
-                except Exception as exc:  # keep the batch going
+                    store.register_report(doc.report_id, doc.year, doc.month, str(path))
+                    store.ingest(events)
+                except Exception as exc:  # a bad brief or a store error fails that brief only
                     failures += 1
                     print(f"error: {path.name}: {exc}", file=sys.stderr)
                     continue
-                store.register_report(doc.report_id, doc.year, doc.month, str(path))
-                store.ingest(events)
                 extracted += 1
                 print(f"{doc.report_id}: {len(events)} events")
     except StoreError as exc:

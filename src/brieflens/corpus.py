@@ -2,9 +2,10 @@
 
 A brief arrives as a plain UTF-8 text file named ``<source>-<YYYY>-<MM>.txt``.
 This module turns such a file into a :class:`ReportDocument`: paragraphs are
-maximal runs of non-empty lines, sentences are found inside each paragraph
-with a period/exclamation/question rule that an abbreviation list can veto,
-and every sentence carries its own offset-stable tokens.
+maximal runs of non-empty lines, each paragraph is tokenized once, and its
+token list is cut into sentences after period/exclamation/question tokens
+by a rule that an abbreviation list can veto, so every sentence carries its
+own offset-stable tokens.
 
 Offsets are always relative to the raw document text, so any span produced
 downstream can be sliced back out of ``raw_text`` unchanged.
@@ -65,10 +66,6 @@ class Token:
     end_char: int
     text: str
     lower: str
-
-    def __post_init__(self) -> None:
-        if self.end_char <= self.start_char:
-            raise ValueError("token span must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -131,59 +128,43 @@ def _matches_abbreviation(text: str, period_index: int, abbreviations: Iterable[
     return False
 
 
-def _is_sentence_boundary(text: str, i: int, abbreviations: Iterable[str]) -> bool:
-    nxt = i + 1
-    if nxt < len(text):
-        if not text[nxt].isspace():
-            return False
-        j = nxt
-        while j < len(text) and text[j].isspace():
-            j += 1
-        if j < len(text) and not text[j].isupper():
-            return False
-    if text[i] == "." and _matches_abbreviation(text, i, abbreviations):
-        return False
-    return True
-
-
 def segment_sentences(
     text: str,
     abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS,
     offset: int = 0,
 ) -> list[SentenceSpan]:
-    """Split ``text`` into sentences.
+    """Split ``text`` into sentences cut from its tokens.
 
-    A sentence ends at '.', '!' or '?' when followed by whitespace and an
-    uppercase letter, or by the end of the text.  A terminator that closes a
-    configured abbreviation does not end the sentence.  Every non-whitespace
-    character lands in exactly one sentence; a trailing chunk without a
-    terminator still becomes a sentence.
+    ``text`` is tokenized once and the token list is cut after every '.',
+    '!' or '?' token that is the last token, or whose next token starts
+    after whitespace with an uppercase character.  A '.' that closes a
+    configured abbreviation does not end the sentence.  Every token lands
+    in exactly one sentence; tokens after the last terminator still become
+    a sentence.
     """
     abbreviations = tuple(abbreviations)
-    spans: list[SentenceSpan] = []
-    start: int | None = None
-    for i, ch in enumerate(text):
-        if start is None:
-            if ch.isspace():
+    tokens = tokenize(text, offset)
+    cuts = [0]
+    for i, tok in enumerate(tokens):
+        if tok.text not in _TERMINATORS:
+            continue
+        # Tokens cover every non-whitespace character, and the regex's \s
+        # agrees with str.isspace() on every code point, so a gap between two
+        # tokens is exactly a run of whitespace: this is the rule "followed by
+        # whitespace and an uppercase letter, or by the end of the text".
+        if i + 1 < len(tokens):
+            nxt = tokens[i + 1]
+            if nxt.start_char == tok.end_char or not nxt.text[0].isupper():
                 continue
-            start = i
-        if ch in _TERMINATORS and _is_sentence_boundary(text, i, abbreviations):
-            spans.append(_make_span(text, start, i + 1, offset))
-            start = None
-    if start is not None:
-        end = len(text)
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        spans.append(_make_span(text, start, end, offset))
-    return spans
-
-
-def _make_span(text: str, start: int, end: int, offset: int) -> SentenceSpan:
-    return SentenceSpan(
-        start_char=offset + start,
-        end_char=offset + end,
-        tokens=tuple(tokenize(text[start:end], offset=offset + start)),
-    )
+        if tok.text == "." and _matches_abbreviation(text, tok.start_char - offset, abbreviations):
+            continue
+        cuts.append(i + 1)
+    if cuts[-1] < len(tokens):
+        cuts.append(len(tokens))
+    return [
+        SentenceSpan(tokens[a].start_char, tokens[b - 1].end_char, tuple(tokens[a:b]))
+        for a, b in zip(cuts, cuts[1:])
+    ]
 
 
 def _find_paragraphs(text: str) -> list[tuple[int, int]]:

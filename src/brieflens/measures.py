@@ -9,9 +9,13 @@ Weights are a number immediately followed by a unit token and are always
 normalised to kilograms.  A weight's number may also be a decimal written
 without spaces ("12.5 kg"): the tokenizer splits it into "12", "." and
 "5", and the three tokens are read back as one value, so none of them
-becomes a cardinal of its own.  Arrest detection looks for a small closed set of
-arrest lexemes and takes the nearest standalone number within a token
-window; a lexeme with no number nearby means a single arrest.
+becomes a cardinal of its own.  The unit may also be glued to the last
+digits ("513kg", "12.5kg", "1,200kg"), which the tokenizer keeps as one
+token: that token reads as its digits with the unit, so it is a weight
+and never a cardinal, and "0kg" is no number at all.  Arrest detection
+looks for a small closed set of arrest lexemes and takes the nearest
+standalone number within a token window; a lexeme with no number nearby
+means a single arrest.
 """
 
 from __future__ import annotations
@@ -97,34 +101,55 @@ def _texts(tokens: Sequence[Token | str]) -> list[str]:
     return [t.lower if isinstance(t, Token) else str(t).casefold() for t in tokens]
 
 
+def _split_unit(tok: str) -> tuple[str, str] | None:
+    """("513", "") for a digit token, ("513", "kg") for digits glued to a unit."""
+    # isdecimal, not isdigit: int() rejects digits such as "¹" that isdigit accepts
+    if tok.isdecimal():
+        return tok, ""
+    if not tok[:1].isdecimal():
+        return None
+    end = 1
+    while tok[end].isdecimal():
+        end += 1
+    return (tok[:end], tok[end:]) if tok[end:] in WEIGHT_UNIT_TOKENS else None
+
+
 def _parse_digits(texts: Sequence[str], i: int) -> NumberMatch | None:
     tok = texts[i]
-    # isdecimal, not isdigit: int() rejects digits such as "¹" that isdigit accepts
-    if not tok.isdecimal():
+    if not tok[:1].isdecimal():  # most tokens are words
         return None
+    split = _split_unit(tok)
+    if split is None:
+        return None
+    digits, unit = split
     # int() refuses strings of more than 4,300 digits, so a token with more
     # significant digits than MAX_NUMBER is rejected before converting; the
     # leading zeros may come from any script
-    if len(tok) > _MAX_DIGITS and any(unicodedata.decimal(ch) for ch in tok[:-_MAX_DIGITS]):
+    if len(digits) > _MAX_DIGITS and any(
+        unicodedata.decimal(ch) for ch in digits[:-_MAX_DIGITS]
+    ):
         return None
-    value = int(tok[-_MAX_DIGITS:])
+    value = int(digits[-_MAX_DIGITS:])
     if value > MAX_NUMBER:
         return None
     length = 1
-    if len(tok) <= 3:
+    if not unit and len(digits) <= 3:
         j = i + 1
-        while (
-            j + 1 < len(texts)
-            and texts[j] == ","
-            and texts[j + 1].isdecimal()
-            and len(texts[j + 1]) == 3
-        ):
-            candidate = value * 1000 + int(texts[j + 1])
+        while j + 1 < len(texts) and texts[j] == ",":
+            group = _split_unit(texts[j + 1])
+            if group is None or len(group[0]) != 3:
+                break
+            candidate = value * 1000 + int(group[0])
             if candidate > MAX_NUMBER:
                 break
             value = candidate
             length += 2
             j += 2
+            unit = group[1]
+            if unit:
+                break
+    if unit and not value:
+        return None
     return NumberMatch(value=value, start=i, length=length)
 
 
@@ -191,18 +216,27 @@ def parse_number(tokens: Sequence[Token | str], start: int = 0) -> NumberMatch |
 def _decimal_weight(
     tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
 ) -> NumberMatch | None:
-    """``m`` extended over ``.<digits>`` written against it and followed by a unit."""
+    """``m`` extended over ``.<digits>`` written against it and followed by a unit.
+
+    The unit is the next token or is glued to the fraction's digits; ``m``
+    itself must end in plain digits.
+    """
     dot = m.end
     if not (
-        dot + 2 < len(texts)
+        dot + 1 < len(texts)
         and texts[dot] == "."
-        and texts[dot + 1].isdecimal()
-        and texts[dot + 2] in WEIGHT_UNIT_TOKENS
+        and texts[dot - 1].isdecimal()
         and tokens[dot - 1].end_char == tokens[dot].start_char
         and tokens[dot].end_char == tokens[dot + 1].start_char
     ):
         return None
-    value = Decimal(f"{m.value}.{texts[dot + 1]}")
+    fraction = _split_unit(texts[dot + 1])
+    if fraction is None:
+        return None
+    digits, unit = fraction
+    if not unit and not (dot + 2 < len(texts) and texts[dot + 2] in WEIGHT_UNIT_TOKENS):
+        return None
+    value = Decimal(f"{m.value}.{digits}")
     return NumberMatch(value=value, start=m.start, length=m.length + 2) if value else None
 
 
@@ -240,16 +274,26 @@ def _to_kg(value: int | Decimal, unit: str) -> float:
     raise ValueError(f"unknown weight unit {unit!r}")
 
 
-def _is_weight(texts: Sequence[str], m: NumberMatch) -> bool:
-    # a positive number immediately followed by a unit token
-    return m.end < len(texts) and texts[m.end] in WEIGHT_UNIT_TOKENS and m.value > 0
+def _weight_unit(texts: Sequence[str], m: NumberMatch) -> tuple[int, str] | None:
+    """The token index and unit of a positive number glued to or followed by a unit."""
+    if not m.value > 0:
+        return None
+    last = texts[m.end - 1]
+    if not last.isdecimal() and (glued := _split_unit(last)) is not None:
+        return m.end - 1, glued[1]
+    if m.end < len(texts) and texts[m.end] in WEIGHT_UNIT_TOKENS:
+        return m.end, texts[m.end]
+    return None
 
 
 def _weight(
-    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
+    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch, unit: tuple[int, str]
 ) -> tuple[EntitySpan, Weight]:
-    unit_index = m.end
-    kg = _to_kg(m.value, texts[unit_index])
+    unit_index, unit_text = unit
+    kg = _to_kg(m.value, unit_text)
+    # digits never change under casefolding, so the unit starts at the same
+    # position in the token's text as in its casefolded form
+    original_unit = tokens[unit_index].text[len(texts[unit_index]) - len(unit_text) :]
     span = EntitySpan(
         start_char=tokens[m.start].start_char,
         end_char=tokens[unit_index].end_char,
@@ -259,7 +303,7 @@ def _weight(
         first_token=m.start,
         last_token=unit_index,
     )
-    return span, Weight(kg, float(m.value), tokens[unit_index].text)
+    return span, Weight(kg, float(m.value), original_unit)
 
 
 def _cardinal(tokens: Sequence[Token], m: NumberMatch) -> EntitySpan:
@@ -277,14 +321,16 @@ def _cardinal(tokens: Sequence[Token], m: NumberMatch) -> EntitySpan:
 def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     """Find every ``<number> <unit>`` weight in the sentence.
 
-    The span covers the number tokens plus the unit token; the canonical is
-    the exact kilogram value via ``repr`` so it survives a string round
-    trip without loss.
+    The span covers the number tokens plus the unit token, or ends at the
+    token the unit is glued to; the canonical is the exact kilogram value
+    via ``repr`` so it survives a string round trip without loss.
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
     return [
-        _weight(tokens, texts, m) for m in _iter_numbers(tokens, texts) if _is_weight(texts, m)
+        _weight(tokens, texts, m, unit)
+        for m in _iter_numbers(tokens, texts)
+        if (unit := _weight_unit(texts, m))
     ]
 
 
@@ -299,7 +345,9 @@ def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
     tokens = sentence.tokens
     texts = _texts(tokens)
     return [
-        _weight(tokens, texts, m)[0] if _is_weight(texts, m) else _cardinal(tokens, m)
+        _weight(tokens, texts, m, unit)[0]
+        if (unit := _weight_unit(texts, m))
+        else _cardinal(tokens, m)
         for m in _iter_numbers(tokens, texts)
     ]
 
@@ -336,7 +384,7 @@ def detect_arrest_count(
     }
     best: tuple[int, int, int] | None = None  # (distance, number start, value)
     for m in _iter_numbers(tokens, texts):
-        if _is_weight(texts, m) or any(idx in skip_tokens for idx in range(m.start, m.end)):
+        if _weight_unit(texts, m) or any(idx in skip_tokens for idx in range(m.start, m.end)):
             continue
         for pos in lexeme_positions:
             if m.start > pos:

@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in this module is written from the documented contracts alone,
-deliberately using the dumbest correct algorithm available: the phrase
-matcher oracle tries every surface at every position and resolves overlaps
-with an explicit sweep, the span merger tests every numeric span against
-every lexical span, and the number speller is a plain lookup-table
-composition.  Keep these naive; their value is that they share no code
-with the implementations they check.
+deliberately using the dumbest correct algorithm available: the sentence
+segmenter walks the text one character at a time, the phrase matcher
+oracle tries every surface at every position and resolves overlaps with an
+explicit sweep, the span merger tests every numeric span against every
+lexical span, and the number speller is a plain lookup-table composition.
+Keep these naive; their value is that they share no code with the
+implementations they check.
 """
 
 from __future__ import annotations
@@ -14,9 +15,60 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from brieflens.corpus import ReportDocument, tokenize
+from brieflens.corpus import ReportDocument, SentenceSpan, tokenize
 from brieflens.lexicon import Lexicon
 from brieflens.matcher import EntitySpan
+
+
+def _closes_abbreviation(text: str, i: int, abbreviations: tuple[str, ...]) -> bool:
+    # the text ending at the period is an abbreviation at a word boundary
+    for abbr in abbreviations:
+        start = i + 1 - len(abbr)
+        if start >= 0 and text[start : i + 1] == abbr and (
+            start == 0 or not text[start - 1].isalnum()
+        ):
+            return True
+    return False
+
+
+def _ends_sentence(text: str, i: int, abbreviations: tuple[str, ...]) -> bool:
+    j = i + 1
+    if j < len(text):
+        if not text[j].isspace():
+            return False
+        while j < len(text) and text[j].isspace():
+            j += 1
+        if j < len(text) and not text[j].isupper():
+            return False
+    return not (text[i] == "." and _closes_abbreviation(text, i, abbreviations))
+
+
+def naive_segment_sentences(
+    text: str, abbreviations: Iterable[str], offset: int = 0
+) -> list[SentenceSpan]:
+    """Character-by-character segmenter, tokenizing each sentence slice.
+
+    A '.', '!' or '?' ends a sentence when followed by whitespace and an
+    uppercase letter, or by nothing but whitespace, unless the '.' closes
+    an abbreviation; a trailing chunk without a terminator is a sentence.
+    """
+    abbreviations = tuple(abbreviations)
+    bounds: list[tuple[int, int]] = []
+    start = None
+    for i, ch in enumerate(text):
+        if start is None:
+            if ch.isspace():
+                continue
+            start = i
+        if ch in ".!?" and _ends_sentence(text, i, abbreviations):
+            bounds.append((start, i + 1))
+            start = None
+    if start is not None:
+        bounds.append((start, len(text.rstrip())))
+    return [
+        SentenceSpan(offset + a, offset + b, tuple(tokenize(text[a:b], offset + a)))
+        for a, b in bounds
+    ]
 
 
 def naive_leftmost_longest(doc: ReportDocument, lexicon: Lexicon) -> list[EntitySpan]:

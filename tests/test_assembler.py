@@ -113,6 +113,16 @@ class TestAssembly:
         )
         assert [core(e) for e in events] == [("gabon", None, "ivory", None, 12.5, None)]
 
+    def test_glued_weights_are_never_quantities_or_arrests(self, make_doc, shipped_matcher):
+        events = events_for(
+            make_doc, shipped_matcher,
+            "In Gabon, 513kg of ivory and 12.5kg of scales were seized and two men arrested.",
+        )
+        assert [core(e) for e in events] == [
+            ("gabon", None, "ivory", None, 513.0, 2),
+            ("gabon", None, "scale", None, 12.5, 2),
+        ]
+
     def test_weight_tie_goes_to_leftmost(self, make_doc, shipped_matcher):
         events = events_for(make_doc, shipped_matcher, "The ivory , 40 kg , skins were seized.")
         assert [(e.product, e.weight_kg) for e in events] == [

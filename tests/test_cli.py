@@ -7,7 +7,7 @@ import pytest
 from brieflens import cli
 from brieflens.cli import main
 from brieflens.corpus import document_from_text
-from brieflens.store import EventStore
+from brieflens.store import EventStore, SchemaError
 
 from conftest import BRIEFS_DIR, GOLD_CSV
 
@@ -33,6 +33,7 @@ class TestExtract:
         ]
         with EventStore(store) as s:
             assert len(s.events()) == 7
+            assert s.content_hash() == "d9adf4d3b0f6bd38"
 
     def test_single_file_input(self, tmp_path, capsys):
         brief = BRIEFS_DIR / "demo-2021-02.txt"
@@ -84,6 +85,27 @@ class TestExtract:
         assert "error: broken.txt:" in err
         with EventStore(tmp_path / "e.db") as s:
             assert [e.report_id for e in s.events()] == ["ok-2021-03"]
+
+    def test_store_error_fails_that_brief_only(self, tmp_path, capsys, monkeypatch):
+        real_ingest = EventStore.ingest
+
+        def failing_ingest(self, events):
+            if any(e.report_id == "demo-2021-03" for e in events):
+                raise SchemaError("rejected for the test")
+            return real_ingest(self, events)
+
+        monkeypatch.setattr(EventStore, "ingest", failing_ingest)
+        store = tmp_path / "events.db"
+        code, out, err = run(capsys, "extract", BRIEFS_DIR, "--store", store)
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: demo-2021-03.txt: rejected for the test"
+        ]
+        assert "demo-2021-03" not in out and "demo-2021-06: 2 events" in out
+        with EventStore(store) as s:
+            reports = [e.report_id for e in s.events()]
+        assert "demo-2021-03" not in reports
+        assert len(reports) == 6 and len(set(reports)) == 5
 
     def test_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "none"

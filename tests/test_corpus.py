@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import string
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,8 @@ from brieflens.corpus import (
 from brieflens.pipeline import extract_document
 from brieflens.resources import DATA_DIR
 from brieflens.store import EventStore
+
+from oracles import naive_segment_sentences
 
 
 def texts_of(tokens):
@@ -191,6 +195,49 @@ class TestAbbreviationFile:
 
     def test_defaults_match_shipped_file(self):
         assert load_abbreviations(DATA_DIR / "abbreviations.txt") == DEFAULT_ABBREVIATIONS
+
+
+def test_regex_whitespace_is_str_isspace():
+    # segment_sentences reads a gap between tokens as whitespace, which holds
+    # only while the tokenizer's regex and str.isspace() agree on whitespace
+    whitespace = re.compile(r"\s")
+    assert [
+        cp for cp in range(sys.maxunicode + 1)
+        if (whitespace.match(chr(cp)) is not None) != chr(cp).isspace()
+    ] == []
+
+
+_SEGMENT_PIECES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        [
+            ".", "!", "?", "...", "A", "Ä", "Σ", "Д", "Ա", "Ǆ", "ǅ", "ß", "a", "σ", "7",
+            " ", "\n", "\t", "\x1c", "\x85", "\u2028", "\u3000", "\u00a0", "\u200b",
+            "e.g.", "E.g.", "U.S.", "Mr.", "kg.", "No.", "-", "twenty-five",
+        ]
+    ),
+)
+_ABBREVIATION_LISTS = st.one_of(
+    st.just(DEFAULT_ABBREVIATIONS),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["e.g.", "i.e.", "U.S.", "a.b.c.", ".", "..", "Mr.", "x."]),
+            st.text(max_size=4).map(lambda t: t + "."),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@given(
+    st.lists(_SEGMENT_PIECES, max_size=30).map("".join),
+    _ABBREVIATION_LISTS,
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_segmentation_matches_the_character_oracle(text, abbreviations, offset):
+    assert segment_sentences(text, abbreviations, offset) == naive_segment_sentences(
+        text, abbreviations, offset
+    )
 
 
 @given(

@@ -177,6 +177,62 @@ class TestParseWeights:
         assert weight.value_kg == 5.0
 
 
+class TestGluedWeights:
+    @pytest.mark.parametrize(
+        ("glued", "spaced"),
+        [
+            ("513kg", "513 kg"),
+            ("2t", "2 t"),
+            ("500g", "500 g"),
+            ("2lbs", "2 lbs"),
+            ("12.5kg", "12.5 kg"),
+            ("1,200kg", "1,200 kg"),
+            ("1,200.75kg", "1,200.75 kg"),
+            ("1.5TONNES", "1.5 TONNES"),
+        ],
+    )
+    def test_converts_like_the_spaced_form(self, glued, spaced):
+        text = f"about {glued} of ivory"
+        (span, weight), = parse_weights(sentence_of(text))
+        (_, spaced_weight), = parse_weights(sentence_of(f"about {spaced} of ivory"))
+        assert weight == spaced_weight
+        assert text[span.start_char : span.end_char] == glued
+
+    def test_kilograms(self):
+        (_, weight), = parse_weights(sentence_of("about 513kg of ivory"))
+        assert (weight.value_kg, weight.original_value, weight.original_unit) == (
+            513.0, 513.0, "kg",
+        )
+        (_, weight), = parse_weights(sentence_of("about 12.5kg of ivory"))
+        assert weight.value_kg == 12.5
+
+    def test_decimal_leaves_no_stray_cardinal(self):
+        text = "In Gabon, 12.5kg of ivory was seized."
+        spans = numeric_spans(sentence_of(text))
+        assert [(s.label, s.canonical, text[s.start_char : s.end_char]) for s in spans] == [
+            (WEIGHT, "12.5", "12.5kg"),
+        ]
+        assert (spans[0].first_token, spans[0].last_token) == (3, 5)
+
+    @pytest.mark.parametrize("text", ["1st", "0kg", "1000000kg", "0.0kg", "5kgs"])
+    def test_no_weight(self, text):
+        assert parse_weights(sentence_of(f"about {text} of ivory")) == []
+
+    def test_zero_and_overlong_glued_numbers_are_no_numbers(self):
+        assert numeric_spans(sentence_of("about 0kg and 1000000kg of ivory")) == []
+
+    def test_thousands_group_never_splits_off(self):
+        (_, weight), = parse_weights(sentence_of("about 1,200kg of ivory"))
+        assert weight.value_kg == 1200.0
+
+    def test_glued_numbers_are_never_quantities_or_arrest_counts(self):
+        sentence = sentence_of("Police arrested smugglers with 3kg of ivory")
+        assert [s.label for s in numeric_spans(sentence)] == [WEIGHT]
+        assert detect_arrest_count(sentence, **ARREST) == 1
+        sentence = sentence_of("Two men were arrested with 3.5kg of ivory")
+        assert detect_arrest_count(sentence, **ARREST) == 2
+
+
 class TestNumericSpans:
     def test_weight_number_never_doubles_as_cardinal(self):
         spans = numeric_spans(sentence_of("513 kg of ivory"))
