@@ -83,11 +83,13 @@ def load_heuristics(path: str | Path) -> HeuristicConfig:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraffickingEvent:
     """One extracted event; dated by its report's year and month.
 
     At least one of species, product or arrest_count is always present.
+    Events are slotted (no ``__dict__``), so a loaded set of tens of
+    thousands of them costs what its fields hold.
     """
 
     report_id: str

@@ -24,6 +24,7 @@ __all__ = [
     "ReportEncodingError",
     "ReportNamingError",
     "SentenceSpan",
+    "TOKEN_RE",
     "Token",
     "document_from_text",
     "load_abbreviations",
@@ -44,8 +45,9 @@ _FILENAME_RE = re.compile(r"(?P<source>.+)-(?P<year>\d{4})-(?P<month>\d{2})\.txt
 # A token is a maximal run of letters/digits; a hyphen glues two letter runs
 # together ("twenty-five") but never joins digits ("3-5" stays three tokens).
 # Anything else that is not whitespace becomes a single-character token.
+# The pattern has no groups, so ``TOKEN_RE.findall`` lists the token texts.
 _ALNUM_RUN = r"[^\W_]+(?:(?<=[^\W\d_])-(?=[^\W\d_])[^\W_]+)*"
-_TOKEN_RE = re.compile(rf"{_ALNUM_RUN}|\S")
+TOKEN_RE = re.compile(rf"{_ALNUM_RUN}|\S")
 
 _TERMINATORS = frozenset(".!?")
 
@@ -100,7 +102,7 @@ def tokenize(text: str, offset: int = 0) -> list[Token]:
     larger document and keep document-relative positions.
     """
     tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in TOKEN_RE.finditer(text):
         piece = m.group()
         tokens.append(
             Token(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import ReportDocument, tokenize
+from .corpus import TOKEN_RE, ReportDocument
 from .lexicon import Lexicon
 
 __all__ = [
@@ -74,7 +74,7 @@ def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
     # surfaces collapse to the same token sequence
     for surface in sorted(lexicon.entries):
         pair = lexicon.entries[surface]
-        key = tuple(tok.lower for tok in tokenize(surface))
+        key = tuple(piece.casefold() for piece in TOKEN_RE.findall(surface))
         if key:
             phrases.setdefault(key, pair)
     max_len = max((len(key) for key in phrases), default=0)

@@ -189,6 +189,15 @@ class EventStore:
     def __init__(self, path: str | Path = ":memory:") -> None:
         try:
             self._conn = sqlite3.connect(str(path))
+            # content_hash digests the stored text as bytes, which are the
+            # export's UTF-8 bytes only in a UTF-8 database
+            encoding = self._conn.execute("PRAGMA encoding").fetchone()[0]
+            if encoding != "UTF-8":
+                self._conn.close()
+                raise StoreError(
+                    f"cannot open event store at {path}: its text encoding is"
+                    f" {encoding}, not UTF-8"
+                )
             self._conn.execute("PRAGMA foreign_keys = ON")
             if self._conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
                 self._upgrade()
@@ -311,7 +320,7 @@ class EventStore:
                     "INSERT INTO events (report_id, sentence_index, country, species,"
                     " product, quantity, weight_kg, arrest_count)"
                     " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    [
+                    (
                         (
                             e.report_id,
                             e.sentence_index,
@@ -323,7 +332,7 @@ class EventStore:
                             e.arrest_count,
                         )
                         for e in events
-                    ],
+                    ),
                 )
                 self._refresh_csv_rows(affected)
         except sqlite3.IntegrityError as exc:
@@ -333,27 +342,35 @@ class EventStore:
         return len(events)
 
     def events(self) -> list[TraffickingEvent]:
-        """All events in export order: report id, sentence index, insertion."""
+        """All events in export order: report id, sentence index, insertion.
+
+        Equal string values share one object, since thousands of rows
+        repeat a few report ids, countries, species and products.
+        """
         rows = self._conn.execute(
             "SELECT e.report_id, r.year, r.month, e.country, e.species, e.product,"
             " e.quantity, e.weight_kg, e.arrest_count, e.sentence_index"
             " FROM events e JOIN reports r ON r.report_id = e.report_id"
             " ORDER BY e.report_id, e.sentence_index, e.event_id"
-        ).fetchall()
+        )
+        # text columns only: 1 == 1.0, so a table shared with numbers
+        # could hand a weight back as an int
+        share = {}.setdefault
         return [
             TraffickingEvent(
-                report_id=r[0],
-                year=r[1],
-                month=r[2],
-                country=r[3],
-                species=r[4],
-                product=r[5],
-                quantity=r[6],
-                weight_kg=r[7],
-                arrest_count=r[8],
-                sentence_index=r[9],
+                report_id=share(report_id, report_id),
+                year=year,
+                month=month,
+                country=share(country, country),
+                species=share(species, species),
+                product=share(product, product),
+                quantity=quantity,
+                weight_kg=weight_kg,
+                arrest_count=arrest_count,
+                sentence_index=sentence_index,
             )
-            for r in rows
+            for (report_id, year, month, country, species, product,
+                 quantity, weight_kg, arrest_count, sentence_index) in rows
         ]
 
     def _csv_chunks(self) -> Iterator[str]:
@@ -372,10 +389,16 @@ class EventStore:
         return self._conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
 
     def content_hash(self) -> str:
-        """Digest of the exported rows; identical stores hash identically."""
-        digest = hashlib.sha256()
-        for chunk in self._csv_chunks():
-            digest.update(chunk.encode("utf-8"))
+        """Digest of the exported rows; identical stores hash identically.
+
+        The cached rows are hashed as stored, without decoding them: the
+        store is UTF-8, so these are the export's bytes.
+        """
+        digest = hashlib.sha256((CSV_HEADER + "\n").encode("utf-8"))
+        for (data,) in self._conn.execute(
+            "SELECT CAST(csv_rows AS BLOB) FROM reports ORDER BY report_id"
+        ):
+            digest.update(data)
         return digest.hexdigest()[:16]
 
     def summarize(self) -> SummaryStats:
@@ -455,6 +478,7 @@ def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
     if tuple(header) != CSV_COLUMNS:
         raise CsvFormatError(f"bad header {','.join(header)!r}; expected {CSV_HEADER!r}")
     events: list[TraffickingEvent] = []
+    share = {}.setdefault  # one object per distinct text value, as in EventStore.events
     for i, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -480,12 +504,12 @@ def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
                 raise CsvFormatError(f"row {i}: weight_kg must be positive")
         events.append(
             TraffickingEvent(
-                report_id=report_id,
+                report_id=share(report_id, report_id),
                 year=_parse_int(year, "year", i),
                 month=month_value,
-                country=country or None,
-                species=species or None,
-                product=product or None,
+                country=share(country, country) or None,
+                species=share(species, species) or None,
+                product=share(product, product) or None,
                 quantity=quantity_value,
                 weight_kg=weight_value,
                 arrest_count=arrest_value,

@@ -71,14 +71,19 @@ def naive_segment_sentences(
     ]
 
 
-def naive_leftmost_longest(doc: ReportDocument, lexicon: Lexicon) -> list[EntitySpan]:
-    """Brute-force matcher: all candidates, then a leftmost-longest sweep."""
+def tokenized_phrase_table(lexicon: Lexicon) -> dict[tuple[str, ...], tuple[str, str]]:
+    """Each surface's ``tokenize`` lowers as a key; the first surface in sorted order wins."""
     surface_keys: dict[tuple[str, ...], tuple[str, str]] = {}
     for surface in sorted(lexicon.entries):
         key = tuple(tok.lower for tok in tokenize(surface))
         if key and key not in surface_keys:
             surface_keys[key] = lexicon.entries[surface]
+    return surface_keys
 
+
+def naive_leftmost_longest(doc: ReportDocument, lexicon: Lexicon) -> list[EntitySpan]:
+    """Brute-force matcher: all candidates, then a leftmost-longest sweep."""
+    surface_keys = tokenized_phrase_table(lexicon)
     chosen: list[EntitySpan] = []
     for sentence in doc.sentences:
         tokens = sentence.tokens

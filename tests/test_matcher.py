@@ -18,7 +18,12 @@ from brieflens.matcher import (
 )
 from brieflens.measures import numeric_spans
 
-from oracles import naive_leftmost_longest, naive_merge_spans, random_matcher_case
+from oracles import (
+    naive_leftmost_longest,
+    naive_merge_spans,
+    random_matcher_case,
+    tokenized_phrase_table,
+)
 
 
 def doc_of(text: str):
@@ -39,6 +44,31 @@ class TestCompile:
     def test_version_carried(self):
         lexicon = Lexicon.from_rows([("tusk", "PRODUCT", "")])
         assert compile_lexicon(lexicon).lexicon_version == lexicon.version
+
+    def test_shipped_table_matches_tokenize(self, shipped_lexicon, shipped_matcher):
+        assert_table_matches_tokenize(shipped_lexicon, shipped_matcher)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=12),
+                st.sampled_from(["Sea Turtle", "twenty-five", "3-5", "Côte d'Ivoire",
+                                 "İstanbul", "STRAẞE", "a_b", "  ", "rhino  horn"]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_random_table_matches_tokenize(self, surfaces):
+        lexicon = Lexicon(entries={s: ("ANIMAL", s) for s in surfaces}, version="")
+        assert_table_matches_tokenize(lexicon, compile_lexicon(lexicon))
+
+
+def assert_table_matches_tokenize(lexicon: Lexicon, matcher: CompiledMatcher) -> None:
+    # compile_lexicon reads the token regex directly; the keys must be what
+    # tokenize would give, so surfaces match exactly where document tokens do
+    expected = tokenized_phrase_table(lexicon)
+    assert matcher.phrases == expected
+    assert matcher.max_len == max(map(len, expected), default=0)
 
 
 class TestFindEntities:

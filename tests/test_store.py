@@ -24,6 +24,7 @@ from brieflens.store import (
     CsvFormatError,
     EventStore,
     SchemaError,
+    StoreError,
     SummaryStats,
     format_weight,
     import_csv,
@@ -166,6 +167,67 @@ class TestCsvExport:
         twin.ingest([ev(species="leopard")])
         assert twin.content_hash() != store.content_hash()
         twin.close()
+
+    def test_hash_is_digest_of_exported_bytes(self, tmp_path):
+        with EventStore() as s:
+            s.export_csv(tmp_path / "empty.csv")
+            assert s.content_hash() == file_hash(tmp_path / "empty.csv")
+            s.register_report("é-2021-01", 2021, 1)
+            s.ingest([ev("é-2021-01", country="Côte d'Ivoire", species=None,
+                         product="écailles", weight_kg=3.5)])
+            s.export_csv(tmp_path / "accents.csv")
+            assert s.content_hash() == file_hash(tmp_path / "accents.csv")
+        assert "Côte d'Ivoire" in (tmp_path / "accents.csv").read_text(encoding="utf-8")
+
+    def test_non_utf8_store_refused(self, tmp_path):
+        path = tmp_path / "utf16.db"
+        conn = sqlite3.connect(path)
+        conn.execute("PRAGMA encoding = 'UTF-16le'")
+        conn.execute("CREATE TABLE t (x)")
+        conn.close()
+        with pytest.raises(StoreError, match="UTF-16le, not UTF-8"):
+            EventStore(path)
+
+
+def file_hash(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+class TestLoadedEvents:
+    """Loaded events are slotted and share one object per distinct string."""
+
+    def assert_compact(self, events):
+        assert not any(hasattr(e, "__dict__") for e in events)
+        seen = {}
+        for e in events:
+            for value in (e.report_id, e.country, e.species, e.product):
+                if value is not None:
+                    assert seen.setdefault(value, value) is value
+
+    def test_store_events(self, store):
+        store.ingest([ev(country="gabon", sentence_index=i) for i in range(3)])
+        loaded = store.events()
+        assert len(loaded) == 3
+        self.assert_compact(loaded)
+
+    def test_imported_events(self, store):
+        store.ingest(SAMPLE + [ev(country="gabon", sentence_index=5)])
+        buffer = io.StringIO()
+        store.export_csv(buffer)
+        buffer.seek(0)
+        self.assert_compact(import_csv(buffer))
+
+    def test_numbers_keep_their_types(self, store):
+        # 1 == 1.0, so a shared table holding numbers would hand back the wrong type
+        store.ingest([ev(quantity=1, weight_kg=1.0, arrest_count=1, sentence_index=i)
+                      for i in range(2)])
+        buffer = io.StringIO()
+        store.export_csv(buffer)
+        buffer.seek(0)
+        for loaded in (store.events(), import_csv(buffer)):
+            for e in loaded:
+                assert (type(e.quantity), type(e.weight_kg), type(e.arrest_count)) == (
+                    int, float, int)
 
 
 class TestCsvImport:
