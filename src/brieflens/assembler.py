@@ -12,10 +12,13 @@ mention) contributes events by a fixed proximity procedure:
    feeding at most one event;
 3. weight spans attach to the nearest event that still lacks a weight, ties
    going to the leftmost event;
-4. the sentence's arrest count, when detected, lands on every event of the
-   sentence; cardinals already consumed as quantities are not arrest-count
-   candidates; a sentence with only an arrest mention yields a single
-   event with no species or product;
+4. in a sentence with an arrest lexeme, the arrest count is the nearest
+   CARDINAL span within the arrest window that no event consumed as a
+   quantity, or the arrest default when none is in range; CARDINAL spans
+   are those left after merging, so a number inside a lexicon phrase never
+   counts; the count lands on every event of the sentence, and a sentence
+   with only an arrest mention yields a single event with no species or
+   product;
 5. the country is the nearest COUNTRY span in the sentence, falling back to
    the first COUNTRY span of the surrounding paragraph.
 
@@ -30,17 +33,23 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import ReportDocument
+from .corpus import ReportDocument, SentenceSpan
 from .lexicon import ANIMAL, COUNTRY, PRODUCT
 from .matcher import CARDINAL, WEIGHT, EntitySpan
-from .measures import detect_arrest_count, has_arrest_lexeme
 
 __all__ = [
+    "ARREST_LEXEMES",
     "HeuristicConfig",
     "TraffickingEvent",
     "assemble",
+    "detect_arrest_count",
+    "has_arrest_lexeme",
     "load_heuristics",
 ]
+
+ARREST_LEXEMES = frozenset(
+    {"arrest", "arrested", "arrests", "apprehended", "detained", "jailed"}
+)
 
 
 @dataclass(frozen=True)
@@ -194,15 +203,15 @@ def assemble(
         if not shells:
             shells = [_Shell()]
 
-        consumed = _attach_quantities(shells, cardinals, config.quantity_window)
+        unconsumed = _attach_quantities(shells, cardinals, config.quantity_window)
         _attach_weights(shells, weights)
         _attach_countries(shells, countries)
 
         arrest = detect_arrest_count(
             sentence,
+            unconsumed,
             window=config.arrest_window,
             default=config.arrest_default,
-            exclude=consumed,
         )
 
         paragraph_fallback = None if countries else paragraph_countries[pi]
@@ -254,8 +263,8 @@ def _attach_quantities(
     shells: list[_Shell],
     cardinals: list[EntitySpan],
     quantity_window: int,
-) -> set[EntitySpan]:
-    """Attach item counts; returns the cardinals consumed as quantities."""
+) -> list[EntitySpan]:
+    """Attach item counts; returns the cardinals not consumed as quantities."""
     used: set[EntitySpan] = set()
     for shell in shells:
         best: EntitySpan | None = None
@@ -275,7 +284,38 @@ def _attach_quantities(
         if best is not None:
             shell.quantity = int(best.canonical)
             used.add(best)
-    return used
+    return [c for c in cardinals if c not in used]
+
+
+def has_arrest_lexeme(sentence: SentenceSpan) -> bool:
+    """True when any token of the sentence is an arrest lexeme."""
+    return any(tok.lower in ARREST_LEXEMES for tok in sentence.tokens)
+
+
+def detect_arrest_count(
+    sentence: SentenceSpan,
+    cardinals: Iterable[EntitySpan],
+    *,
+    window: int,
+    default: int,
+) -> int | None:
+    """Arrest count for a sentence, or None when no arrest lexeme occurs.
+
+    The count is the value of the cardinal nearest to an arrest lexeme
+    within ``window`` tokens, ties going to the leftmost; a lexeme with no
+    cardinal in range yields ``default``.  ``cardinals`` are CARDINAL spans
+    of ``sentence``.
+    """
+    lexemes = [(i, i) for i, tok in enumerate(sentence.tokens) if tok.lower in ARREST_LEXEMES]
+    if not lexemes:
+        return None
+    in_range = []
+    for cardinal in cardinals:
+        span = (cardinal.first_token, cardinal.last_token)
+        distance = min(_interval_distance(span, lexeme) for lexeme in lexemes)
+        if distance <= window:
+            in_range.append((distance, cardinal.first_token, int(cardinal.canonical)))
+    return min(in_range)[2] if in_range else default
 
 
 def _attach_weights(shells: list[_Shell], weights: list[EntitySpan]) -> None:

@@ -1,4 +1,4 @@
-"""Parsing counts, weights and arrest mentions out of token streams.
+"""Parsing counts and weights out of token streams.
 
 Numbers come in two shapes: digit strings with optional thousands
 separators ("1,200") and English number words composed from units, teens,
@@ -12,10 +12,7 @@ without spaces ("12.5 kg"): the tokenizer splits it into "12", "." and
 becomes a cardinal of its own.  The unit may also be glued to the last
 digits ("513kg", "12.5kg", "1,200kg"), which the tokenizer keeps as one
 token: that token reads as its digits with the unit, so it is a weight
-and never a cardinal, and "0kg" is no number at all.  Arrest detection
-looks for a small closed set of arrest lexemes and takes the nearest
-standalone number within a token window; a lexeme with no number nearby
-means a single arrest.
+and never a cardinal, and "0kg" is no number at all.
 """
 
 from __future__ import annotations
@@ -23,18 +20,15 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import SentenceSpan, Token
 from .matcher import CARDINAL, WEIGHT, EntitySpan
 
 __all__ = [
-    "ARREST_LEXEMES",
     "MAX_NUMBER",
     "NumberMatch",
     "Weight",
-    "detect_arrest_count",
-    "has_arrest_lexeme",
     "numeric_spans",
     "parse_number",
     "parse_weights",
@@ -66,10 +60,6 @@ WEIGHT_UNIT_TOKENS = _KG_UNITS | _TON_UNITS | _GRAM_UNITS | _POUND_UNITS
 
 _POUND_KG = 0.45359237
 
-ARREST_LEXEMES = frozenset(
-    {"arrest", "arrested", "arrests", "apprehended", "detained", "jailed"}
-)
-
 
 @dataclass(frozen=True)
 class NumberMatch:
@@ -97,8 +87,8 @@ class Weight:
     original_unit: str
 
 
-def _texts(tokens: Sequence[Token | str]) -> list[str]:
-    return [t.lower if isinstance(t, Token) else str(t).casefold() for t in tokens]
+def _texts(tokens: Sequence[Token]) -> list[str]:
+    return [t.lower for t in tokens]
 
 
 def _split_unit(tok: str) -> tuple[str, str] | None:
@@ -205,7 +195,7 @@ def _parse_words(texts: Sequence[str], i: int) -> NumberMatch | None:
     return NumberMatch(value=value, start=i, length=length)
 
 
-def parse_number(tokens: Sequence[Token | str], start: int = 0) -> NumberMatch | None:
+def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
     """Parse a number starting exactly at ``start``; None when nothing matches."""
     texts = _texts(tokens)
     if not 0 <= start < len(texts):
@@ -350,54 +340,3 @@ def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
         else _cardinal(tokens, m)
         for m in _iter_numbers(tokens, texts)
     ]
-
-
-def has_arrest_lexeme(sentence: SentenceSpan) -> bool:
-    """True when any token of the sentence is an arrest lexeme."""
-    return any(t in ARREST_LEXEMES for t in _texts(sentence.tokens))
-
-
-def detect_arrest_count(
-    sentence: SentenceSpan,
-    *,
-    window: int,
-    default: int,
-    exclude: Iterable[EntitySpan] = (),
-) -> int | None:
-    """Arrest count for a sentence, or None when no arrest lexeme occurs.
-
-    The count is the nearest standalone number within ``window`` tokens of
-    an arrest lexeme.  Numbers that belong to a weight are never
-    candidates, nor are numbers sharing a token with a span of this
-    sentence in ``exclude`` (the assembler passes cardinals already spoken
-    for as item quantities).  A lexeme with no candidate in range yields
-    ``default``.
-    """
-    tokens = sentence.tokens
-    texts = _texts(tokens)
-    lexeme_positions = [i for i, t in enumerate(texts) if t in ARREST_LEXEMES]
-    if not lexeme_positions:
-        return None
-
-    skip_tokens = {
-        idx for span in exclude for idx in range(span.first_token, span.last_token + 1)
-    }
-    best: tuple[int, int, int] | None = None  # (distance, number start, value)
-    for m in _iter_numbers(tokens, texts):
-        if _weight_unit(texts, m) or any(idx in skip_tokens for idx in range(m.start, m.end)):
-            continue
-        for pos in lexeme_positions:
-            if m.start > pos:
-                distance = m.start - pos
-            elif m.end - 1 < pos:
-                distance = pos - (m.end - 1)
-            else:
-                distance = 0
-            if distance > window:
-                continue
-            key = (distance, m.start, m.value)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return default
-    return best[2]

@@ -345,7 +345,8 @@ class EventStore:
         """All events in export order: report id, sentence index, insertion.
 
         Equal string values share one object, since thousands of rows
-        repeat a few report ids, countries, species and products.
+        repeat a few report ids, countries, species and products; so do
+        equal years.
         """
         rows = self._conn.execute(
             "SELECT e.report_id, r.year, r.month, e.country, e.species, e.product,"
@@ -353,13 +354,14 @@ class EventStore:
             " FROM events e JOIN reports r ON r.report_id = e.report_id"
             " ORDER BY e.report_id, e.sentence_index, e.event_id"
         )
-        # text columns only: 1 == 1.0, so a table shared with numbers
-        # could hand a weight back as an int
+        # years get their own int-only table: 1 == 1.0, so a table mixing
+        # number types could hand a weight back as an int
         share = {}.setdefault
+        share_year = {}.setdefault
         return [
             TraffickingEvent(
                 report_id=share(report_id, report_id),
-                year=year,
+                year=share_year(year, year),
                 month=month,
                 country=share(country, country),
                 species=share(species, species),
@@ -478,7 +480,9 @@ def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
     if tuple(header) != CSV_COLUMNS:
         raise CsvFormatError(f"bad header {','.join(header)!r}; expected {CSV_HEADER!r}")
     events: list[TraffickingEvent] = []
-    share = {}.setdefault  # one object per distinct text value, as in EventStore.events
+    # one object per distinct text value and per distinct year, as in EventStore.events
+    share = {}.setdefault
+    share_year = {}.setdefault
     for i, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -502,10 +506,11 @@ def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
                 raise CsvFormatError(f"row {i}: weight_kg {weight!r} is not a number") from exc
             if weight_value <= 0:
                 raise CsvFormatError(f"row {i}: weight_kg must be positive")
+        year_value = _parse_int(year, "year", i)
         events.append(
             TraffickingEvent(
                 report_id=share(report_id, report_id),
-                year=_parse_int(year, "year", i),
+                year=share_year(year_value, year_value),
                 month=month_value,
                 country=share(country, country) or None,
                 species=share(species, species) or None,

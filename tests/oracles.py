@@ -5,9 +5,10 @@ deliberately using the dumbest correct algorithm available: the sentence
 segmenter walks the text one character at a time, the phrase matcher
 oracle tries every surface at every position and resolves overlaps with an
 explicit sweep, the span merger tests every numeric span against every
-lexical span, and the number speller is a plain lookup-table composition.
-Keep these naive; their value is that they share no code with the
-implementations they check.
+lexical span, the arrest counter re-reads every number of the sentence
+instead of taking the assembler's cardinals, and the number speller is a
+plain lookup-table composition.  Keep these naive; their value is that
+they share no code with the implementations they check.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable
 from brieflens.corpus import ReportDocument, SentenceSpan, tokenize
 from brieflens.lexicon import Lexicon
 from brieflens.matcher import EntitySpan
+from brieflens.measures import parse_number, parse_weights
 
 
 def _closes_abbreviation(text: str, i: int, abbreviations: tuple[str, ...]) -> bool:
@@ -130,6 +132,51 @@ def naive_merge_spans(
         merged.append(span)
     merged.sort(key=lambda s: (s.start_char, s.end_char))
     return merged
+
+
+_ARREST_WORDS = frozenset(
+    {"arrest", "arrests", "arrested", "apprehended", "detained", "jailed"}
+)
+
+
+def naive_arrest_count(
+    sentence: SentenceSpan,
+    *,
+    window: int,
+    default: int,
+    exclude: Iterable[EntitySpan] = (),
+) -> int | None:
+    """Arrest count from a fresh read of every number in the sentence.
+
+    Candidates are the numbers ``parse_number`` reads left to right, except
+    those sharing a token with a weight or with a span in ``exclude``.  The
+    nearest within ``window`` tokens of an arrest word wins, ties going to
+    the leftmost; an arrest word with none in range gives ``default``, and
+    a sentence without one gives None.
+    """
+    tokens = sentence.tokens
+    positions = [i for i, tok in enumerate(tokens) if tok.lower in _ARREST_WORDS]
+    if not positions:
+        return None
+    skip = {
+        i
+        for span in [w for w, _ in parse_weights(sentence)] + list(exclude)
+        for i in range(span.first_token, span.last_token + 1)
+    }
+    best = None  # (distance, first token, value)
+    i = 0
+    while i < len(tokens):
+        m = parse_number(tokens, i)
+        if m is None:
+            i += 1
+            continue
+        if not skip.intersection(range(m.start, m.end)):
+            for pos in positions:
+                distance = max(m.start - pos, pos - (m.end - 1), 0)
+                if distance <= window and (best is None or (distance, m.start, m.value) < best):
+                    best = (distance, m.start, m.value)
+        i = m.end
+    return default if best is None else best[2]
 
 
 _ONES = [

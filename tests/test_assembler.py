@@ -6,15 +6,41 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from brieflens.assembler import HeuristicConfig, load_heuristics
-from brieflens.lexicon import COUNTRY
+from brieflens.assembler import (
+    ARREST_LEXEMES,
+    HeuristicConfig,
+    detect_arrest_count,
+    has_arrest_lexeme,
+    load_heuristics,
+)
+from brieflens.corpus import document_from_text
+from brieflens.lexicon import COUNTRY, Lexicon
+from brieflens.matcher import CARDINAL, compile_lexicon
+from brieflens.measures import MAX_NUMBER, numeric_spans
 from brieflens.pipeline import extract_document
 from brieflens.resources import DATA_DIR
+
+from oracles import naive_arrest_count, spell_number
+
+
+CONFIG = HeuristicConfig()
+ARREST = {"window": CONFIG.arrest_window, "default": CONFIG.arrest_default}
 
 
 def events_for(make_doc, matcher, text, config=HeuristicConfig()):
     return extract_document(make_doc(text), matcher, config)
+
+
+def sentence_of(text: str):
+    doc = document_from_text("m-2021-01", 2021, 1, text)
+    assert len(doc.sentences) == 1
+    return doc.sentences[0]
+
+
+def cardinals_of(sentence):
+    return [s for s in numeric_spans(sentence) if s.label == CARDINAL]
 
 
 def core(event):
@@ -123,6 +149,15 @@ class TestAssembly:
             ("gabon", None, "scale", None, 12.5, 2),
         ]
 
+    def test_number_inside_a_lexicon_phrase_is_never_an_arrest_count(self, make_doc):
+        # the lexical span owns "five", so only "Two" is a cardinal, and it
+        # is the quantity
+        matcher = compile_lexicon(Lexicon.from_rows([("big five", "ANIMAL", "")]))
+        events = events_for(make_doc, matcher, "Two big five poachers were arrested.")
+        assert [core(e) for e in events] == [
+            (None, "big five", None, 2, None, CONFIG.arrest_default),
+        ]
+
     def test_weight_tie_goes_to_leftmost(self, make_doc, shipped_matcher):
         events = events_for(make_doc, shipped_matcher, "The ivory , 40 kg , skins were seized.")
         assert [(e.product, e.weight_kg) for e in events] == [
@@ -180,6 +215,100 @@ def _nearest_left_pairs(animals, products, window):
     return modifiers
 
 
+WEIGHT_UNITS = ("kg", "kilos", "t", "tonnes", "g", "lbs", "pounds")
+
+SENTENCE_WORDS = st.one_of(
+    st.integers(0, MAX_NUMBER).map(spell_number),
+    st.integers(0, 10**7).map(str),
+    st.integers(1000, 10**7).map("{:,}".format),
+    st.builds("{}{}".format, st.integers(0, 2000), st.sampled_from(WEIGHT_UNITS)),
+    st.builds(
+        "{}.{}{}{}".format,
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.sampled_from(("", " ")),
+        st.sampled_from(("",) + WEIGHT_UNITS),
+    ),
+    st.sampled_from(WEIGHT_UNITS),
+    st.sampled_from(sorted(ARREST_LEXEMES)),
+    st.sampled_from(sorted(ARREST_LEXEMES)).map(str.upper),
+    st.sampled_from(("men", "were", "with", "of", "ivory", "and", ",")),
+)
+
+
+class TestArrestDetection:
+    def test_number_word_within_window(self):
+        sentence = sentence_of("Three traffickers were arrested")
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 3
+
+    def test_lexeme_without_number_defaults(self):
+        sentence = sentence_of("A dealer was arrested with ivory")
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 1
+
+    def test_no_lexeme_is_absent(self):
+        sentence = sentence_of("Leopard skins were seized")
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) is None
+        assert not has_arrest_lexeme(sentence)
+
+    def test_all_lexemes_recognised(self):
+        for lexeme in ARREST_LEXEMES:
+            sentence = sentence_of(f"Two men were {lexeme} yesterday")
+            assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 2, lexeme
+
+    def test_nearest_number_wins(self):
+        # "two" is 2 tokens from the lexeme, "three" is 3
+        sentence = sentence_of("Three traffickers were arrested with two elephant tusks")
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 2
+
+    def test_excluded_cardinals_are_skipped(self):
+        sentence = sentence_of("Three traffickers were arrested with two elephant tusks")
+        cardinals = [s for s in cardinals_of(sentence) if s.canonical != "2"]
+        assert detect_arrest_count(sentence, cardinals, **ARREST) == 3
+
+    def test_weight_numbers_are_never_arrest_counts(self):
+        sentence = sentence_of("Police arrested smugglers with 513 kg of ivory")
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 1
+
+    def test_decimal_weight_numbers_are_never_arrest_counts(self):
+        sentence = sentence_of("Two men were arrested with 3.5 kg of ivory")
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 2
+
+    def test_number_outside_window_ignored(self):
+        sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")
+        # "nine" sits more than five tokens from the lexeme
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 1
+
+    def test_window_is_configurable(self):
+        sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")
+        cardinals = cardinals_of(sentence)
+        assert detect_arrest_count(sentence, cardinals, **{**ARREST, "window": 20}) == 9
+
+    @given(st.lists(st.sampled_from(["rangers", "seized", "five", "skins", "the"]), max_size=8))
+    def test_never_fires_without_lexeme(self, words):
+        doc = document_from_text("m-2021-01", 2021, 1, " ".join(words) or "quiet")
+        for sentence in doc.sentences:
+            assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) is None
+
+    @settings(max_examples=300)
+    @given(
+        words=st.lists(SENTENCE_WORDS, max_size=14),
+        window=st.integers(0, 8),
+        default=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_agrees_with_reparsing_oracle(self, words, window, default, data):
+        doc = document_from_text("m-2021-01", 2021, 1, " ".join(words) or "quiet")
+        for sentence in doc.sentences:
+            cardinals = cardinals_of(sentence)
+            keep = data.draw(st.lists(st.booleans(), min_size=len(cardinals),
+                                      max_size=len(cardinals)))
+            kept = [c for c, k in zip(cardinals, keep) if k]
+            excluded = [c for c, k in zip(cardinals, keep) if not k]
+            assert detect_arrest_count(
+                sentence, kept, window=window, default=default
+            ) == naive_arrest_count(sentence, window=window, default=default, exclude=excluded)
+
+
 class TestEventCountFormula:
     VOCAB = (
         "elephant", "pangolin", "leopard", "tusks", "skins", "ivory", "scales",
@@ -189,7 +318,6 @@ class TestEventCountFormula:
 
     def test_random_sentences(self, make_doc, shipped_matcher):
         from brieflens.matcher import find_entities
-        from brieflens.measures import has_arrest_lexeme
 
         rng = random.Random(4209)
         config = HeuristicConfig()
@@ -235,7 +363,6 @@ class TestCountryRemovalProperty:
     def test_only_country_field_changes(self, make_doc, shipped_matcher):
         from brieflens.assembler import assemble
         from brieflens.matcher import find_entities, merge_spans
-        from brieflens.measures import numeric_spans
 
         for text in self.TEXTS:
             doc = make_doc(text)

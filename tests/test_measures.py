@@ -1,24 +1,15 @@
-"""Number parsing, weight normalization and arrest detection."""
+"""Number parsing and weight normalization."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
-from brieflens.assembler import HeuristicConfig
+from brieflens.assembler import HeuristicConfig, detect_arrest_count
 from brieflens.corpus import document_from_text, tokenize
 from brieflens.matcher import CARDINAL, WEIGHT
-from brieflens.measures import (
-    ARREST_LEXEMES,
-    MAX_NUMBER,
-    detect_arrest_count,
-    has_arrest_lexeme,
-    numeric_spans,
-    parse_number,
-    parse_weights,
-)
+from brieflens.measures import MAX_NUMBER, numeric_spans, parse_number, parse_weights
 
 from oracles import spell_number
 
@@ -35,7 +26,7 @@ def sentence_of(text: str):
 
 class TestParseNumber:
     def test_digit_literal(self):
-        m = parse_number(["12"])
+        m = parse_number(tokenize("12"))
         assert (m.value, m.start, m.length) == (12, 0, 1)
 
     def test_hyphenated_compound(self):
@@ -60,25 +51,25 @@ class TestParseNumber:
         assert (m.value, m.length) == (12304, 6)
 
     def test_cap(self):
-        assert parse_number(["1000000"]) is None
-        assert parse_number(["999999"]).value == MAX_NUMBER
+        assert parse_number(tokenize("1000000")) is None
+        assert parse_number(tokenize("999999")).value == MAX_NUMBER
 
     def test_no_match(self):
-        assert parse_number(["elephant"]) is None
+        assert parse_number(tokenize("elephant")) is None
         assert parse_number([]) is None
 
     def test_non_decimal_digits_are_not_numbers(self):
         # str.isdigit accepts superscripts, which int() rejects
-        assert parse_number(["¹"]) is None
+        assert parse_number(tokenize("¹")) is None
         assert parse_number(tokenize("1,²³⁴")).value == 1
-        assert parse_number(["٣"]).value == 3
+        assert parse_number(tokenize("٣")).value == 3
 
     def test_overlong_digit_runs_are_not_numbers(self):
         # int() refuses more than 4,300 digits; leading zeros of any script are not significant
-        assert parse_number(["1" * 5000]) is None
-        assert parse_number(["0" * 5000 + "7"]).value == 7
-        assert parse_number(["٠" * 9 + "١٢"]).value == 12
-        assert parse_number(["1" + "0" * 6]) is None
+        assert parse_number(tokenize("1" * 5000)) is None
+        assert parse_number(tokenize("0" * 5000 + "7")).value == 7
+        assert parse_number(tokenize("٠" * 9 + "١٢")).value == 12
+        assert parse_number(tokenize("1" + "0" * 6)) is None
 
     def test_words_exhaustive_to_one_hundred(self):
         for n in range(101):
@@ -91,7 +82,7 @@ class TestParseNumber:
 
     def test_digits_exhaustive_to_ten_thousand(self):
         for n in range(10000):
-            m = parse_number([str(n)])
+            m = parse_number(tokenize(str(n)))
             assert m is not None and m.value == n and m.length == 1
 
     def test_words_sampled_to_max(self):
@@ -228,9 +219,10 @@ class TestGluedWeights:
     def test_glued_numbers_are_never_quantities_or_arrest_counts(self):
         sentence = sentence_of("Police arrested smugglers with 3kg of ivory")
         assert [s.label for s in numeric_spans(sentence)] == [WEIGHT]
-        assert detect_arrest_count(sentence, **ARREST) == 1
+        assert detect_arrest_count(sentence, [], **ARREST) == 1
         sentence = sentence_of("Two men were arrested with 3.5kg of ivory")
-        assert detect_arrest_count(sentence, **ARREST) == 2
+        cardinals = [s for s in numeric_spans(sentence) if s.label == CARDINAL]
+        assert detect_arrest_count(sentence, cardinals, **ARREST) == 2
 
 
 class TestNumericSpans:
@@ -258,52 +250,3 @@ class TestNumericSpans:
         starts = [s.start_char for s in spans]
         assert starts == sorted(starts)
 
-
-class TestArrestDetection:
-    def test_number_word_within_window(self):
-        assert detect_arrest_count(sentence_of("Three traffickers were arrested"), **ARREST) == 3
-
-    def test_lexeme_without_number_defaults(self):
-        assert detect_arrest_count(sentence_of("A dealer was arrested with ivory"), **ARREST) == 1
-
-    def test_no_lexeme_is_absent(self):
-        assert detect_arrest_count(sentence_of("Leopard skins were seized"), **ARREST) is None
-        assert not has_arrest_lexeme(sentence_of("Leopard skins were seized"))
-
-    def test_all_lexemes_recognised(self):
-        for lexeme in ARREST_LEXEMES:
-            sentence = sentence_of(f"Two men were {lexeme} yesterday")
-            assert detect_arrest_count(sentence, **ARREST) == 2, lexeme
-
-    def test_nearest_number_wins(self):
-        # "two" is 2 tokens from the lexeme, "three" is 3
-        sentence = sentence_of("Three traffickers were arrested with two elephant tusks")
-        assert detect_arrest_count(sentence, **ARREST) == 2
-
-    def test_excluded_cardinals_are_skipped(self):
-        sentence = sentence_of("Three traffickers were arrested with two elephant tusks")
-        cardinals = [s for s in numeric_spans(sentence) if s.canonical == "2"]
-        assert detect_arrest_count(sentence, **ARREST, exclude=cardinals) == 3
-
-    def test_weight_numbers_are_never_arrest_counts(self):
-        sentence = sentence_of("Police arrested smugglers with 513 kg of ivory")
-        assert detect_arrest_count(sentence, **ARREST) == 1
-
-    def test_decimal_weight_numbers_are_never_arrest_counts(self):
-        sentence = sentence_of("Two men were arrested with 3.5 kg of ivory")
-        assert detect_arrest_count(sentence, **ARREST) == 2
-
-    def test_number_outside_window_ignored(self):
-        sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")
-        # "nine" sits more than five tokens from the lexeme
-        assert detect_arrest_count(sentence, **ARREST) == 1
-
-    def test_window_is_configurable(self):
-        sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")
-        assert detect_arrest_count(sentence, window=20, default=CONFIG.arrest_default) == 9
-
-    @given(st.lists(st.sampled_from(["rangers", "seized", "five", "skins", "the"]), max_size=8))
-    def test_never_fires_without_lexeme(self, words):
-        doc = document_from_text("m-2021-01", 2021, 1, " ".join(words) or "quiet")
-        for sentence in doc.sentences:
-            assert detect_arrest_count(sentence, **ARREST) is None

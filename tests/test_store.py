@@ -194,15 +194,17 @@ def file_hash(path):
 
 
 class TestLoadedEvents:
-    """Loaded events are slotted and share one object per distinct string."""
+    """Loaded events are slotted and share one object per distinct string and year."""
 
     def assert_compact(self, events):
         assert not any(hasattr(e, "__dict__") for e in events)
-        seen = {}
+        seen, years = {}, {}
         for e in events:
             for value in (e.report_id, e.country, e.species, e.product):
                 if value is not None:
                     assert seen.setdefault(value, value) is value
+            # 2021 is outside CPython's small-int cache, so each row parses its own
+            assert years.setdefault(e.year, e.year) is e.year
 
     def test_store_events(self, store):
         store.ingest([ev(country="gabon", sentence_index=i) for i in range(3)])
