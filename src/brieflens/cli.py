@@ -166,6 +166,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if (args.pred is None) == (args.store is None):
         print("error: give exactly one of --pred or --store", file=sys.stderr)
         return EXIT_USAGE
+    out_path = args.out / "eval_report.txt"
     try:
         gold = import_csv(args.gold)
         if args.pred is not None:
@@ -173,17 +174,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             with EventStore(args.store) as store:
                 predicted = store.events()
+        report = compute_report(evaluate_corpus(predicted, gold))
+        print(report.counts_line())
+        print(f"detection_rate={report.detection_rate:.4f}")
+        args.out.mkdir(parents=True, exist_ok=True)
+        out_path.write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
     except (CsvFormatError, StoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    report = compute_report(evaluate_corpus(predicted, gold))
-    print(report.counts_line())
-    print(f"detection_rate={report.detection_rate:.4f}")
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    out_path = args.out / "eval_report.txt"
-    out_path.write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
     LOGGER.info("wrote %s", out_path)
     return EXIT_OK
 

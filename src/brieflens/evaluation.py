@@ -1,13 +1,14 @@
 """Scoring extracted events against gold annotations.
 
-Predictions and gold events are matched one-to-one within each report.  A
-pair is eligible when its species values are present and equal, or its
-product values are present and equal; records that carry neither species
-nor product (arrest-only events) are instead eligible when their arrest
-counts are present and equal.  Matching is greedy on the number of
-agreeing fields among arrest count, country, product, species, quantity
-and weight, with ties broken towards the earliest prediction and then the
-earliest gold event.
+Predictions and gold events are matched one-to-one within each report.
+Identity comes from what was trafficked: an event's identity keys are its
+species and its product, each when present; an event with neither (an
+arrest-only event) has its arrest count as its one key, when present.  A
+pair is eligible exactly when the two events share a key: a species, a
+product or, between two records with neither, an arrest count.
+Matching is greedy on the number of agreeing fields among arrest count,
+country, product, species, quantity and weight, with ties broken towards
+the earliest prediction and then the earliest gold event.
 
 Matched predictions are FULLY_CORRECT when all six fields agree and
 PARTIALLY_CORRECT otherwise; unmatched predictions are UNRELATED and
@@ -17,6 +18,7 @@ gold events that were matched at all.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -30,7 +32,6 @@ __all__ = [
     "MatchResult",
     "WEIGHT_TOLERANCE_KG",
     "compute_report",
-    "default_eligibility",
     "evaluate_corpus",
     "field_agree",
     "match_events",
@@ -63,28 +64,12 @@ def field_agree(a: object, b: object) -> bool:
     return a == b
 
 
-def _both_equal(a: object, b: object) -> bool:
-    return a is not None and b is not None and field_agree(a, b)
-
-
-def default_eligibility(predicted: TraffickingEvent, gold: TraffickingEvent) -> bool:
-    """Whether a pair may be matched at all.
-
-    Identity comes from what was trafficked; for records with no species
-    and no product on either side, the arrest count takes over that role.
-    """
-    if _both_equal(predicted.species, gold.species):
-        return True
-    if _both_equal(predicted.product, gold.product):
-        return True
-    if (
-        predicted.species is None
-        and predicted.product is None
-        and gold.species is None
-        and gold.product is None
-    ):
-        return _both_equal(predicted.arrest_count, gold.arrest_count)
-    return False
+def _identity_keys(event: TraffickingEvent) -> list[tuple[str, object]]:
+    """The keys a pair must share to be eligible for matching."""
+    keys = [("species", event.species), ("product", event.product)]
+    if event.species is None and event.product is None:
+        keys = [("arrest_count", event.arrest_count)]
+    return [key for key in keys if key[1] is not None]
 
 
 def pair_score(predicted: TraffickingEvent, gold: TraffickingEvent) -> int:
@@ -118,11 +103,15 @@ def match_events(
         raise ValueError(f"match_events got events from several reports: {sorted(report_ids)}")
     report_id = report_ids.pop() if report_ids else ""
 
+    gold_by_key: dict[tuple[str, object], list[int]] = {}
+    for gi, g in enumerate(gold):
+        for key in _identity_keys(g):
+            gold_by_key.setdefault(key, []).append(gi)
     candidates: list[tuple[int, int, int]] = []  # (-score, pred idx, gold idx)
     for pi, p in enumerate(predicted):
-        for gi, g in enumerate(gold):
-            if default_eligibility(p, g):
-                candidates.append((-pair_score(p, g), pi, gi))
+        # a set, so a gold event sharing both species and product is scored once
+        reached = {gi for key in _identity_keys(p) for gi in gold_by_key.get(key, ())}
+        candidates.extend((-pair_score(p, gold[gi]), pi, gi) for gi in reached)
     candidates.sort()
 
     matched_pred: dict[int, int] = {}
@@ -241,24 +230,19 @@ class EvalReport:
 
 def compute_report(results: Iterable[MatchResult]) -> EvalReport:
     """Aggregate per-report match results into one corpus report."""
-    fully = partial = unrelated = undetected = total_gold = 0
+    outcomes: Counter[EvalOutcome] = Counter()
+    undetected = total_gold = 0
     agreement = {name: 0 for name in COMPARED_FIELDS}
     for result in results:
-        for outcome in result.prediction_outcomes:
-            if outcome is EvalOutcome.FULLY_CORRECT:
-                fully += 1
-            elif outcome is EvalOutcome.PARTIALLY_CORRECT:
-                partial += 1
-            elif outcome is EvalOutcome.UNRELATED:
-                unrelated += 1
+        outcomes.update(result.prediction_outcomes)
         undetected += len(result.undetected_gold)
         total_gold += result.total_gold
         for name, count in result.field_agreement.items():
             agreement[name] = agreement.get(name, 0) + count
     return EvalReport(
-        fully_correct=fully,
-        partially_correct=partial,
-        unrelated=unrelated,
+        fully_correct=outcomes[EvalOutcome.FULLY_CORRECT],
+        partially_correct=outcomes[EvalOutcome.PARTIALLY_CORRECT],
+        unrelated=outcomes[EvalOutcome.UNRELATED],
         undetected=undetected,
         total_gold=total_gold,
         field_agreement=agreement,

@@ -3,7 +3,10 @@
 Numbers come in two shapes: digit strings with optional thousands
 separators ("1,200") and English number words composed from units, teens,
 tens and the hundred/thousand multipliers ("twenty-five", "three hundred
-and six").  Values outside 0..999,999 are not recognised.
+and six").  Values outside 0..999,999 are not recognised.  Thousands
+groups are written without spaces: "3, 200" is the two numbers 3 and 200.
+A grouped run above 999,999 ("1,000,000") is no number, and none of its
+groups reads as a number of its own.
 
 Weights are a number immediately followed by a unit token and are always
 normalised to kilograms.  A weight's number may also be a decimal written
@@ -104,7 +107,19 @@ def _split_unit(tok: str) -> tuple[str, str] | None:
     return (tok[:end], tok[end:]) if tok[end:] in WEIGHT_UNIT_TOKENS else None
 
 
-def _parse_digits(texts: Sequence[str], i: int) -> NumberMatch | None:
+def _touches(tokens: Sequence[Token], i: int) -> bool:
+    """Whether token ``i`` is written against both of its neighbours."""
+    return (
+        tokens[i - 1].end_char == tokens[i].start_char
+        and tokens[i].end_char == tokens[i + 1].start_char
+    )
+
+
+def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> NumberMatch | None:
+    """The number written in digits at ``i``, with its thousands groups.
+
+    A grouped run's value may exceed MAX_NUMBER; callers then skip the run.
+    """
     tok = texts[i]
     if not tok[:1].isdecimal():  # most tokens are words
         return None
@@ -125,14 +140,12 @@ def _parse_digits(texts: Sequence[str], i: int) -> NumberMatch | None:
     length = 1
     if not unit and len(digits) <= 3:
         j = i + 1
-        while j + 1 < len(texts) and texts[j] == ",":
+        while j + 1 < len(texts) and texts[j] == "," and _touches(tokens, j):
             group = _split_unit(texts[j + 1])
             if group is None or len(group[0]) != 3:
                 break
-            candidate = value * 1000 + int(group[0])
-            if candidate > MAX_NUMBER:
-                break
-            value = candidate
+            # capped, so that a long overflowing run costs no big-integer arithmetic
+            value = min(value * 1000 + int(group[0]), MAX_NUMBER + 1)
             length += 2
             j += 2
             unit = group[1]
@@ -200,7 +213,8 @@ def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
     texts = _texts(tokens)
     if not 0 <= start < len(texts):
         return None
-    return _parse_digits(texts, start) or _parse_words(texts, start)
+    m = _parse_digits(tokens, texts, start) or _parse_words(texts, start)
+    return m if m is None or m.value <= MAX_NUMBER else None
 
 
 def _decimal_weight(
@@ -216,8 +230,7 @@ def _decimal_weight(
         dot + 1 < len(texts)
         and texts[dot] == "."
         and texts[dot - 1].isdecimal()
-        and tokens[dot - 1].end_char == tokens[dot].start_char
-        and tokens[dot].end_char == tokens[dot + 1].start_char
+        and _touches(tokens, dot)
     ):
         return None
     fraction = _split_unit(texts[dot + 1])
@@ -234,11 +247,14 @@ def _iter_numbers(tokens: Sequence[Token], texts: Sequence[str]) -> list[NumberM
     matches: list[NumberMatch] = []
     i = 0
     while i < len(texts):
-        m = _parse_digits(texts, i)
-        if m is not None:
-            m = _decimal_weight(tokens, texts, m) or m
-        else:
+        m = _parse_digits(tokens, texts, i)
+        if m is None:
             m = _parse_words(texts, i)
+        elif m.value > MAX_NUMBER:  # an overflowing grouped run: skip all of it
+            i = m.end
+            continue
+        else:
+            m = _decimal_weight(tokens, texts, m) or m
         if m is None:
             i += 1
         else:

@@ -6,20 +6,30 @@ segmenter walks the text one character at a time, the phrase matcher
 oracle tries every surface at every position and resolves overlaps with an
 explicit sweep, the span merger tests every numeric span against every
 lexical span, the arrest counter re-reads every number of the sentence
-instead of taking the assembler's cardinals, and the number speller is a
-plain lookup-table composition.  Keep these naive; their value is that
-they share no code with the implementations they check.
+instead of taking the assembler's cardinals, the event matcher tests
+every predicted event against every gold event with a pairwise predicate,
+and the number speller is a plain lookup-table composition.  Keep these
+naive; their value is that they share no code with the implementations
+they check.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from brieflens.corpus import ReportDocument, SentenceSpan, tokenize
+from brieflens.assembler import TraffickingEvent
+from brieflens.corpus import ReportDocument, SentenceSpan, Token, tokenize
+from brieflens.evaluation import (
+    COMPARED_FIELDS,
+    EvalOutcome,
+    MatchResult,
+    field_agree,
+    pair_score,
+)
 from brieflens.lexicon import Lexicon
 from brieflens.matcher import EntitySpan
-from brieflens.measures import parse_number, parse_weights
+from brieflens.measures import MAX_NUMBER, WEIGHT_UNIT_TOKENS, parse_number, parse_weights
 
 
 def _closes_abbreviation(text: str, i: int, abbreviations: tuple[str, ...]) -> bool:
@@ -139,6 +149,38 @@ _ARREST_WORDS = frozenset(
 )
 
 
+def _group_digits(text: str) -> str | None:
+    """The three digits of a thousands group; a unit may be glued to them."""
+    if text[:3].isdecimal() and (len(text) == 3 or text[3:].lower() in WEIGHT_UNIT_TOKENS):
+        return text[:3]
+    return None
+
+
+def _overflowing_run(tokens: Sequence[Token], i: int) -> int:
+    """Length of the comma-grouped run at ``i`` if it reads above MAX_NUMBER, else 0.
+
+    The run is one to three digits followed by thousands groups, each a ","
+    written against both neighbours and then three digits; a group with a
+    glued unit ends it.
+    """
+    if not (len(tokens[i].text) <= 3 and tokens[i].text.isdecimal()):
+        return 0
+    digits = tokens[i].text
+    j = i + 1
+    while (
+        j + 1 < len(tokens)
+        and tokens[j].text == ","
+        and tokens[j - 1].end_char == tokens[j].start_char
+        and tokens[j].end_char == tokens[j + 1].start_char
+        and (group := _group_digits(tokens[j + 1].text)) is not None
+    ):
+        digits += group
+        j += 2
+        if tokens[j - 1].text != group:
+            break
+    return j - i if int(digits) > MAX_NUMBER else 0
+
+
 def naive_arrest_count(
     sentence: SentenceSpan,
     *,
@@ -149,7 +191,8 @@ def naive_arrest_count(
     """Arrest count from a fresh read of every number in the sentence.
 
     Candidates are the numbers ``parse_number`` reads left to right, except
-    those sharing a token with a weight or with a span in ``exclude``.  The
+    those sharing a token with a weight or with a span in ``exclude``; a
+    comma-grouped run above MAX_NUMBER is skipped whole.  The
     nearest within ``window`` tokens of an arrest word wins, ties going to
     the leftmost; an arrest word with none in range gives ``default``, and
     a sentence without one gives None.
@@ -166,6 +209,10 @@ def naive_arrest_count(
     best = None  # (distance, first token, value)
     i = 0
     while i < len(tokens):
+        run = _overflowing_run(tokens, i)
+        if run:
+            i += run
+            continue
         m = parse_number(tokens, i)
         if m is None:
             i += 1
@@ -177,6 +224,83 @@ def naive_arrest_count(
                     best = (distance, m.start, m.value)
         i = m.end
     return default if best is None else best[2]
+
+
+def _both_equal(a: object, b: object) -> bool:
+    return a is not None and b is not None and field_agree(a, b)
+
+
+def default_eligibility(predicted: TraffickingEvent, gold: TraffickingEvent) -> bool:
+    """Whether a pair may be matched at all.
+
+    Identity comes from what was trafficked; for records with no species
+    and no product on either side, the arrest count takes over that role.
+    """
+    if _both_equal(predicted.species, gold.species):
+        return True
+    if _both_equal(predicted.product, gold.product):
+        return True
+    if (
+        predicted.species is None
+        and predicted.product is None
+        and gold.species is None
+        and gold.product is None
+    ):
+        return _both_equal(predicted.arrest_count, gold.arrest_count)
+    return False
+
+
+def naive_match_events(
+    predicted: Sequence[TraffickingEvent],
+    gold: Sequence[TraffickingEvent],
+) -> MatchResult:
+    """Greedy one-to-one matching that tests every predicted×gold pair."""
+    report_ids = {e.report_id for e in predicted} | {e.report_id for e in gold}
+    if len(report_ids) > 1:
+        raise ValueError(f"match_events got events from several reports: {sorted(report_ids)}")
+    report_id = report_ids.pop() if report_ids else ""
+
+    candidates: list[tuple[int, int, int]] = []  # (-score, pred idx, gold idx)
+    for pi, p in enumerate(predicted):
+        for gi, g in enumerate(gold):
+            if default_eligibility(p, g):
+                candidates.append((-pair_score(p, g), pi, gi))
+    candidates.sort()
+
+    matched_pred: dict[int, int] = {}
+    matched_gold: set[int] = set()
+    for _, pi, gi in candidates:
+        if pi in matched_pred or gi in matched_gold:
+            continue
+        matched_pred[pi] = gi
+        matched_gold.add(gi)
+
+    agreement = {name: 0 for name in COMPARED_FIELDS}
+    outcomes: list[EvalOutcome] = []
+    for pi, p in enumerate(predicted):
+        if pi not in matched_pred:
+            outcomes.append(EvalOutcome.UNRELATED)
+            continue
+        g = gold[matched_pred[pi]]
+        agreeing = [
+            name for name in COMPARED_FIELDS if field_agree(getattr(p, name), getattr(g, name))
+        ]
+        for name in agreeing:
+            agreement[name] += 1
+        outcomes.append(
+            EvalOutcome.FULLY_CORRECT
+            if len(agreeing) == len(COMPARED_FIELDS)
+            else EvalOutcome.PARTIALLY_CORRECT
+        )
+
+    return MatchResult(
+        report_id=report_id,
+        pairs=tuple(sorted((pi, gi) for pi, gi in matched_pred.items())),
+        prediction_outcomes=tuple(outcomes),
+        undetected_gold=tuple(gi for gi in range(len(gold)) if gi not in matched_gold),
+        total_gold=len(gold),
+        field_agreement=agreement,
+    )
 
 
 _ONES = [

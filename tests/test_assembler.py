@@ -63,6 +63,10 @@ class TestAssembly:
         )
         assert [core(e) for e in events] == [("gabon", "elephant", "tusk", 2, None, 3)]
 
+    def test_spaced_comma_does_not_join_a_thousands_group(self, make_doc, shipped_matcher):
+        events = events_for(make_doc, shipped_matcher, "In Gabon, 3, 200 tusks were seized.")
+        assert [core(e) for e in events] == [("gabon", None, "tusk", 200, None, None)]
+
     def test_sentence_without_candidates_yields_nothing(self, make_doc, shipped_matcher):
         assert events_for(make_doc, shipped_matcher, "The weather stayed dry all month.") == []
 
@@ -259,6 +263,17 @@ class TestArrestDetection:
         # "two" is 2 tokens from the lexeme, "three" is 3
         sentence = sentence_of("Three traffickers were arrested with two elephant tusks")
         assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 2
+
+    def test_overflowing_grouped_run_is_no_arrest_count(self):
+        sentence = sentence_of("Police arrested 1,000,000 men")
+        assert cardinals_of(sentence) == []
+        assert detect_arrest_count(sentence, [], **ARREST) == 1
+        assert naive_arrest_count(sentence, **ARREST) == 1
+
+    def test_spaced_comma_does_not_join_a_thousands_group(self):
+        sentence = sentence_of("Police arrested 3, 200 men")
+        assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 3
+        assert naive_arrest_count(sentence, **ARREST) == 3
 
     def test_excluded_cardinals_are_skipped(self):
         sentence = sentence_of("Three traffickers were arrested with two elephant tusks")

@@ -218,6 +218,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--gold", bad, "--store", extracted)
         assert code == 1 and "error:" in err
 
+    def test_out_naming_a_file_is_usage_error(self, extracted, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code, _, err = run(
+            capsys, "eval", "--gold", GOLD_CSV, "--store", extracted, "--out", taken
+        )
+        assert code == 1 and err.startswith("error:")
+        assert taken.read_text(encoding="utf-8") == ""
+
 
 class TestExportAndReport:
     def test_export(self, extracted, tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brieflens.assembler import TraffickingEvent
 from brieflens.evaluation import (
@@ -12,7 +13,6 @@ from brieflens.evaluation import (
     EvalOutcome,
     EvalReport,
     compute_report,
-    default_eligibility,
     evaluate_corpus,
     field_agree,
     match_events,
@@ -21,6 +21,7 @@ from brieflens.evaluation import (
 from brieflens.store import import_csv
 
 from conftest import GOLD_CSV
+from oracles import naive_match_events
 
 
 def ev(report_id="r-2021-01", **kwargs):
@@ -49,24 +50,52 @@ class TestFieldAgree:
         assert field_agree(a, b) is expected
 
 
+def eligible(predicted, gold):
+    """Whether a one-by-one match pairs the two events."""
+    return match_events([predicted], [gold]).pairs == ((0, 0),)
+
+
 class TestEligibility:
     def test_species_identity(self):
-        assert default_eligibility(ev(species="elephant"), ev(species="elephant"))
-        assert not default_eligibility(ev(species="elephant"), ev(species="leopard"))
+        assert eligible(ev(species="elephant"), ev(species="elephant"))
+        assert not eligible(ev(species="elephant"), ev(species="leopard"))
 
     def test_product_identity_survives_species_disagreement(self):
         p = ev(species="elephant", product="skin")
         g = ev(species="leopard", product="skin")
-        assert default_eligibility(p, g)
+        assert eligible(p, g)
 
     def test_one_sided_species_is_not_identity(self):
-        assert not default_eligibility(ev(species="elephant"), ev(product="ivory"))
+        assert not eligible(ev(species="elephant"), ev(product="ivory"))
 
     def test_arrest_only_fallback(self):
-        assert default_eligibility(ev(arrest_count=3), ev(arrest_count=3))
-        assert not default_eligibility(ev(arrest_count=3), ev(arrest_count=2))
+        assert eligible(ev(arrest_count=3), ev(arrest_count=3))
+        assert not eligible(ev(arrest_count=3), ev(arrest_count=2))
         # the fallback applies only when neither side names what was trafficked
-        assert not default_eligibility(ev(arrest_count=3), ev(species="elephant", arrest_count=3))
+        assert not eligible(ev(arrest_count=3), ev(species="elephant", arrest_count=3))
+
+
+# Small pools so that species, products and arrest counts collide often;
+# "ivory" is both a species and a product value, and "" is a present value.
+POOL_EVENTS = st.builds(
+    ev,
+    species=st.sampled_from((None, "", "elephant", "ivory")),
+    product=st.sampled_from((None, "", "ivory", "skin")),
+    arrest_count=st.sampled_from((None, 0, 1, 2)),
+    country=st.sampled_from((None, "gabon", "togo")),
+    quantity=st.sampled_from((None, 2, 3)),
+    weight_kg=st.sampled_from((None, 12.5, 12.5 + 1e-7, 13.0)),
+)
+
+
+class TestMatchEventsOracle:
+    @settings(max_examples=300)
+    @given(
+        predicted=st.lists(POOL_EVENTS, max_size=10),
+        gold=st.lists(POOL_EVENTS, max_size=10),
+    )
+    def test_agrees_with_all_pairs_matching(self, predicted, gold):
+        assert match_events(predicted, gold) == naive_match_events(predicted, gold)
 
 
 class TestMatchEvents:

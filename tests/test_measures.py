@@ -42,6 +42,26 @@ class TestParseNumber:
         m = parse_number(tokenize("1,20"))
         assert (m.value, m.length) == (1, 1)
 
+    def test_comma_groups_join_only_when_written_against_digits(self):
+        assert parse_number(tokenize("3, 200")).value == 3
+        assert parse_number(tokenize("3 ,200")).value == 3
+        for text, values in [
+            ("In Gabon, 3, 200 tusks were seized.", ["3", "200"]),
+            ("45, 120 and 300 were seen.", ["45", "120", "300"]),
+        ]:
+            assert [s.canonical for s in numeric_spans(sentence_of(text))] == values
+
+    def test_overflowing_grouped_run_is_no_number(self):
+        # no token of the run reads as a number of its own, not even a group
+        assert parse_number(tokenize("1,000,000")) is None
+        for text in [
+            "1,000,000 elephant tusks",
+            "2,500,000 kg",
+            "1,000,000kg and 1,000,000,000 tusks",
+        ]:
+            assert numeric_spans(sentence_of(text)) == [], text
+        assert parse_number(tokenize("999,999")).value == MAX_NUMBER
+
     def test_hundred_and(self):
         m = parse_number(tokenize("three hundred and six"))
         assert (m.value, m.length) == (306, 4)
