@@ -21,7 +21,7 @@ import hashlib
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "ANIMAL",
@@ -152,17 +152,8 @@ class Lexicon:
     version: str
     n_rows: int = 0
 
-    def __contains__(self, surface: str) -> bool:
-        return surface.casefold() in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.entries)
-
-    def lookup(self, surface: str) -> tuple[str, str] | None:
-        return self.entries.get(surface.casefold())
 
     @classmethod
     def from_rows(cls, rows: Iterable[LexiconEntry | tuple], version: str = "") -> "Lexicon":

@@ -5,8 +5,9 @@ separators ("1,200") and English number words composed from units, teens,
 tens and the hundred/thousand multipliers ("twenty-five", "three hundred
 and six").  Values outside 0..999,999 are not recognised.  Thousands
 groups are written without spaces: "3, 200" is the two numbers 3 and 200.
-A grouped run above 999,999 ("1,000,000") is no number, and none of its
-groups reads as a number of its own.
+A number above 999,999 ("1000000", "1,000,000") is no number, and none
+of its groups, nor a ".<digits>" fraction written against it, reads as a
+number of its own.
 
 Weights are a number immediately followed by a unit token and are always
 normalised to kilograms.  A weight's number may also be a decimal written
@@ -118,7 +119,7 @@ def _touches(tokens: Sequence[Token], i: int) -> bool:
 def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> NumberMatch | None:
     """The number written in digits at ``i``, with its thousands groups.
 
-    A grouped run's value may exceed MAX_NUMBER; callers then skip the run.
+    Its value may exceed MAX_NUMBER; callers then skip the number.
     """
     tok = texts[i]
     if not tok[:1].isdecimal():  # most tokens are words
@@ -128,15 +129,14 @@ def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> Numb
         return None
     digits, unit = split
     # int() refuses strings of more than 4,300 digits, so a token with more
-    # significant digits than MAX_NUMBER is rejected before converting; the
+    # significant digits than MAX_NUMBER overflows without converting; the
     # leading zeros may come from any script
     if len(digits) > _MAX_DIGITS and any(
         unicodedata.decimal(ch) for ch in digits[:-_MAX_DIGITS]
     ):
-        return None
-    value = int(digits[-_MAX_DIGITS:])
-    if value > MAX_NUMBER:
-        return None
+        value = MAX_NUMBER + 1
+    else:
+        value = int(digits[-_MAX_DIGITS:])
     length = 1
     if not unit and len(digits) <= 3:
         j = i + 1
@@ -217,14 +217,10 @@ def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
     return m if m is None or m.value <= MAX_NUMBER else None
 
 
-def _decimal_weight(
+def _fraction(
     tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
-) -> NumberMatch | None:
-    """``m`` extended over ``.<digits>`` written against it and followed by a unit.
-
-    The unit is the next token or is glued to the fraction's digits; ``m``
-    itself must end in plain digits.
-    """
+) -> tuple[str, str] | None:
+    """The digits and glued unit of a ``.<digits>`` written against ``m``'s plain digits."""
     dot = m.end
     if not (
         dot + 1 < len(texts)
@@ -233,10 +229,21 @@ def _decimal_weight(
         and _touches(tokens, dot)
     ):
         return None
-    fraction = _split_unit(texts[dot + 1])
+    return _split_unit(texts[dot + 1])
+
+
+def _decimal_weight(
+    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
+) -> NumberMatch | None:
+    """``m`` extended over its fraction when a unit follows.
+
+    The unit is the next token or is glued to the fraction's digits.
+    """
+    fraction = _fraction(tokens, texts, m)
     if fraction is None:
         return None
     digits, unit = fraction
+    dot = m.end
     if not unit and not (dot + 2 < len(texts) and texts[dot + 2] in WEIGHT_UNIT_TOKENS):
         return None
     value = Decimal(f"{m.value}.{digits}")
@@ -250,8 +257,8 @@ def _iter_numbers(tokens: Sequence[Token], texts: Sequence[str]) -> list[NumberM
         m = _parse_digits(tokens, texts, i)
         if m is None:
             m = _parse_words(texts, i)
-        elif m.value > MAX_NUMBER:  # an overflowing grouped run: skip all of it
-            i = m.end
+        elif m.value > MAX_NUMBER:  # an overflowing number: skip it and its fraction
+            i = m.end + 2 if _fraction(tokens, texts, m) else m.end
             continue
         else:
             m = _decimal_weight(tokens, texts, m) or m

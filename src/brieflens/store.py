@@ -5,10 +5,10 @@ them.  Ingestion replaces whole reports, so re-extracting a brief never
 duplicates its events.  Each report row also caches the interchange-CSV
 text of its events (``csv_rows``), rewritten in the same transaction as
 every write that can change it, so export and the content hash read one
-row per report.  A third table, ``tallies``, holds the running totals
-that ``summarize`` reads; triggers on ``events`` and ``reports`` keep it
-current, so no write path does its own bookkeeping.  The CSV interchange
-format is fixed:
+row per report.  A report's date is fixed once it is registered.  A third
+table, ``tallies``, holds the running totals that ``summarize`` reads; two
+triggers on ``events`` keep it current, so no write path does its own
+bookkeeping.  The CSV interchange format is fixed:
 
     report_id,year,month,country,species,product,quantity,weight_kg,arrest_count
 
@@ -57,9 +57,9 @@ class CsvFormatError(ValueError):
 
 
 # Bumped whenever opening a store must upgrade its tables; version 1 added
-# reports.csv_rows, version 2 the tallies.  Stores at this version open
-# without any scan.
-_SCHEMA_VERSION = 2
+# reports.csv_rows, version 2 the tallies, and version 3 keeps them with the
+# two event triggers alone.  Stores at this version open without any scan.
+_SCHEMA_VERSION = 3
 
 _SCHEMA = (
     """
@@ -85,7 +85,8 @@ CREATE TABLE IF NOT EXISTS events (
     "CREATE INDEX IF NOT EXISTS events_by_report ON events(report_id)",
     # One row per running total: kind 'total', one 'country' or 'species'
     # row per name, one 'month' row per (year, month).  Each counts events
-    # and the arrests they carry; a row whose count reaches 0 is deleted.
+    # and the arrests they carry; a row whose count falls to 0 stays, and
+    # summarize skips it.
     """
 CREATE TABLE IF NOT EXISTS tallies (
     kind    TEXT NOT NULL,
@@ -121,33 +122,10 @@ CREATE TRIGGER IF NOT EXISTS tally_event_delete AFTER DELETE ON events BEGIN
     WHERE kind = 'month' AND name = ''
         AND (year, month) = (SELECT year, month FROM reports WHERE report_id = OLD.report_id);
 END""",
-    # a re-dated report moves its events from the old month to the new one
-    """
-CREATE TRIGGER IF NOT EXISTS tally_report_redate AFTER UPDATE OF year, month ON reports
-WHEN OLD.year IS NOT NEW.year OR OLD.month IS NOT NEW.month BEGIN
-    INSERT INTO tallies (kind, name, year, month, events, arrests)
-    SELECT 'month', '', NEW.year, NEW.month, n, a FROM (
-        SELECT COUNT(*) AS n, SUM(COALESCE(arrest_count, 0)) AS a
-        FROM events WHERE report_id = NEW.report_id
-    ) WHERE n > 0
-    ON CONFLICT (kind, name, year, month) DO UPDATE SET
-        events = events + excluded.events, arrests = arrests + excluded.arrests;
-    UPDATE tallies SET
-        events = events - (SELECT COUNT(*) FROM events WHERE report_id = NEW.report_id),
-        arrests = arrests - (SELECT COALESCE(SUM(arrest_count), 0)
-                             FROM events WHERE report_id = NEW.report_id)
-    WHERE kind = 'month' AND name = '' AND year = OLD.year AND month = OLD.month;
-END""",
-    """
-CREATE TRIGGER IF NOT EXISTS tally_drop_empty AFTER UPDATE OF events ON tallies
-WHEN NEW.events = 0 BEGIN
-    DELETE FROM tallies
-    WHERE kind = NEW.kind AND name = NEW.name AND year = NEW.year AND month = NEW.month;
-END""",
 )
 
-# Counts every tally from the events, once, when a store written before the
-# tallies existed is upgraded; from then on the triggers keep them.
+# Counts every tally from the events, once, when an older store is
+# upgraded; from then on the triggers keep them.
 _FILL_TALLIES = """
 INSERT INTO tallies (kind, name, year, month, events, arrests)
 SELECT 'total', '', 0, 0, n, a FROM (
@@ -206,11 +184,14 @@ class EventStore:
         self.path = str(path)
 
     def _upgrade(self) -> None:
-        """Create missing tables and fill ``csv_rows`` and ``tallies`` of older stores."""
+        """Bring an older store to this version, recounting its tallies from the events."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             for statement in _SCHEMA:
                 self._conn.execute(statement)
+            self._conn.execute("DROP TRIGGER IF EXISTS tally_report_redate")
+            self._conn.execute("DROP TRIGGER IF EXISTS tally_drop_empty")
+            self._conn.execute("DELETE FROM tallies")
             self._conn.execute(_FILL_TALLIES)
             columns = {row[1] for row in self._conn.execute("PRAGMA table_info(reports)")}
             if "csv_rows" not in columns:
@@ -254,20 +235,24 @@ class EventStore:
     def register_report(
         self, report_id: str, year: int, month: int, source_path: str = ""
     ) -> None:
-        """Insert or update one report row."""
+        """Insert one report row, or update a known report's source path.
+
+        A report's date is fixed: another date raises :class:`SchemaError`.
+        """
         try:
             known = self.report_date(report_id)
+            if known is not None and known != (year, month):
+                raise SchemaError(
+                    f"report {report_id!r} is registered as {known};"
+                    f" its date cannot change to {(year, month)}"
+                )
             with self._conn:
                 self._conn.execute(
                     "INSERT INTO reports (report_id, year, month, source_path)"
                     " VALUES (?, ?, ?, ?)"
-                    " ON CONFLICT(report_id) DO UPDATE SET"
-                    " year = excluded.year, month = excluded.month,"
-                    " source_path = excluded.source_path",
+                    " ON CONFLICT(report_id) DO UPDATE SET source_path = excluded.source_path",
                     (report_id, year, month, source_path),
                 )
-                if known is not None and known != (year, month):
-                    self._refresh_csv_rows([report_id])
         except sqlite3.IntegrityError as exc:
             raise SchemaError(f"cannot register report {report_id!r}: {exc}") from exc
         except sqlite3.Error as exc:
@@ -410,7 +395,7 @@ class EventStore:
         per_month: dict[tuple[int, int], int] = {}
         species: list[tuple[str, int]] = []
         for kind, name, year, month, events, arrests in self._conn.execute(
-            "SELECT kind, name, year, month, events, arrests FROM tallies"
+            "SELECT kind, name, year, month, events, arrests FROM tallies WHERE events > 0"
         ):
             if kind == "total":
                 total_events, total_arrests = events, arrests

@@ -16,6 +16,7 @@ they check.
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 from brieflens.assembler import TraffickingEvent
@@ -156,29 +157,55 @@ def _group_digits(text: str) -> str | None:
     return None
 
 
-def _overflowing_run(tokens: Sequence[Token], i: int) -> int:
-    """Length of the comma-grouped run at ``i`` if it reads above MAX_NUMBER, else 0.
+def _between(tokens: Sequence[Token], j: int, text: str) -> bool:
+    """Whether token ``j`` is ``text`` written against both of its neighbours."""
+    return (
+        0 < j < len(tokens) - 1
+        and tokens[j].text == text
+        and tokens[j - 1].end_char == tokens[j].start_char
+        and tokens[j].end_char == tokens[j + 1].start_char
+    )
 
-    The run is one to three digits followed by thousands groups, each a ","
-    written against both neighbours and then three digits; a group with a
-    glued unit ends it.
+
+def _fraction_digits(text: str) -> bool:
+    """Digits, with or without a unit glued to them."""
+    k = 0
+    while k < len(text) and text[k].isdecimal():
+        k += 1
+    return k > 0 and (k == len(text) or text[k:].lower() in WEIGHT_UNIT_TOKENS)
+
+
+def _overflowing_run(tokens: Sequence[Token], i: int) -> int:
+    """Length of the digit number at ``i`` if it reads above MAX_NUMBER, else 0.
+
+    The number is one digit token, or one to three digits followed by
+    thousands groups, each a "," written against both neighbours and then
+    three digits; a group with a glued unit ends it.  A "." written against
+    its last plain digits and followed by digits comes with it.
     """
-    if not (len(tokens[i].text) <= 3 and tokens[i].text.isdecimal()):
+    if not tokens[i].text.isdecimal():
         return 0
     digits = tokens[i].text
     j = i + 1
     while (
-        j + 1 < len(tokens)
-        and tokens[j].text == ","
-        and tokens[j - 1].end_char == tokens[j].start_char
-        and tokens[j].end_char == tokens[j + 1].start_char
+        len(tokens[i].text) <= 3
+        and _between(tokens, j, ",")
         and (group := _group_digits(tokens[j + 1].text)) is not None
     ):
         digits += group
         j += 2
         if tokens[j - 1].text != group:
             break
-    return j - i if int(digits) > MAX_NUMBER else 0
+    # Decimal, unlike int, reads any number of digits
+    if Decimal(digits) <= MAX_NUMBER:
+        return 0
+    if (
+        tokens[j - 1].text.isdecimal()
+        and _between(tokens, j, ".")
+        and _fraction_digits(tokens[j + 1].text)
+    ):
+        j += 2
+    return j - i
 
 
 def naive_arrest_count(
@@ -192,7 +219,7 @@ def naive_arrest_count(
 
     Candidates are the numbers ``parse_number`` reads left to right, except
     those sharing a token with a weight or with a span in ``exclude``; a
-    comma-grouped run above MAX_NUMBER is skipped whole.  The
+    digit number above MAX_NUMBER is skipped whole, with its fraction.  The
     nearest within ``window`` tokens of an arrest word wins, ties going to
     the leftmost; an arrest word with none in range gives ``default``, and
     a sentence without one gives None.

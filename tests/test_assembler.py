@@ -228,7 +228,10 @@ SENTENCE_WORDS = st.one_of(
     st.builds("{}{}".format, st.integers(0, 2000), st.sampled_from(WEIGHT_UNITS)),
     st.builds(
         "{}.{}{}{}".format,
-        st.integers(0, 99),
+        # whole parts above MAX_NUMBER, plain or grouped, take their fraction along
+        st.integers(0, 99)
+        | st.integers(10**6, 10**7)
+        | st.integers(10**6, 10**7).map("{:,}".format),
         st.integers(0, 99),
         st.sampled_from(("", " ")),
         st.sampled_from(("",) + WEIGHT_UNITS),
@@ -266,6 +269,12 @@ class TestArrestDetection:
 
     def test_overflowing_grouped_run_is_no_arrest_count(self):
         sentence = sentence_of("Police arrested 1,000,000 men")
+        assert cardinals_of(sentence) == []
+        assert detect_arrest_count(sentence, [], **ARREST) == 1
+        assert naive_arrest_count(sentence, **ARREST) == 1
+
+    def test_overflowing_decimal_is_no_arrest_count(self):
+        sentence = sentence_of("Police arrested 1000000.5 men")
         assert cardinals_of(sentence) == []
         assert detect_arrest_count(sentence, [], **ARREST) == 1
         assert naive_arrest_count(sentence, **ARREST) == 1

@@ -67,10 +67,10 @@ class TestFromRows:
                                      ("Gabon", "COUNTRY", "")])
         # elephant/elephants, ivory (invariant), gabon/gabons
         assert len(lexicon) == 5
-        assert lexicon.lookup("elephants") == ("ANIMAL", "elephant")
-        assert lexicon.lookup("ivory") == ("PRODUCT", "ivory")
-        assert lexicon.lookup("gabons") == ("COUNTRY", "gabon")
-        assert lexicon.lookup("GABON") == ("COUNTRY", "gabon")
+        assert lexicon.entries.get("elephants") == ("ANIMAL", "elephant")
+        assert lexicon.entries.get("ivory") == ("PRODUCT", "ivory")
+        assert lexicon.entries.get("gabons") == ("COUNTRY", "gabon")
+        assert lexicon.entries.get("GABON".casefold()) == ("COUNTRY", "gabon")
 
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(LexiconError):
@@ -87,7 +87,7 @@ class TestFromRows:
     def test_explicit_plural_row_wins_over_generated(self):
         rows = [("leaf", "PRODUCT", ""), ("leaves", "PRODUCT", "leaf")]
         lexicon = Lexicon.from_rows(rows)
-        assert lexicon.lookup("leaves") == ("PRODUCT", "leaf")
+        assert lexicon.entries.get("leaves") == ("PRODUCT", "leaf")
 
     def test_empty_rows_give_empty_lexicon(self):
         assert len(Lexicon.from_rows([])) == 0
@@ -106,8 +106,8 @@ class TestLoadLexicon:
             encoding="utf-8",
         )
         lexicon = load_lexicon(path)
-        assert lexicon.lookup("hippo") == ("ANIMAL", "hippopotamus")
-        assert lexicon.lookup("hippos") == ("ANIMAL", "hippopotamus")
+        assert lexicon.entries.get("hippo") == ("ANIMAL", "hippopotamus")
+        assert lexicon.entries.get("hippos") == ("ANIMAL", "hippopotamus")
         assert lexicon.n_rows == 2
 
     def test_missing_header_rejected(self, tmp_path):
@@ -148,7 +148,7 @@ def test_shipped_lists_round_trip(shipped_lexicon):
     failures = []
     for surface, (_, canonical) in shipped_lexicon.entries.items():
         plural = pluralize(canonical)
-        hit = shipped_lexicon.lookup(plural)
+        hit = shipped_lexicon.entries.get(plural.casefold())
         if hit is None or hit[1] != canonical:
             failures.append((surface, canonical, plural))
         if surface == canonical and singularize(plural) != canonical:
@@ -159,7 +159,7 @@ def test_shipped_lists_round_trip(shipped_lexicon):
 def test_shipped_lists_cover_core_terms(shipped_lexicon):
     for name in ("cameroon", "congo", "gabon", "togo", "senegal", "benin",
                  "côte d'ivoire", "burkina faso", "uganda"):
-        hit = shipped_lexicon.lookup(name)
+        hit = shipped_lexicon.entries.get(name.casefold())
         assert hit is not None and hit[0] == "COUNTRY"
     canonicals = {label: set() for label in ("ANIMAL", "PRODUCT", "COUNTRY")}
     for label, canonical in shipped_lexicon.entries.values():

@@ -62,6 +62,24 @@ class TestParseNumber:
             assert numeric_spans(sentence_of(text)) == [], text
         assert parse_number(tokenize("999,999")).value == MAX_NUMBER
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "In Gabon, 1000000.5 kg of ivory was seized.",
+            "In Gabon, 1,000,000.5 kg of ivory was seized.",
+            "In Gabon, 1000000.5kg of ivory was seized.",
+            "In Gabon, 2,500,000.75 tonnes and 1000000.5 tusks were seized.",
+        ],
+    )
+    def test_overflowing_number_takes_its_fraction_with_it(self, text):
+        assert numeric_spans(sentence_of(text)) == [], text
+
+    def test_number_after_an_overflowing_decimal_still_parses(self):
+        sentence = sentence_of("Police arrested 1000000.5 and 2 men with 3.5 kg of ivory")
+        spans = numeric_spans(sentence)
+        assert [(s.label, s.canonical) for s in spans] == [(CARDINAL, "2"), (WEIGHT, "3.5")]
+        assert detect_arrest_count(sentence, spans[:1], **ARREST) == 2
+
     def test_hundred_and(self):
         m = parse_number(tokenize("three hundred and six"))
         assert (m.value, m.length) == (306, 4)

@@ -109,10 +109,16 @@ class TestIngest:
             store.ingest(bad)
         assert store.content_hash() == before
 
-    def test_register_report_updates_date(self, store):
+    def test_register_report_keeps_its_date(self, store):
+        store.ingest(SAMPLE)
+        before = (store.content_hash(), store.summarize(), store.events())
+        with pytest.raises(SchemaError, match=r"registered as \(2021, 1\); its date cannot"):
+            store.register_report("a-2021-01", 2022, 3, "elsewhere.txt")
+        assert (store.content_hash(), store.summarize(), store.events()) == before
         assert store.report_date("a-2021-01") == (2021, 1)
-        store.register_report("a-2021-01", 2022, 3)
-        assert store.report_date("a-2021-01") == (2022, 3)
+        # the same date registers again and keeps the events
+        store.register_report("a-2021-01", 2021, 1, "a-2021-01.txt")
+        assert (store.content_hash(), store.summarize(), store.events()) == before
         assert not store.has_report("zz-2020-01")
 
     def test_file_backed_store_persists(self, tmp_path):
@@ -337,15 +343,6 @@ class TestSummarize:
         assert stats.per_month == {(2021, 1): 2, (2021, 2): 1}
         assert stats.top_species == [("elephant", 1), ("pangolin", 1)]
 
-    def test_redated_report_moves_its_events(self):
-        with EventStore() as s:
-            self.seed(s)
-            s.register_report("a-2021-01", 2021, 2)
-            s.ingest([ev(month=2, species="leopard")])
-            s.register_report("a-2021-01", 2020, 12)
-            stats = s.summarize()
-        assert stats.per_month == {(2020, 12): 1, (2021, 2): 1}
-
     def test_names_without_events_disappear(self):
         with EventStore() as s:
             self.seed(s)
@@ -446,6 +443,9 @@ EVENT_FIELDS = st.fixed_dictionaries(
 )
 
 
+DATES = st.tuples(st.integers(2018, 2022), st.integers(1, 12))
+
+
 class StoreCacheMachine(RuleBasedStateMachine):
     """Random writes and reopens; export, hash and summary must match ``events()``."""
 
@@ -456,11 +456,21 @@ class StoreCacheMachine(RuleBasedStateMachine):
         self.store = EventStore(self.path)
         self.dates = {}
 
-    @rule(report_id=st.sampled_from(REPORT_IDS), year=st.integers(2018, 2022),
-          month=st.integers(1, 12))
-    def register_report(self, report_id, year, month):
-        self.store.register_report(report_id, year, month)
-        self.dates[report_id] = (year, month)
+    @rule(report_id=st.sampled_from(REPORT_IDS), date=DATES)
+    def register_report(self, report_id, date):
+        # a known report registers again with its own date
+        self.store.register_report(report_id, *self.dates.setdefault(report_id, date))
+
+    @precondition(lambda self: self.dates)
+    @rule(data=st.data())
+    def redate_report(self, data):
+        report_id = data.draw(st.sampled_from(sorted(self.dates)))
+        date = data.draw(DATES.filter(lambda d: d != self.dates[report_id]))
+        before = (self.store.content_hash(), self.store.summarize())
+        with pytest.raises(SchemaError, match="its date cannot change"):
+            self.store.register_report(report_id, *date)
+        assert (self.store.content_hash(), self.store.summarize()) == before
+        assert self.store.report_date(report_id) == self.dates[report_id]
 
     @precondition(lambda self: self.dates)
     @rule(data=st.data())
@@ -552,6 +562,20 @@ def raw_store(path, script):
     return path
 
 
+def assert_current(path):
+    """The store at ``path`` is at schema version 3, with only the two event triggers."""
+    conn = sqlite3.connect(path)
+    assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+    triggers = conn.execute("SELECT name FROM sqlite_master WHERE type = 'trigger'")
+    assert sorted(name for (name,) in triggers) == ["tally_event_delete", "tally_event_insert"]
+    conn.close()
+
+
+def test_fresh_store_is_current(tmp_path):
+    EventStore(tmp_path / "fresh.db").close()
+    assert_current(tmp_path / "fresh.db")
+
+
 class TestSeedSchemaMigration:
     @pytest.fixture()
     def seed_store(self, tmp_path):
@@ -561,10 +585,9 @@ class TestSeedSchemaMigration:
         with EventStore(seed_store) as s:
             assert s.content_hash() == text_hash(GOLDEN_CSV)
             assert s.export_csv(tmp_path / "out.csv") == 3
+            assert s.summarize() == reference_summary(s.events())
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == GOLDEN_CSV
-        conn = sqlite3.connect(seed_store)
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
-        conn.close()
+        assert_current(seed_store)
         with EventStore(seed_store) as s:
             assert s.content_hash() == text_hash(GOLDEN_CSV)
             s.ingest([ev("c-2021-03", month=3, species="leopard")])
@@ -590,27 +613,106 @@ PRAGMA user_version = 1;
 
 
 class TestVersion1Migration:
-    @pytest.fixture()
-    def v1_store(self, tmp_path):
-        return raw_store(tmp_path / "v1.db", VERSION_1_SCHEMA)
+    SCHEMA = VERSION_1_SCHEMA
 
-    def test_tallies_filled_from_events(self, v1_store):
-        with EventStore(v1_store) as s:
+    @pytest.fixture()
+    def old_store(self, tmp_path):
+        return raw_store(tmp_path / "old.db", self.SCHEMA)
+
+    def test_tallies_filled_from_events(self, old_store):
+        with EventStore(old_store) as s:
             stats = s.summarize()
             assert stats == reference_summary(s.events())
             assert s.content_hash() == text_hash(GOLDEN_CSV)
         assert (stats.total_events, stats.total_arrests, stats.distinct_species) == (3, 4, 2)
-        conn = sqlite3.connect(v1_store)
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
-        conn.close()
-        with EventStore(v1_store) as s:
-            s.register_report("a-2021-01", 2021, 3)
+        assert_current(old_store)
+        with EventStore(old_store) as s:
             s.ingest([ev("c-2021-03", month=3, species="leopard")])
             assert s.summarize() == reference_summary(s.events())
 
-    def test_upgraded_store_opens_without_reading_reports(self, v1_store, monkeypatch):
-        EventStore(v1_store).close()
+    def test_upgraded_store_opens_without_reading_reports(self, old_store, monkeypatch):
+        EventStore(old_store).close()
         statements = traced_statements(monkeypatch)
-        EventStore(v1_store).close()
+        EventStore(old_store).close()
         tables = ("reports", "events", "tallies")
         assert statements and not [s for s in statements if any(t in s for t in tables)]
+
+
+# a store as version 2 wrote it: tallies kept by four triggers, two of which
+# version 3 drops, plus zero-count rows such as version 3 leaves behind; the
+# recount must replace every row without a key conflict
+VERSION_2_SCHEMA = VERSION_1_SCHEMA.replace("PRAGMA user_version = 1;", "") + """
+CREATE TABLE tallies (
+    kind    TEXT NOT NULL,
+    name    TEXT NOT NULL,
+    year    INTEGER NOT NULL,
+    month   INTEGER NOT NULL,
+    events  INTEGER NOT NULL,
+    arrests INTEGER NOT NULL,
+    PRIMARY KEY (kind, name, year, month)
+) WITHOUT ROWID;
+CREATE TRIGGER tally_event_insert AFTER INSERT ON events BEGIN
+    INSERT INTO tallies (kind, name, year, month, events, arrests)
+    SELECT 'total', '', 0, 0, 1, COALESCE(NEW.arrest_count, 0)
+    UNION ALL SELECT 'country', NEW.country, 0, 0, 1, COALESCE(NEW.arrest_count, 0)
+        WHERE NEW.country IS NOT NULL
+    UNION ALL SELECT 'species', NEW.species, 0, 0, 1, COALESCE(NEW.arrest_count, 0)
+        WHERE NEW.species IS NOT NULL
+    UNION ALL SELECT 'month', '', year, month, 1, COALESCE(NEW.arrest_count, 0)
+        FROM reports WHERE report_id = NEW.report_id
+    ON CONFLICT (kind, name, year, month) DO UPDATE SET
+        events = events + excluded.events, arrests = arrests + excluded.arrests;
+END;
+CREATE TRIGGER tally_event_delete AFTER DELETE ON events BEGIN
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0;
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'country' AND name = OLD.country AND year = 0 AND month = 0;
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'species' AND name = OLD.species AND year = 0 AND month = 0;
+    UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
+    WHERE kind = 'month' AND name = ''
+        AND (year, month) = (SELECT year, month FROM reports WHERE report_id = OLD.report_id);
+END;
+CREATE TRIGGER tally_report_redate AFTER UPDATE OF year, month ON reports
+WHEN OLD.year IS NOT NEW.year OR OLD.month IS NOT NEW.month BEGIN
+    INSERT INTO tallies (kind, name, year, month, events, arrests)
+    SELECT 'month', '', NEW.year, NEW.month, n, a FROM (
+        SELECT COUNT(*) AS n, SUM(COALESCE(arrest_count, 0)) AS a
+        FROM events WHERE report_id = NEW.report_id
+    ) WHERE n > 0
+    ON CONFLICT (kind, name, year, month) DO UPDATE SET
+        events = events + excluded.events, arrests = arrests + excluded.arrests;
+    UPDATE tallies SET
+        events = events - (SELECT COUNT(*) FROM events WHERE report_id = NEW.report_id),
+        arrests = arrests - (SELECT COALESCE(SUM(arrest_count), 0)
+                             FROM events WHERE report_id = NEW.report_id)
+    WHERE kind = 'month' AND name = '' AND year = OLD.year AND month = OLD.month;
+END;
+CREATE TRIGGER tally_drop_empty AFTER UPDATE OF events ON tallies
+WHEN NEW.events = 0 BEGIN
+    DELETE FROM tallies
+    WHERE kind = NEW.kind AND name = NEW.name AND year = NEW.year AND month = NEW.month;
+END;
+INSERT INTO tallies VALUES
+    ('total', '', 0, 0, 3, 4),
+    ('country', 'gabon', 0, 0, 1, 3), ('country', 'togo', 0, 0, 1, 1),
+    ('country', 'congo', 0, 0, 0, 0),
+    ('species', 'elephant', 0, 0, 1, 3), ('species', 'pangolin', 0, 0, 1, 0),
+    ('species', 'leopard', 0, 0, 0, 0),
+    ('month', '', 2021, 1, 2, 3), ('month', '', 2021, 2, 1, 1), ('month', '', 2021, 3, 0, 0);
+PRAGMA user_version = 2;
+"""
+
+
+class TestVersion2Migration(TestVersion1Migration):
+    SCHEMA = VERSION_2_SCHEMA
+
+    def test_zero_count_rows_recounted_away(self, old_store):
+        EventStore(old_store).close()
+        conn = sqlite3.connect(old_store)
+        assert conn.execute("SELECT COUNT(*) FROM tallies WHERE events = 0").fetchone()[0] == 0
+        conn.close()
+        with EventStore(old_store) as s:
+            s.ingest([ev(species="leopard", country="congo")])
+            assert s.summarize() == reference_summary(s.events())
