@@ -8,6 +8,7 @@ but some inputs failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -51,7 +52,14 @@ def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
                         help="country lexicon CSV (default: shipped list)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process.
+
+    Every call returns the same parser, so callers must not change it;
+    parsing keeps no state in it, so one call's flags never become the
+    next call's defaults.
+    """
     parser = _Parser(
         prog="brieflens",
         description="Extract, store, evaluate and summarize trafficking events"
@@ -141,13 +149,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     extracted = 0
     failures = 0
     try:
-        with EventStore(args.store) as store:
+        # one transaction for the run; a failed brief rolls back its own savepoint only
+        with EventStore(args.store) as store, store.batch():
             for path in paths:
                 try:
                     doc = load_report(path, abbreviations)
                     events = extract_document(doc, matcher, config)
-                    store.register_report(doc.report_id, doc.year, doc.month, str(path))
-                    store.ingest(events)
+                    with store.batch():
+                        store.register_report(doc.report_id, doc.year, doc.month, str(path))
+                        store.ingest(events)
                 except Exception as exc:  # a bad brief or a store error fails that brief only
                     failures += 1
                     print(f"error: {path.name}: {exc}", file=sys.stderr)
@@ -239,11 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # set on every call, so one call's -v does not carry over to the next
+    LOGGER.setLevel((logging.NOTSET, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
     if args.verbose:
-        logging.basicConfig(
-            level=logging.DEBUG if args.verbose > 1 else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     return args.func(args)
 
 

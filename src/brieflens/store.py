@@ -5,7 +5,11 @@ them.  Ingestion replaces whole reports, so re-extracting a brief never
 duplicates its events.  Each report row also caches the interchange-CSV
 text of its events (``csv_rows``), rewritten in the same transaction as
 every write that can change it, so export and the content hash read one
-row per report.  A report's date is fixed once it is registered.  A third
+row per report.  ``reports`` is a ``WITHOUT ROWID`` table, stored in
+report-id order, so those reads scan it in order instead of walking its
+key index and seeking into the table.  A report's date is fixed once it
+is registered.  Each write call is atomic; ``EventStore.batch`` groups
+many into one transaction, in which a failed call undoes only itself.  A third
 table, ``tallies``, holds the running totals that ``summarize`` reads; two
 triggers on ``events`` keep it current, so no write path does its own
 bookkeeping.  The CSV interchange format is fixed:
@@ -18,6 +22,7 @@ decimal places, trailing zeros trimmed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -57,19 +62,23 @@ class CsvFormatError(ValueError):
 
 
 # Bumped whenever opening a store must upgrade its tables; version 1 added
-# reports.csv_rows, version 2 the tallies, and version 3 keeps them with the
-# two event triggers alone.  Stores at this version open without any scan.
-_SCHEMA_VERSION = 3
+# reports.csv_rows, version 2 the tallies, version 3 keeps them with the two
+# event triggers alone, and version 4 stores reports in key order (WITHOUT
+# ROWID), so the ordered reads of export and content_hash scan the table
+# instead of its key index.  Stores at this version open without any scan.
+_SCHEMA_VERSION = 4
 
-_SCHEMA = (
-    """
-CREATE TABLE IF NOT EXISTS reports (
+_REPORTS_TABLE = """
+CREATE TABLE IF NOT EXISTS {name} (
     report_id   TEXT PRIMARY KEY,
     year        INTEGER NOT NULL,
     month       INTEGER NOT NULL CHECK (month BETWEEN 1 AND 12),
     source_path TEXT NOT NULL DEFAULT '',
     csv_rows    TEXT NOT NULL DEFAULT ''
-)""",
+) WITHOUT ROWID"""
+
+_SCHEMA = (
+    _REPORTS_TABLE.format(name="reports"),
     """
 CREATE TABLE IF NOT EXISTS events (
     event_id       INTEGER PRIMARY KEY,
@@ -124,6 +133,10 @@ CREATE TRIGGER IF NOT EXISTS tally_event_delete AFTER DELETE ON events BEGIN
 END""",
 )
 
+# Every trigger a store of any version may hold: the two of _SCHEMA, and two
+# that version 2 had as well.
+_TRIGGERS = ("tally_event_insert", "tally_event_delete", "tally_report_redate", "tally_drop_empty")
+
 # Counts every tally from the events, once, when an older store is
 # upgraded; from then on the triggers keep them.
 _FILL_TALLIES = """
@@ -176,28 +189,40 @@ class EventStore:
                     f"cannot open event store at {path}: its text encoding is"
                     f" {encoding}, not UTF-8"
                 )
-            self._conn.execute("PRAGMA foreign_keys = ON")
             if self._conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
                 self._upgrade()
+            self._conn.execute("PRAGMA foreign_keys = ON")
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open event store at {path}: {exc}") from exc
         self.path = str(path)
 
     def _upgrade(self) -> None:
-        """Bring an older store to this version, recounting its tallies from the events."""
+        """Bring an older store to this version, recounting its tallies from the events.
+
+        ``reports`` is rebuilt in SQLite's table-rebuild order, with foreign
+        keys off: the copy is renamed into the dropped table's place, so the
+        foreign key of ``events`` still names ``reports``.  Renaming the old
+        table away instead would rewrite that key to follow it.
+        """
+        # the pragma is a no-op inside a transaction
+        self._conn.execute("PRAGMA foreign_keys = OFF")
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
+            # renaming a table re-checks every trigger, and these name reports
+            for trigger in _TRIGGERS:
+                self._conn.execute(f"DROP TRIGGER IF EXISTS {trigger}")
+            columns = [row[1] for row in self._conn.execute("PRAGMA table_info(reports)")]
+            if columns:
+                kept = ", ".join(columns)
+                self._conn.execute(_REPORTS_TABLE.format(name="reports_new"))
+                self._conn.execute(f"INSERT INTO reports_new ({kept}) SELECT {kept} FROM reports")
+                self._conn.execute("DROP TABLE reports")
+                self._conn.execute("ALTER TABLE reports_new RENAME TO reports")
             for statement in _SCHEMA:
                 self._conn.execute(statement)
-            self._conn.execute("DROP TRIGGER IF EXISTS tally_report_redate")
-            self._conn.execute("DROP TRIGGER IF EXISTS tally_drop_empty")
             self._conn.execute("DELETE FROM tallies")
             self._conn.execute(_FILL_TALLIES)
-            columns = {row[1] for row in self._conn.execute("PRAGMA table_info(reports)")}
-            if "csv_rows" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE reports ADD COLUMN csv_rows TEXT NOT NULL DEFAULT ''"
-                )
+            if columns and "csv_rows" not in columns:
                 self._refresh_csv_rows(
                     [row[0] for row in self._conn.execute("SELECT report_id FROM reports")]
                 )
@@ -232,6 +257,48 @@ class EventStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Run the block's writes as one transaction.
+
+        The block commits when it ends and rolls back if it raises.  Nested
+        in another batch, it is a savepoint instead, so if it raises only
+        its own writes are undone.  Each write call runs in a batch of its
+        own: alone it commits by itself, and in a batch a failed call
+        leaves the batch's other writes in place.
+        """
+        if self._conn.in_transaction:
+            with self._savepoint():
+                yield
+            return
+        try:
+            # opened explicitly: releasing an outermost savepoint would commit
+            self._conn.execute("BEGIN IMMEDIATE")
+        except sqlite3.Error as exc:
+            raise StoreError(str(exc)) from exc
+        try:
+            yield
+        except BaseException:
+            self._conn.rollback()
+            raise
+        try:
+            self._conn.commit()
+        except sqlite3.Error as exc:
+            raise StoreError(str(exc)) from exc
+
+    @contextlib.contextmanager
+    def _savepoint(self) -> Iterator[None]:
+        self._conn.execute("SAVEPOINT batch")
+        try:
+            yield
+        except BaseException:
+            # some errors make SQLite roll back the whole transaction itself
+            if self._conn.in_transaction:
+                self._conn.execute("ROLLBACK TO batch")
+                self._conn.execute("RELEASE batch")
+            raise
+        self._conn.execute("RELEASE batch")
+
     def register_report(
         self, report_id: str, year: int, month: int, source_path: str = ""
     ) -> None:
@@ -246,7 +313,7 @@ class EventStore:
                     f"report {report_id!r} is registered as {known};"
                     f" its date cannot change to {(year, month)}"
                 )
-            with self._conn:
+            with self.batch():
                 self._conn.execute(
                     "INSERT INTO reports (report_id, year, month, source_path)"
                     " VALUES (?, ?, ?, ?)"
@@ -296,7 +363,7 @@ class EventStore:
                     f" {event.report_id!r} registered as {known}"
                 )
         try:
-            with self._conn:
+            with self.batch():
                 for report_id in affected:
                     self._conn.execute(
                         "DELETE FROM events WHERE report_id = ?", (report_id,)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,17 @@ def make_doc():
         return document_from_text(report_id, year, month, text, DEFAULT_ABBREVIATIONS)
 
     return build
+
+
+def traced_statements(monkeypatch):
+    """Collect every statement of the sqlite connections opened from now on."""
+    statements = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    return statements

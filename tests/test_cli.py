@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import shutil
+import sqlite3
+
 import pytest
 
 from brieflens import cli
@@ -9,7 +13,7 @@ from brieflens.cli import main
 from brieflens.corpus import document_from_text
 from brieflens.store import EventStore, SchemaError
 
-from conftest import BRIEFS_DIR, GOLD_CSV
+from conftest import BRIEFS_DIR, GOLD_CSV, traced_statements
 
 
 def run(capsys, *argv):
@@ -107,6 +111,46 @@ class TestExtract:
         assert "demo-2021-03" not in reports
         assert len(reports) == 6 and len(set(reports)) == 5
 
+    def test_failed_brief_keeps_its_earlier_state(self, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "events.db"
+        run(capsys, "extract", BRIEFS_DIR, "--store", store)
+        before = report_state(store, "demo-2021-03")
+        moved = tmp_path / "moved"
+        shutil.copytree(BRIEFS_DIR, moved)
+        (moved / "demo-2021-03.txt").write_text(
+            "Officers in Togo seized five pangolins.\n", encoding="utf-8"
+        )
+        real_ingest = EventStore.ingest
+
+        def failing_ingest(self, events):
+            # writes the brief's new events, then fails
+            count = real_ingest(self, events)
+            if any(e.report_id == "demo-2021-03" for e in events):
+                raise SchemaError("rejected for the test")
+            return count
+
+        monkeypatch.setattr(EventStore, "ingest", failing_ingest)
+        code, out, err = run(capsys, "extract", moved, "--store", store)
+        assert code == 2 and "error: demo-2021-03.txt: rejected for the test" in err
+        assert report_state(store, "demo-2021-03") == before
+        conn = sqlite3.connect(store)
+        paths = dict(conn.execute("SELECT report_id, source_path FROM reports"))
+        conn.close()
+        assert paths.pop("demo-2021-03") == str(BRIEFS_DIR / "demo-2021-03.txt")
+        assert paths == {f"demo-2021-0{m}": str(moved / f"demo-2021-0{m}.txt") for m in (1, 2, 4, 5, 6)}
+        with EventStore(store) as s:
+            assert s.content_hash() == "d9adf4d3b0f6bd38"
+
+    def test_one_transaction_per_run(self, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "events.db"
+        EventStore(store).close()
+        statements = traced_statements(monkeypatch)
+        code, _, _ = run(capsys, "extract", BRIEFS_DIR, "--store", store)
+        assert code == 0
+        assert [s for s in statements if s.startswith(("BEGIN", "COMMIT"))] == [
+            "BEGIN IMMEDIATE", "COMMIT"
+        ]
+
     def test_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -155,6 +199,20 @@ class TestExtract:
             "--animals", tmp_path / "missing.csv",
         )
         assert code == 1 and "error:" in err
+
+
+def report_state(store, report_id):
+    """A report's row, its events and its export lines."""
+    conn = sqlite3.connect(store)
+    row = conn.execute("SELECT * FROM reports WHERE report_id = ?", (report_id,)).fetchall()
+    conn.close()
+    with EventStore(store) as s:
+        events = [e for e in s.events() if e.report_id == report_id]
+        date = s.report_date(report_id)
+        exported = io.StringIO()
+        s.export_csv(exported)
+    lines = [line for line in exported.getvalue().splitlines() if line.startswith(report_id)]
+    return row, date, events, lines
 
 
 @pytest.fixture()
@@ -274,6 +332,22 @@ class TestLexiconValidate:
 
 
 class TestUsage:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, tmp_path, capsys, caplog, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        brief = BRIEFS_DIR / "demo-2021-02.txt"
+        assert run(capsys, "-v", "extract", brief, "--store", tmp_path / "first.db")[0] == 0
+        assert [r.getMessage() for r in caplog.records] == ["extracted 1 reports, 0 failures"]
+        caplog.clear()
+        assert run(capsys, "extract", brief)[0] == 0
+        assert caplog.records == []
+        # the first call's --store is not the second call's default
+        assert (cwd / "events.db").exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

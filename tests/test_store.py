@@ -30,6 +30,8 @@ from brieflens.store import (
     import_csv,
 )
 
+from conftest import traced_statements
+
 
 def ev(report_id="a-2021-01", year=2021, month=1, **kwargs):
     defaults = dict(species="elephant")
@@ -128,6 +130,51 @@ class TestIngest:
             s.ingest([ev()])
         with EventStore(path) as s:
             assert [e.species for e in s.events()] == ["elephant"]
+
+
+class TestBatch:
+    def test_commits_once_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "events.db"
+        with EventStore(path) as s, s.batch():
+            s.register_report("a-2021-01", 2021, 1)
+            s.ingest([ev()])
+            with EventStore(path) as reader:
+                assert reader.events() == []
+        with EventStore(path) as s:
+            assert [e.species for e in s.events()] == ["elephant"]
+
+    def test_exception_rolls_back_the_block(self, store):
+        store.ingest(SAMPLE)
+        before = (store.content_hash(), store.summarize())
+        with pytest.raises(RuntimeError), store.batch():
+            store.register_report("c-2021-03", 2021, 3)
+            store.ingest([ev(species="leopard")])
+            raise RuntimeError("abandon the batch")
+        assert (store.content_hash(), store.summarize()) == before
+        assert not store.has_report("c-2021-03")
+
+    def test_failed_write_undoes_only_itself(self, store):
+        with store.batch():
+            store.ingest(SAMPLE)
+            before = (store.content_hash(), store.summarize())
+            with pytest.raises(SchemaError, match="constraint"):
+                store.ingest([ev(species="leopard"), ev(quantity=0)])
+            assert (store.content_hash(), store.summarize()) == before
+            store.register_report("c-2021-03", 2021, 3)
+        assert (store.content_hash(), store.summarize()) == before
+        assert store.has_report("c-2021-03")
+
+    def test_failed_nested_batch_undoes_only_itself(self, store):
+        with store.batch():
+            store.ingest(SAMPLE)
+            before = (store.content_hash(), store.summarize())
+            with pytest.raises(RuntimeError), store.batch():
+                store.register_report("c-2021-03", 2021, 3, "c.txt")
+                store.ingest([ev("c-2021-03", month=3), ev(species="leopard")])
+                raise RuntimeError("abandon this brief")
+            store.register_report("d-2021-04", 2021, 4)
+        assert (store.content_hash(), store.summarize()) == before
+        assert not store.has_report("c-2021-03") and store.has_report("d-2021-04")
 
 
 class TestCsvExport:
@@ -541,20 +588,6 @@ VALUES ('b-2021-02', 0, 'togo', NULL, 'ivory', NULL, 513.0, 1),
 """
 
 
-def traced_statements(monkeypatch):
-    """Collect every statement of the connections opened from now on."""
-    statements = []
-    connect = sqlite3.connect
-
-    def traced_connect(*args, **kwargs):
-        conn = connect(*args, **kwargs)
-        conn.set_trace_callback(statements.append)
-        return conn
-
-    monkeypatch.setattr(sqlite3, "connect", traced_connect)
-    return statements
-
-
 def raw_store(path, script):
     conn = sqlite3.connect(path)
     conn.executescript(script)
@@ -563,11 +596,19 @@ def raw_store(path, script):
 
 
 def assert_current(path):
-    """The store at ``path`` is at schema version 3, with only the two event triggers."""
+    """The store at ``path`` is at schema version 4, with only the two event triggers.
+
+    Its reports are kept in key order, and the foreign key of ``events``
+    names ``reports`` and holds for every row.
+    """
     conn = sqlite3.connect(path)
-    assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+    assert conn.execute("PRAGMA user_version").fetchone()[0] == 4
     triggers = conn.execute("SELECT name FROM sqlite_master WHERE type = 'trigger'")
     assert sorted(name for (name,) in triggers) == ["tally_event_delete", "tally_event_insert"]
+    (sql,) = conn.execute("SELECT sql FROM sqlite_master WHERE name = 'reports'").fetchone()
+    assert sql.endswith("WITHOUT ROWID")
+    assert [row[2] for row in conn.execute("PRAGMA foreign_key_list(events)")] == ["reports"]
+    assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
     conn.close()
 
 
@@ -638,10 +679,8 @@ class TestVersion1Migration:
         assert statements and not [s for s in statements if any(t in s for t in tables)]
 
 
-# a store as version 2 wrote it: tallies kept by four triggers, two of which
-# version 3 drops, plus zero-count rows such as version 3 leaves behind; the
-# recount must replace every row without a key conflict
-VERSION_2_SCHEMA = VERSION_1_SCHEMA.replace("PRAGMA user_version = 1;", "") + """
+# the tallies table and the two triggers that keep it, as versions 2 and 3 wrote them
+TALLIES_SCHEMA = """
 CREATE TABLE tallies (
     kind    TEXT NOT NULL,
     name    TEXT NOT NULL,
@@ -674,6 +713,12 @@ CREATE TRIGGER tally_event_delete AFTER DELETE ON events BEGIN
     WHERE kind = 'month' AND name = ''
         AND (year, month) = (SELECT year, month FROM reports WHERE report_id = OLD.report_id);
 END;
+"""
+
+# a store as version 2 wrote it: tallies kept by four triggers, two of which
+# version 3 drops, plus zero-count rows such as version 3 leaves behind; the
+# recount must replace every row without a key conflict
+VERSION_2_SCHEMA = VERSION_1_SCHEMA.replace("PRAGMA user_version = 1;", "") + TALLIES_SCHEMA + """
 CREATE TRIGGER tally_report_redate AFTER UPDATE OF year, month ON reports
 WHEN OLD.year IS NOT NEW.year OR OLD.month IS NOT NEW.month BEGIN
     INSERT INTO tallies (kind, name, year, month, events, arrests)
@@ -716,3 +761,42 @@ class TestVersion2Migration(TestVersion1Migration):
         with EventStore(old_store) as s:
             s.ingest([ev(species="leopard", country="congo")])
             assert s.summarize() == reference_summary(s.events())
+
+
+# a store as version 3 wrote it: reports in a rowid table, looked up through
+# its key index, and tallies that hold the events' counts
+VERSION_3_SCHEMA = VERSION_1_SCHEMA.replace("PRAGMA user_version = 1;", "") + TALLIES_SCHEMA + """
+UPDATE reports SET source_path = 'briefs/a-2021-01.txt' WHERE report_id = 'a-2021-01';
+INSERT INTO tallies VALUES
+    ('total', '', 0, 0, 3, 4),
+    ('country', 'gabon', 0, 0, 1, 3), ('country', 'togo', 0, 0, 1, 1),
+    ('species', 'elephant', 0, 0, 1, 3), ('species', 'pangolin', 0, 0, 1, 0),
+    ('month', '', 2021, 1, 2, 3), ('month', '', 2021, 2, 1, 1);
+PRAGMA user_version = 3;
+"""
+
+
+class TestVersion3Migration(TestVersion1Migration):
+    SCHEMA = VERSION_3_SCHEMA
+
+    def test_report_rows_copied(self, old_store):
+        query = "SELECT * FROM reports ORDER BY report_id"
+        conn = sqlite3.connect(old_store)
+        before = conn.execute(query).fetchall()
+        conn.close()
+        EventStore(old_store).close()
+        conn = sqlite3.connect(old_store)
+        assert conn.execute(query).fetchall() == before
+        conn.close()
+        assert_current(old_store)
+
+    def test_foreign_key_still_enforced(self, old_store):
+        with EventStore(old_store) as s:
+            with pytest.raises(SchemaError, match="unknown report"):
+                s.ingest([ev("zz-2021-05", month=5)])
+            assert s.content_hash() == text_hash(GOLDEN_CSV)
+        conn = sqlite3.connect(old_store)
+        conn.execute("PRAGMA foreign_keys = ON")
+        with pytest.raises(sqlite3.IntegrityError, match="FOREIGN KEY"):
+            conn.execute("INSERT INTO events (report_id, species) VALUES ('zz-2021-05', 'x')")
+        conn.close()
