@@ -116,7 +116,7 @@ class TraffickingEvent:
 class _Shell:
     """Mutable event under construction for a single sentence."""
 
-    __slots__ = ("species_span", "product_span", "quantity", "weight_kg", "country")
+    __slots__ = ("species_span", "product_span", "anchor", "quantity", "weight_kg", "country")
 
     def __init__(
         self,
@@ -125,19 +125,14 @@ class _Shell:
     ) -> None:
         self.species_span = species_span
         self.product_span = product_span
+        spans = [s for s in (species_span, product_span) if s]
+        # the token range covering both spans; None for a shell with neither
+        self.anchor: tuple[int, int] | None = None
+        if spans:
+            self.anchor = (min(s.first_token for s in spans), max(s.last_token for s in spans))
         self.quantity: int | None = None
         self.weight_kg: float | None = None
         self.country: str | None = None
-
-    def anchor_start(self) -> int:
-        starts = [s.start_char for s in (self.species_span, self.product_span) if s]
-        return min(starts) if starts else -1
-
-    def anchor_token_range(self) -> tuple[int, int] | None:
-        anchors = [s for s in (self.species_span, self.product_span) if s]
-        if not anchors:
-            return None
-        return min(s.first_token for s in anchors), max(s.last_token for s in anchors)
 
 
 def _interval_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -255,7 +250,8 @@ def _build_shells(
     for animal in animals:
         if animal not in modifier_animals:
             shells.append(_Shell(species_span=animal))
-    shells.sort(key=_Shell.anchor_start)
+    # stable: shells anchored at the same token keep their order
+    shells.sort(key=lambda shell: shell.anchor[0])
     return shells
 
 
@@ -326,7 +322,7 @@ def _attach_weights(shells: list[_Shell], weights: list[EntitySpan]) -> None:
         for shell in shells:
             if shell.weight_kg is not None:
                 continue
-            anchor = shell.anchor_token_range()
+            anchor = shell.anchor
             distance = 0 if anchor is None else _interval_distance(w_range, anchor)
             if best_distance is None or distance < best_distance:
                 best = shell
@@ -339,7 +335,7 @@ def _attach_countries(shells: list[_Shell], countries: list[EntitySpan]) -> None
     if not countries:
         return
     for shell in shells:
-        anchor = shell.anchor_token_range()
+        anchor = shell.anchor
         if anchor is None:
             shell.country = countries[0].canonical
             continue
@@ -347,7 +343,7 @@ def _attach_countries(shells: list[_Shell], countries: list[EntitySpan]) -> None
             countries,
             key=lambda c: (
                 _interval_distance((c.first_token, c.last_token), anchor),
-                c.start_char,
+                c.first_token,
             ),
         )
         shell.country = best.canonical

@@ -12,7 +12,10 @@ is registered.  Each write call is atomic; ``EventStore.batch`` groups
 many into one transaction, in which a failed call undoes only itself.  A third
 table, ``tallies``, holds the running totals that ``summarize`` reads; two
 triggers on ``events`` keep it current, so no write path does its own
-bookkeeping.  The CSV interchange format is fixed:
+bookkeeping.  A store of an older schema version is replayed into the
+current schema when opened: its report and event rows are copied, and the
+tallies and CSV cache are rebuilt by the code that keeps them current.
+The CSV interchange format is fixed:
 
     report_id,year,month,country,species,product,quantity,weight_kg,arrest_count
 
@@ -61,26 +64,24 @@ class CsvFormatError(ValueError):
     """Raised for a bad header or unparseable row in the interchange CSV."""
 
 
-# Bumped whenever opening a store must upgrade its tables; version 1 added
-# reports.csv_rows, version 2 the tallies, version 3 keeps them with the two
-# event triggers alone, and version 4 stores reports in key order (WITHOUT
-# ROWID), so the ordered reads of export and content_hash scan the table
-# instead of its key index.  Stores at this version open without any scan.
+# Bumped whenever the schema below changes; a store below this version is
+# replayed into it when opened.  Stores at this version open without any scan.
 _SCHEMA_VERSION = 4
 
-_REPORTS_TABLE = """
-CREATE TABLE IF NOT EXISTS {name} (
+# The store's own tables; an upgrade replays them, and leaves any other alone.
+_TABLES = ("reports", "events", "tallies")
+
+_SCHEMA = (
+    """
+CREATE TABLE reports (
     report_id   TEXT PRIMARY KEY,
     year        INTEGER NOT NULL,
     month       INTEGER NOT NULL CHECK (month BETWEEN 1 AND 12),
     source_path TEXT NOT NULL DEFAULT '',
     csv_rows    TEXT NOT NULL DEFAULT ''
-) WITHOUT ROWID"""
-
-_SCHEMA = (
-    _REPORTS_TABLE.format(name="reports"),
+) WITHOUT ROWID""",
     """
-CREATE TABLE IF NOT EXISTS events (
+CREATE TABLE events (
     event_id       INTEGER PRIMARY KEY,
     report_id      TEXT NOT NULL REFERENCES reports(report_id),
     sentence_index INTEGER NOT NULL DEFAULT 0,
@@ -91,13 +92,13 @@ CREATE TABLE IF NOT EXISTS events (
     weight_kg      REAL    CHECK (weight_kg IS NULL OR weight_kg > 0),
     arrest_count   INTEGER CHECK (arrest_count IS NULL OR arrest_count >= 0)
 )""",
-    "CREATE INDEX IF NOT EXISTS events_by_report ON events(report_id)",
+    "CREATE INDEX events_by_report ON events(report_id)",
     # One row per running total: kind 'total', one 'country' or 'species'
     # row per name, one 'month' row per (year, month).  Each counts events
     # and the arrests they carry; a row whose count falls to 0 stays, and
     # summarize skips it.
     """
-CREATE TABLE IF NOT EXISTS tallies (
+CREATE TABLE tallies (
     kind    TEXT NOT NULL,
     name    TEXT NOT NULL,
     year    INTEGER NOT NULL,
@@ -107,7 +108,7 @@ CREATE TABLE IF NOT EXISTS tallies (
     PRIMARY KEY (kind, name, year, month)
 ) WITHOUT ROWID""",
     """
-CREATE TRIGGER IF NOT EXISTS tally_event_insert AFTER INSERT ON events BEGIN
+CREATE TRIGGER tally_event_insert AFTER INSERT ON events BEGIN
     INSERT INTO tallies (kind, name, year, month, events, arrests)
     SELECT 'total', '', 0, 0, 1, COALESCE(NEW.arrest_count, 0)
     UNION ALL SELECT 'country', NEW.country, 0, 0, 1, COALESCE(NEW.arrest_count, 0)
@@ -120,7 +121,7 @@ CREATE TRIGGER IF NOT EXISTS tally_event_insert AFTER INSERT ON events BEGIN
         events = events + excluded.events, arrests = arrests + excluded.arrests;
 END""",
     """
-CREATE TRIGGER IF NOT EXISTS tally_event_delete AFTER DELETE ON events BEGIN
+CREATE TRIGGER tally_event_delete AFTER DELETE ON events BEGIN
     UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
     WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0;
     UPDATE tallies SET events = events - 1, arrests = arrests - COALESCE(OLD.arrest_count, 0)
@@ -132,28 +133,6 @@ CREATE TRIGGER IF NOT EXISTS tally_event_delete AFTER DELETE ON events BEGIN
         AND (year, month) = (SELECT year, month FROM reports WHERE report_id = OLD.report_id);
 END""",
 )
-
-# Every trigger a store of any version may hold: the two of _SCHEMA, and two
-# that version 2 had as well.
-_TRIGGERS = ("tally_event_insert", "tally_event_delete", "tally_report_redate", "tally_drop_empty")
-
-# Counts every tally from the events, once, when an older store is
-# upgraded; from then on the triggers keep them.
-_FILL_TALLIES = """
-INSERT INTO tallies (kind, name, year, month, events, arrests)
-SELECT 'total', '', 0, 0, n, a FROM (
-    SELECT COUNT(*) AS n, SUM(COALESCE(arrest_count, 0)) AS a FROM events
-) WHERE n > 0
-UNION ALL
-SELECT 'country', country, 0, 0, COUNT(*), SUM(COALESCE(arrest_count, 0))
-FROM events WHERE country IS NOT NULL GROUP BY country
-UNION ALL
-SELECT 'species', species, 0, 0, COUNT(*), SUM(COALESCE(arrest_count, 0))
-FROM events WHERE species IS NOT NULL GROUP BY species
-UNION ALL
-SELECT 'month', '', r.year, r.month, COUNT(*), SUM(COALESCE(e.arrest_count, 0))
-FROM events e JOIN reports r ON r.report_id = e.report_id GROUP BY r.year, r.month
-"""
 
 
 def format_weight(kg: float) -> str:
@@ -197,36 +176,51 @@ class EventStore:
         self.path = str(path)
 
     def _upgrade(self) -> None:
-        """Bring an older store to this version, recounting its tallies from the events.
+        """Replay an older store into the current schema.
 
-        ``reports`` is rebuilt in SQLite's table-rebuild order, with foreign
-        keys off: the copy is renamed into the dropped table's place, so the
-        foreign key of ``events`` still names ``reports``.  Renaming the old
-        table away instead would rewrite that key to follow it.
+        Its report rows, then its event rows, are copied into fresh tables,
+        as they are: foreign keys are off.  The insert trigger recounts the
+        tallies, every report's CSV cache is rewritten from its events, and
+        the old tables' pages are vacuumed away, so the file does not grow.
         """
+        conn = self._conn
         # the pragma is a no-op inside a transaction
-        self._conn.execute("PRAGMA foreign_keys = OFF")
-        with self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            # renaming a table re-checks every trigger, and these name reports
-            for trigger in _TRIGGERS:
-                self._conn.execute(f"DROP TRIGGER IF EXISTS {trigger}")
-            columns = [row[1] for row in self._conn.execute("PRAGMA table_info(reports)")]
-            if columns:
-                kept = ", ".join(columns)
-                self._conn.execute(_REPORTS_TABLE.format(name="reports_new"))
-                self._conn.execute(f"INSERT INTO reports_new ({kept}) SELECT {kept} FROM reports")
-                self._conn.execute("DROP TABLE reports")
-                self._conn.execute("ALTER TABLE reports_new RENAME TO reports")
+        conn.execute("PRAGMA foreign_keys = OFF")
+        # renames then leave the foreign keys and views of other tables
+        # naming the store's tables, not the old copies dropped below
+        conn.execute("PRAGMA legacy_alter_table = ON")
+        with conn:
+            conn.execute("BEGIN IMMEDIATE")
+            master = conn.execute(
+                "SELECT type, name, tbl_name FROM sqlite_master WHERE sql IS NOT NULL"
+            ).fetchall()
+            # a renamed table keeps its triggers and indexes under their
+            # names, which the schema's own would then find taken
+            for kind, name, table in master:
+                if kind in ("trigger", "index") and table in _TABLES:
+                    conn.execute(f'DROP {kind} "{name}"')
+            old = [name for kind, name, _ in master if kind == "table" and name in _TABLES]
+            for name in old:
+                conn.execute(f"ALTER TABLE {name} RENAME TO old_{name}")
             for statement in _SCHEMA:
-                self._conn.execute(statement)
-            self._conn.execute("DELETE FROM tallies")
-            self._conn.execute(_FILL_TALLIES)
-            if columns and "csv_rows" not in columns:
-                self._refresh_csv_rows(
-                    [row[0] for row in self._conn.execute("SELECT report_id FROM reports")]
-                )
-            self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
+                conn.execute(statement)
+            # the tallies are not copied: the insert trigger recounts them
+            for name in ("reports", "events"):
+                if name in old:
+                    kept = {row[1] for row in conn.execute(f"PRAGMA table_info(old_{name})")}
+                    columns = [row[1] for row in conn.execute(f"PRAGMA table_info({name})")]
+                    shared = ", ".join(c for c in columns if c in kept)
+                    conn.execute(f"INSERT INTO {name} ({shared}) SELECT {shared} FROM old_{name}")
+            for name in old:
+                conn.execute(f"DROP TABLE old_{name}")
+            self._refresh_csv_rows(
+                [report_id for (report_id,) in conn.execute("SELECT report_id FROM reports")]
+            )
+            conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
+        conn.execute("PRAGMA legacy_alter_table = OFF")
+        if old:
+            # frees the old tables' pages; it cannot run inside a transaction
+            conn.execute("VACUUM")
 
     def _refresh_csv_rows(self, report_ids: Iterable[str]) -> None:
         """Rewrite the cached CSV text of each report from its stored events.
@@ -326,10 +320,7 @@ class EventStore:
             raise StoreError(str(exc)) from exc
 
     def has_report(self, report_id: str) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM reports WHERE report_id = ?", (report_id,)
-        ).fetchone()
-        return row is not None
+        return self.report_date(report_id) is not None
 
     def report_date(self, report_id: str) -> tuple[int, int] | None:
         row = self._conn.execute(
@@ -440,7 +431,11 @@ class EventStore:
         else:
             with open(dest, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines(self._csv_chunks())
-        return self._conn.execute("SELECT COUNT(*) FROM events").fetchone()[0]
+        row = self._conn.execute(
+            "SELECT events FROM tallies"
+            " WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0"
+        ).fetchone()
+        return row[0] if row else 0
 
     def content_hash(self) -> str:
         """Digest of the exported rows; identical stores hash identically.

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import random
+import re
 import shutil
 import sqlite3
 import tempfile
@@ -189,6 +190,24 @@ class TestCsvExport:
             buffer = io.StringIO()
             assert s.export_csv(buffer) == 0
             assert buffer.getvalue() == CSV_HEADER + "\n"
+
+    def test_export_reads_no_event_rows(self, tmp_path, monkeypatch):
+        statements = traced_statements(monkeypatch)
+        with EventStore(tmp_path / "count.db") as s:
+            s.register_report("a-2021-01", 2021, 1)
+            s.register_report("b-2021-02", 2021, 2)
+            s.ingest(SAMPLE)
+            del statements[:]
+            assert s.export_csv(io.StringIO()) == 3
+        assert statements
+        assert not [t for t in statements if re.search(r"\b(FROM|JOIN) events\b", t)]
+
+    def test_export_count_follows_replaced_events(self, store):
+        store.ingest(SAMPLE)
+        store.ingest([ev(species="leopard")])
+        assert store.export_csv(io.StringIO()) == len(store.events()) == 2
+        store.ingest([ev(species="leopard"), ev(species="tiger"), ev(product="skin")])
+        assert store.export_csv(io.StringIO()) == len(store.events()) == 4
 
     def test_export_to_path(self, store, tmp_path):
         store.ingest(SAMPLE)
@@ -598,11 +617,14 @@ def raw_store(path, script):
 def assert_current(path):
     """The store at ``path`` is at schema version 4, with only the two event triggers.
 
-    Its reports are kept in key order, and the foreign key of ``events``
-    names ``reports`` and holds for every row.
+    Its reports are kept in key order, ``events`` has its report index,
+    the foreign key of ``events`` names ``reports`` and holds for every
+    row, and the file has no free pages.
     """
     conn = sqlite3.connect(path)
     assert conn.execute("PRAGMA user_version").fetchone()[0] == 4
+    assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
+    assert "events_by_report" in [row[1] for row in conn.execute("PRAGMA index_list(events)")]
     triggers = conn.execute("SELECT name FROM sqlite_master WHERE type = 'trigger'")
     assert sorted(name for (name,) in triggers) == ["tally_event_delete", "tally_event_insert"]
     (sql,) = conn.execute("SELECT sql FROM sqlite_master WHERE name = 'reports'").fetchone()
@@ -799,4 +821,75 @@ class TestVersion3Migration(TestVersion1Migration):
         conn.execute("PRAGMA foreign_keys = ON")
         with pytest.raises(sqlite3.IntegrityError, match="FOREIGN KEY"):
             conn.execute("INSERT INTO events (report_id, species) VALUES ('zz-2021-05', 'x')")
+        conn.close()
+
+
+class TestReplay:
+    def test_current_store_replays_unchanged(self, tmp_path):
+        path = tmp_path / "current.db"
+        rng = random.Random(913)
+        with EventStore(path) as s:
+            for r in range(1, 6):
+                s.register_report(f"r{r}-2021-0{r}", 2021, r)
+            # re-ingesting leaves gaps in the event ids and zero-count tallies
+            for _ in range(3):
+                r = rng.randint(1, 5)
+                s.ingest([random_event(rng, f"r{r}-2021-0{r}", 2021, r, si) for si in range(4)])
+            before = (s.content_hash(), s.summarize(), s.events())
+        queries = ("SELECT * FROM events ORDER BY event_id", "SELECT * FROM reports")
+        conn = sqlite3.connect(path)
+        rows = [conn.execute(q).fetchall() for q in queries]
+        conn.execute("PRAGMA user_version = 0")
+        conn.close()
+        with EventStore(path) as s:
+            assert (s.content_hash(), s.summarize(), s.events()) == before
+        conn = sqlite3.connect(path)
+        assert [conn.execute(q).fetchall() for q in queries] == rows
+        conn.close()
+        assert_current(path)
+
+    def test_wrong_tallies_and_cache_rebuilt(self, tmp_path):
+        path = raw_store(tmp_path / "wrong.db", VERSION_3_SCHEMA + """
+UPDATE tallies SET events = events + 5, arrests = 0;
+INSERT INTO tallies VALUES ('country', 'congo', 0, 0, 2, 2);
+UPDATE reports SET csv_rows = 'stale
+';
+""")
+        with EventStore(path) as s:
+            assert s.summarize() == reference_summary(s.events())
+            assert s.summarize().total_events == 3
+            assert s.content_hash() == text_hash(GOLDEN_CSV)
+        assert_current(path)
+
+    def test_other_tables_survive(self, tmp_path):
+        path = raw_store(tmp_path / "shared.db", VERSION_3_SCHEMA + """
+CREATE TABLE notes (
+    note_id   INTEGER PRIMARY KEY,
+    report_id TEXT REFERENCES reports(report_id),
+    body      TEXT NOT NULL
+);
+CREATE INDEX notes_by_body ON notes(body);
+CREATE VIEW noted AS SELECT r.report_id, n.body FROM reports r JOIN notes n USING (report_id);
+INSERT INTO notes (report_id, body) VALUES ('a-2021-01', 'checked'), (NULL, 'to review');
+""")
+        EventStore(path).close()
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT * FROM notes").fetchall() == [
+            (1, "a-2021-01", "checked"), (2, None, "to review")
+        ]
+        assert [row[1] for row in conn.execute("PRAGMA index_list(notes)")] == ["notes_by_body"]
+        assert [row[2] for row in conn.execute("PRAGMA foreign_key_list(notes)")] == ["reports"]
+        assert conn.execute("SELECT * FROM noted").fetchall() == [("a-2021-01", "checked")]
+        conn.close()
+        assert_current(path)
+
+    def test_orphan_event_copied(self, tmp_path):
+        path = raw_store(tmp_path / "orphan.db", SEED_SCHEMA + """
+INSERT INTO events (report_id, species) VALUES ('zz-2021-05', 'leopard');
+""")
+        with EventStore(path) as s:
+            assert s.content_hash() == text_hash(GOLDEN_CSV)
+            assert s.export_csv(io.StringIO()) == 4
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM events").fetchone()[0] == 4
         conn.close()
