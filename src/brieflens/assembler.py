@@ -72,9 +72,17 @@ _HEURISTIC_KEYS = tuple(f.name for f in fields(HeuristicConfig))
 
 
 def load_heuristics(path: str | Path) -> HeuristicConfig:
-    """Read a key=value heuristics file; unknown keys and negative values are rejected."""
+    """Read a key=value heuristics file.
+
+    Text that is not UTF-8, unknown keys and negative values raise
+    ``ValueError`` naming the file.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     values: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

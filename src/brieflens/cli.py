@@ -2,7 +2,8 @@
 
 Subcommands: extract, eval, export, report, lexicon-validate.  Exit codes
 are 0 for success, 1 for usage or format errors, 2 when a batch finished
-but some inputs failed.
+but some inputs failed.  A bad flag, input file or store ends any command
+with one ``error:`` line, printed by :func:`main`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .matcher import compile_lexicon
 from .pipeline import extract_document
 from .report import write_report_files
 from .resources import default_lexicon_paths
-from .store import CsvFormatError, EventStore, StoreError, import_csv
+from .store import EventStore, StoreError, import_csv
 
 __all__ = ["main"]
 
@@ -128,17 +129,13 @@ def _collect_brief_paths(inputs: list[Path]) -> list[Path]:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    try:  # LexiconError is a ValueError
-        lexicon = _load_merged_lexicon(args)
-        abbreviations = (
-            DEFAULT_ABBREVIATIONS
-            if args.abbreviations is None
-            else load_abbreviations(args.abbreviations)
-        )
-        config = HeuristicConfig() if args.heuristics is None else load_heuristics(args.heuristics)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lexicon = _load_merged_lexicon(args)
+    abbreviations = (
+        DEFAULT_ABBREVIATIONS
+        if args.abbreviations is None
+        else load_abbreviations(args.abbreviations)
+    )
+    config = HeuristicConfig() if args.heuristics is None else load_heuristics(args.heuristics)
     matcher = compile_lexicon(lexicon)
 
     paths = _collect_brief_paths(args.inputs)
@@ -148,25 +145,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     extracted = 0
     failures = 0
-    try:
-        # one transaction for the run; a failed brief rolls back its own savepoint only
-        with EventStore(args.store) as store, store.batch():
-            for path in paths:
-                try:
-                    doc = load_report(path, abbreviations)
-                    events = extract_document(doc, matcher, config)
-                    with store.batch():
-                        store.register_report(doc.report_id, doc.year, doc.month, str(path))
-                        store.ingest(events)
-                except Exception as exc:  # a bad brief or a store error fails that brief only
-                    failures += 1
-                    print(f"error: {path.name}: {exc}", file=sys.stderr)
-                    continue
-                extracted += 1
-                print(f"{doc.report_id}: {len(events)} events")
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # one transaction for the run; a failed brief rolls back its own savepoint only
+    with EventStore(args.store) as store, store.batch():
+        for path in paths:
+            try:
+                doc = load_report(path, abbreviations)
+                events = extract_document(doc, matcher, config)
+                with store.batch():
+                    store.register_report(doc.report_id, doc.year, doc.month, str(path))
+                    store.ingest(events)
+            except Exception as exc:  # a bad brief or a store error fails that brief only
+                failures += 1
+                print(f"error: {path.name}: {exc}", file=sys.stderr)
+                continue
+            extracted += 1
+            print(f"{doc.report_id}: {len(events)} events")
 
     LOGGER.info("extracted %d reports, %d failures", extracted, failures)
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -174,46 +167,33 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if (args.pred is None) == (args.store is None):
-        print("error: give exactly one of --pred or --store", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("give exactly one of --pred or --store")
+    gold = import_csv(args.gold)
+    if args.pred is not None:
+        predicted = import_csv(args.pred)
+    else:
+        with EventStore(args.store) as store:
+            predicted = store.events()
+    report = compute_report(evaluate_corpus(predicted, gold))
+    print(report.counts_line())
+    print(f"detection_rate={report.detection_rate:.4f}")
+    args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "eval_report.txt"
-    try:
-        gold = import_csv(args.gold)
-        if args.pred is not None:
-            predicted = import_csv(args.pred)
-        else:
-            with EventStore(args.store) as store:
-                predicted = store.events()
-        report = compute_report(evaluate_corpus(predicted, gold))
-        print(report.counts_line())
-        print(f"detection_rate={report.detection_rate:.4f}")
-        args.out.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
-    except (CsvFormatError, StoreError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out_path.write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
     LOGGER.info("wrote %s", out_path)
     return EXIT_OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    try:
-        with EventStore(args.store) as store:
-            rows = store.export_csv(args.out)
-    except (StoreError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with EventStore(args.store) as store:
+        rows = store.export_csv(args.out)
     print(f"wrote {rows} events to {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with EventStore(args.store) as store:
-            json_path, html_path = write_report_files(store, args.out)
-    except (StoreError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with EventStore(args.store) as store:
+        json_path, html_path = write_report_files(store, args.out)
     print(f"wrote {json_path} and {html_path}")
     return EXIT_OK
 
@@ -243,17 +223,20 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; a bad flag, input file or store prints ``error:`` and exits 1.
+
+    LexiconError, CsvFormatError and UnicodeDecodeError are ValueErrors.
+    """
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+        # set on every call, so one call's -v does not carry over to the next
+        LOGGER.setLevel((logging.NOTSET, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+        if args.verbose:
+            logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        return args.func(args)
+    except (_UsageError, OSError, ValueError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # set on every call, so one call's -v does not carry over to the next
-    LOGGER.setLevel((logging.NOTSET, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
-    if args.verbose:
-        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -223,10 +223,14 @@ def load_abbreviations(path: str | Path) -> tuple[str, ...]:
     """Read one abbreviation per line; '#' comments and blank lines skipped.
 
     A missing trailing period is added, since matching is anchored at the
-    sentence terminator.
+    sentence terminator.  Text that is not UTF-8 raises ``ValueError``.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     items: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -242,10 +242,16 @@ def _read_rows(text: str, origin: str) -> list[LexiconEntry]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load one lexicon CSV; the version is a digest of the file bytes."""
+    """Load one lexicon CSV; the version is a digest of the file bytes.
+
+    The file may start with one byte-order mark, as spreadsheets write it.
+    """
     path = Path(path)
     data = path.read_bytes()
-    rows = _read_rows(data.decode("utf-8"), origin=path.name)
+    try:
+        rows = _read_rows(data.decode("utf-8-sig"), origin=path.name)
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: an overlong field
+        raise LexiconError(f"{path.name}: {exc}") from exc
     version = hashlib.sha256(data).hexdigest()[:16]
     return Lexicon.from_rows(rows, version=version)
 

@@ -271,7 +271,15 @@ def _iter_numbers(tokens: Sequence[Token], texts: Sequence[str]) -> list[NumberM
 
 
 def _join_text(tokens: Sequence[Token], start: int, end: int) -> str:
-    return " ".join(tok.text for tok in tokens[start:end])
+    """The tokens' text as written, with one space where the source has whitespace.
+
+    Every character between two tokens is whitespace, so for single-spaced
+    text this is the source slice.
+    """
+    text = tokens[start].text
+    for prev, tok in zip(tokens[start : end - 1], tokens[start + 1 : end]):
+        text += " " + tok.text if tok.start_char > prev.end_char else tok.text
+    return text
 
 
 def _to_kg(value: int | Decimal, unit: str) -> float:
@@ -299,24 +307,17 @@ def _weight_unit(texts: Sequence[str], m: NumberMatch) -> tuple[int, str] | None
     return None
 
 
-def _weight(
-    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch, unit: tuple[int, str]
-) -> tuple[EntitySpan, Weight]:
+def _weight(tokens: Sequence[Token], m: NumberMatch, unit: tuple[int, str]) -> EntitySpan:
     unit_index, unit_text = unit
-    kg = _to_kg(m.value, unit_text)
-    # digits never change under casefolding, so the unit starts at the same
-    # position in the token's text as in its casefolded form
-    original_unit = tokens[unit_index].text[len(texts[unit_index]) - len(unit_text) :]
-    span = EntitySpan(
+    return EntitySpan(
         start_char=tokens[m.start].start_char,
         end_char=tokens[unit_index].end_char,
         text=_join_text(tokens, m.start, unit_index + 1),
         label=WEIGHT,
-        canonical=repr(kg),
+        canonical=repr(_to_kg(m.value, unit_text)),
         first_token=m.start,
         last_token=unit_index,
     )
-    return span, Weight(kg, float(m.value), original_unit)
 
 
 def _cardinal(tokens: Sequence[Token], m: NumberMatch) -> EntitySpan:
@@ -340,11 +341,16 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
-    return [
-        _weight(tokens, texts, m, unit)
-        for m in _iter_numbers(tokens, texts)
-        if (unit := _weight_unit(texts, m))
-    ]
+    weights = []
+    for m in _iter_numbers(tokens, texts):
+        if unit := _weight_unit(texts, m):
+            unit_index, unit_text = unit
+            # digits never change under casefolding, so the unit starts at the
+            # same position in the token's text as in its casefolded form
+            original_unit = tokens[unit_index].text[len(texts[unit_index]) - len(unit_text) :]
+            weight = Weight(_to_kg(m.value, unit_text), float(m.value), original_unit)
+            weights.append((_weight(tokens, m, unit), weight))
+    return weights
 
 
 def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
@@ -358,7 +364,7 @@ def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
     tokens = sentence.tokens
     texts = _texts(tokens)
     return [
-        _weight(tokens, texts, m, unit)[0]
+        _weight(tokens, m, unit)
         if (unit := _weight_unit(texts, m))
         else _cardinal(tokens, m)
         for m in _iter_numbers(tokens, texts)

@@ -29,6 +29,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +54,7 @@ CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 
 
 class StoreError(Exception):
-    """Raised when the backing database cannot be opened or written."""
+    """Raised when the backing database cannot be opened, read or written."""
 
 
 class SchemaError(StoreError):
@@ -157,8 +158,9 @@ class EventStore:
     """Single-writer event database; pass ":memory:" for an ephemeral store."""
 
     def __init__(self, path: str | Path = ":memory:") -> None:
-        try:
-            self._conn = sqlite3.connect(str(path))
+        self.path = str(path)
+        with self._sqlite_errors(f"cannot open event store at {path}: ", "open"):
+            self._conn = sqlite3.connect(self.path)
             # content_hash digests the stored text as bytes, which are the
             # export's UTF-8 bytes only in a UTF-8 database
             encoding = self._conn.execute("PRAGMA encoding").fetchone()[0]
@@ -171,9 +173,21 @@ class EventStore:
             if self._conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
                 self._upgrade()
             self._conn.execute("PRAGMA foreign_keys = ON")
+
+    @contextlib.contextmanager
+    def _sqlite_errors(self, violation: str = "", action: str = "read") -> Iterator[None]:
+        """Raise the block's SQLite errors as the store's own.
+
+        A constraint violation becomes a :class:`SchemaError` whose message
+        follows ``violation``; any other error, a :class:`StoreError` that
+        names the store and what could not be done to it.
+        """
+        try:
+            yield
+        except sqlite3.IntegrityError as exc:
+            raise SchemaError(f"{violation}{exc}") from exc
         except sqlite3.Error as exc:
-            raise StoreError(f"cannot open event store at {path}: {exc}") from exc
-        self.path = str(path)
+            raise StoreError(f"cannot {action} event store at {self.path}: {exc}") from exc
 
     def _upgrade(self) -> None:
         """Replay an older store into the current schema.
@@ -265,20 +279,16 @@ class EventStore:
             with self._savepoint():
                 yield
             return
-        try:
+        with self._sqlite_errors(action="write"):
             # opened explicitly: releasing an outermost savepoint would commit
             self._conn.execute("BEGIN IMMEDIATE")
-        except sqlite3.Error as exc:
-            raise StoreError(str(exc)) from exc
         try:
             yield
         except BaseException:
             self._conn.rollback()
             raise
-        try:
+        with self._sqlite_errors(action="write"):
             self._conn.commit()
-        except sqlite3.Error as exc:
-            raise StoreError(str(exc)) from exc
 
     @contextlib.contextmanager
     def _savepoint(self) -> Iterator[None]:
@@ -300,32 +310,29 @@ class EventStore:
 
         A report's date is fixed: another date raises :class:`SchemaError`.
         """
-        try:
-            known = self.report_date(report_id)
-            if known is not None and known != (year, month):
-                raise SchemaError(
-                    f"report {report_id!r} is registered as {known};"
-                    f" its date cannot change to {(year, month)}"
-                )
-            with self.batch():
-                self._conn.execute(
-                    "INSERT INTO reports (report_id, year, month, source_path)"
-                    " VALUES (?, ?, ?, ?)"
-                    " ON CONFLICT(report_id) DO UPDATE SET source_path = excluded.source_path",
-                    (report_id, year, month, source_path),
-                )
-        except sqlite3.IntegrityError as exc:
-            raise SchemaError(f"cannot register report {report_id!r}: {exc}") from exc
-        except sqlite3.Error as exc:
-            raise StoreError(str(exc)) from exc
+        known = self.report_date(report_id)
+        if known is not None and known != (year, month):
+            raise SchemaError(
+                f"report {report_id!r} is registered as {known};"
+                f" its date cannot change to {(year, month)}"
+            )
+        violation = f"cannot register report {report_id!r}: "
+        with self._sqlite_errors(violation, "write"), self.batch():
+            self._conn.execute(
+                "INSERT INTO reports (report_id, year, month, source_path)"
+                " VALUES (?, ?, ?, ?)"
+                " ON CONFLICT(report_id) DO UPDATE SET source_path = excluded.source_path",
+                (report_id, year, month, source_path),
+            )
 
     def has_report(self, report_id: str) -> bool:
         return self.report_date(report_id) is not None
 
     def report_date(self, report_id: str) -> tuple[int, int] | None:
-        row = self._conn.execute(
-            "SELECT year, month FROM reports WHERE report_id = ?", (report_id,)
-        ).fetchone()
+        with self._sqlite_errors():
+            row = self._conn.execute(
+                "SELECT year, month FROM reports WHERE report_id = ?", (report_id,)
+            ).fetchone()
         return (row[0], row[1]) if row else None
 
     def ingest(self, events: Sequence[TraffickingEvent]) -> int:
@@ -353,35 +360,29 @@ class EventStore:
                     f"event date {(event.year, event.month)} disagrees with report"
                     f" {event.report_id!r} registered as {known}"
                 )
-        try:
-            with self.batch():
-                for report_id in affected:
-                    self._conn.execute(
-                        "DELETE FROM events WHERE report_id = ?", (report_id,)
-                    )
-                self._conn.executemany(
-                    "INSERT INTO events (report_id, sentence_index, country, species,"
-                    " product, quantity, weight_kg, arrest_count)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+        violation = "event batch violates store constraints: "
+        with self._sqlite_errors(violation, "write"), self.batch():
+            for report_id in affected:
+                self._conn.execute("DELETE FROM events WHERE report_id = ?", (report_id,))
+            self._conn.executemany(
+                "INSERT INTO events (report_id, sentence_index, country, species,"
+                " product, quantity, weight_kg, arrest_count)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (
                     (
-                        (
-                            e.report_id,
-                            e.sentence_index,
-                            e.country,
-                            e.species,
-                            e.product,
-                            e.quantity,
-                            e.weight_kg,
-                            e.arrest_count,
-                        )
-                        for e in events
-                    ),
-                )
-                self._refresh_csv_rows(affected)
-        except sqlite3.IntegrityError as exc:
-            raise SchemaError(f"event batch violates store constraints: {exc}") from exc
-        except sqlite3.Error as exc:
-            raise StoreError(str(exc)) from exc
+                        e.report_id,
+                        e.sentence_index,
+                        e.country,
+                        e.species,
+                        e.product,
+                        e.quantity,
+                        e.weight_kg,
+                        e.arrest_count,
+                    )
+                    for e in events
+                ),
+            )
+            self._refresh_csv_rows(affected)
         return len(events)
 
     def events(self) -> list[TraffickingEvent]:
@@ -391,32 +392,33 @@ class EventStore:
         repeat a few report ids, countries, species and products; so do
         equal years.
         """
-        rows = self._conn.execute(
-            "SELECT e.report_id, r.year, r.month, e.country, e.species, e.product,"
-            " e.quantity, e.weight_kg, e.arrest_count, e.sentence_index"
-            " FROM events e JOIN reports r ON r.report_id = e.report_id"
-            " ORDER BY e.report_id, e.sentence_index, e.event_id"
-        )
         # years get their own int-only table: 1 == 1.0, so a table mixing
         # number types could hand a weight back as an int
         share = {}.setdefault
         share_year = {}.setdefault
-        return [
-            TraffickingEvent(
-                report_id=share(report_id, report_id),
-                year=share_year(year, year),
-                month=month,
-                country=share(country, country),
-                species=share(species, species),
-                product=share(product, product),
-                quantity=quantity,
-                weight_kg=weight_kg,
-                arrest_count=arrest_count,
-                sentence_index=sentence_index,
+        with self._sqlite_errors():
+            rows = self._conn.execute(
+                "SELECT e.report_id, r.year, r.month, e.country, e.species, e.product,"
+                " e.quantity, e.weight_kg, e.arrest_count, e.sentence_index"
+                " FROM events e JOIN reports r ON r.report_id = e.report_id"
+                " ORDER BY e.report_id, e.sentence_index, e.event_id"
             )
-            for (report_id, year, month, country, species, product,
-                 quantity, weight_kg, arrest_count, sentence_index) in rows
-        ]
+            return [
+                TraffickingEvent(
+                    report_id=share(report_id, report_id),
+                    year=share_year(year, year),
+                    month=month,
+                    country=share(country, country),
+                    species=share(species, species),
+                    product=share(product, product),
+                    quantity=quantity,
+                    weight_kg=weight_kg,
+                    arrest_count=arrest_count,
+                    sentence_index=sentence_index,
+                )
+                for (report_id, year, month, country, species, product,
+                     quantity, weight_kg, arrest_count, sentence_index) in rows
+            ]
 
     def _csv_chunks(self) -> Iterator[str]:
         """The interchange CSV: the header, then each report's cached rows."""
@@ -426,15 +428,16 @@ class EventStore:
 
     def export_csv(self, dest: str | Path | TextIO) -> int:
         """Write the interchange CSV; returns the number of data rows."""
-        if hasattr(dest, "write"):
-            dest.writelines(self._csv_chunks())
-        else:
-            with open(dest, "w", encoding="utf-8", newline="") as handle:
-                handle.writelines(self._csv_chunks())
-        row = self._conn.execute(
-            "SELECT events FROM tallies"
-            " WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0"
-        ).fetchone()
+        with self._sqlite_errors():
+            if hasattr(dest, "write"):
+                dest.writelines(self._csv_chunks())
+            else:
+                with open(dest, "w", encoding="utf-8", newline="") as handle:
+                    handle.writelines(self._csv_chunks())
+            row = self._conn.execute(
+                "SELECT events FROM tallies"
+                " WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0"
+            ).fetchone()
         return row[0] if row else 0
 
     def content_hash(self) -> str:
@@ -444,10 +447,11 @@ class EventStore:
         store is UTF-8, so these are the export's bytes.
         """
         digest = hashlib.sha256((CSV_HEADER + "\n").encode("utf-8"))
-        for (data,) in self._conn.execute(
-            "SELECT CAST(csv_rows AS BLOB) FROM reports ORDER BY report_id"
-        ):
-            digest.update(data)
+        with self._sqlite_errors():
+            for (data,) in self._conn.execute(
+                "SELECT CAST(csv_rows AS BLOB) FROM reports ORDER BY report_id"
+            ):
+                digest.update(data)
         return digest.hexdigest()[:16]
 
     def summarize(self) -> SummaryStats:
@@ -456,9 +460,11 @@ class EventStore:
         per_country: dict[str, int] = {}
         per_month: dict[tuple[int, int], int] = {}
         species: list[tuple[str, int]] = []
-        for kind, name, year, month, events, arrests in self._conn.execute(
-            "SELECT kind, name, year, month, events, arrests FROM tallies WHERE events > 0"
-        ):
+        with self._sqlite_errors():
+            rows = self._conn.execute(
+                "SELECT kind, name, year, month, events, arrests FROM tallies WHERE events > 0"
+            ).fetchall()
+        for kind, name, year, month, events, arrests in rows:
             if kind == "total":
                 total_events, total_arrests = events, arrests
             elif kind == "country":
@@ -509,17 +515,24 @@ def _parse_int(value: str, column: str, row: int) -> int:
 def import_csv(source: str | Path | TextIO) -> list[TraffickingEvent]:
     """Read the interchange CSV back into events.
 
-    The header must match exactly; empty cells become absent fields.  Events
-    read this way have no sentence provenance, so sentence_index is 0.
+    The text may start with one byte-order mark, as spreadsheets write it;
+    after it, the header must match exactly.  Empty cells become absent
+    fields.  Events read this way have no sentence provenance, so
+    sentence_index is 0.  A file that is not UTF-8 or not in this format
+    raises :class:`CsvFormatError` naming the file.
     """
     if hasattr(source, "read"):
         return _read_csv(source)
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        return _read_csv(handle)
+    try:
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return _read_csv(handle)
+    except (UnicodeDecodeError, CsvFormatError, csv.Error) as exc:  # csv.Error: an overlong field
+        raise CsvFormatError(f"{source}: {exc}") from exc
 
 
 def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
-    reader = csv.reader(handle)
+    first = handle.readline().removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain((first,) if first else (), handle))
     try:
         header = next(reader)
     except StopIteration:

@@ -62,3 +62,16 @@ def traced_statements(monkeypatch):
 
     monkeypatch.setattr(sqlite3, "connect", traced_connect)
     return statements
+
+
+def damage_table(path, table):
+    """Overwrite the root page of ``table`` in the sqlite file at ``path``."""
+    conn = sqlite3.connect(path)
+    (root,) = conn.execute(
+        "SELECT rootpage FROM sqlite_master WHERE name = ?", (table,)
+    ).fetchone()
+    (page_size,) = conn.execute("PRAGMA page_size").fetchone()
+    conn.close()
+    with open(path, "r+b") as handle:
+        handle.seek((root - 1) * page_size)
+        handle.write(b"\xff" * page_size)

@@ -11,9 +11,10 @@ import pytest
 from brieflens import cli
 from brieflens.cli import main
 from brieflens.corpus import document_from_text
-from brieflens.store import EventStore, SchemaError
+from brieflens.resources import default_lexicon_paths
+from brieflens.store import CSV_HEADER, EventStore, SchemaError
 
-from conftest import BRIEFS_DIR, GOLD_CSV, traced_statements
+from conftest import BRIEFS_DIR, GOLD_CSV, damage_table, traced_statements
 
 
 def run(capsys, *argv):
@@ -360,3 +361,107 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "export", "x.csv", "--bogus")
         assert code == 1 and "error:" in err
+
+
+LATIN1_COUNTRIES = "surface,label,canonical\nC\xf4te d'Ivoire,COUNTRY,\n".encode("latin-1")
+
+
+def one_error(err, name, prefix="error:"):
+    """Whether stderr is one line that starts with ``prefix`` and names ``name``."""
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith(prefix) and name in lines[0]
+
+
+class TestBadInputs:
+    """A bad input file or store ends the command with one line, never a traceback."""
+
+    def test_latin1_gold_and_pred(self, extracted, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        row = "x-2021-01,2021,1,C\xf4te,elephant,,,,"
+        latin1.write_bytes(f"{CSV_HEADER}\n{row}\n".encode("latin-1"))
+        for gold, pred in ((latin1, GOLD_CSV), (GOLD_CSV, latin1)):
+            code, _, err = run(capsys, "eval", "--gold", gold, "--pred", pred, "--out", tmp_path)
+            assert code == 1 and one_error(err, "latin1.csv"), err
+
+    def test_bad_row_names_its_file(self, tmp_path, capsys):
+        pred = tmp_path / "p.csv"
+        pred.write_text(f"{CSV_HEADER}\nx-2021-13,2021,13,,elephant,,,,\n", encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--gold", GOLD_CSV, "--pred", pred, "--out", tmp_path)
+        assert code == 1 and one_error(err, "p.csv: row 2: month 13"), err
+
+    def test_overlong_field(self, tmp_path, capsys):
+        gold = tmp_path / "long.csv"
+        gold.write_text(f"{CSV_HEADER}\n{'x' * 200_000},2021,1,,elephant,,,,\n", encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--gold", gold, "--pred", GOLD_CSV, "--out", tmp_path)
+        assert code == 1 and one_error(err, "long.csv"), err
+        lexicon = tmp_path / "long-animals.csv"
+        lexicon.write_text(f"surface,label,canonical\n{'x' * 200_000},ANIMAL,\n", encoding="utf-8")
+        code, _, err = run(capsys, "lexicon-validate", "--animals", lexicon)
+        assert code == 1 and one_error(err, "long-animals.csv", "animals: INVALID:"), err
+
+    def test_latin1_lexicon_is_invalid(self, tmp_path, capsys):
+        countries = tmp_path / "lat.csv"
+        countries.write_bytes(LATIN1_COUNTRIES)
+        code, out, err = run(capsys, "lexicon-validate", "--countries", countries)
+        assert code == 1 and one_error(err, "lat.csv", "countries: INVALID:"), err
+        assert [line.split(":")[0] for line in out.splitlines()] == ["animals", "products"]
+
+    @pytest.mark.parametrize(
+        "flag,content",
+        [
+            ("--countries", LATIN1_COUNTRIES),
+            ("--abbreviations", "e.g.\nC\xf4te.\n".encode("latin-1")),
+            ("--heuristics", "# fen\xeatre\nquantity_window=3\n".encode("latin-1")),
+        ],
+    )
+    def test_latin1_extract_config_is_fatal(self, flag, content, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(content)
+        store = tmp_path / "e.db"
+        code, out, err = run(capsys, "extract", BRIEFS_DIR, "--store", store, flag, config)
+        assert code == 1 and one_error(err, "latin1.cfg"), err
+        assert out == "" and not store.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("export", "{tmp}/out.csv"),
+            ("report", "--out", "{tmp}/site"),
+            ("eval", "--gold", str(GOLD_CSV), "--out", "{tmp}"),
+        ],
+    )
+    def test_damaged_store(self, argv, extracted, tmp_path, capsys):
+        damaged = tmp_path / "damaged.db"
+        shutil.copy(extracted, damaged)
+        damage_table(damaged, "reports")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, err = run(capsys, *argv, "--store", damaged)
+        assert code == 1 and one_error(err, "damaged.db"), err
+        assert "malformed" in err
+
+
+class TestByteOrderMark:
+    """CSV inputs saved by spreadsheets start with a byte-order mark."""
+
+    def test_gold_and_pred(self, extracted, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + GOLD_CSV.read_bytes())
+        run(capsys, "eval", "--gold", GOLD_CSV, "--store", extracted, "--out", tmp_path / "plain")
+        expected = (tmp_path / "plain" / "eval_report.txt").read_text(encoding="utf-8")
+        for gold, pred in ((bom, GOLD_CSV), (GOLD_CSV, bom)):
+            out_dir = tmp_path / "with-bom"
+            code, _, err = run(capsys, "eval", "--gold", gold, "--pred", pred, "--out", out_dir)
+            assert code == 0 and err == ""
+            assert (out_dir / "eval_report.txt").read_text(encoding="utf-8") == expected
+
+    def test_lexicon(self, tmp_path, capsys):
+        plain = default_lexicon_paths()["countries"]
+        bom = tmp_path / "countries.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "lexicon-validate")
+        assert run(capsys, "lexicon-validate", "--countries", bom) == expected
+        code, _, err = run(capsys, "extract", BRIEFS_DIR, "--store", tmp_path / "bom.db",
+                           "--countries", bom)
+        assert code == 0 and err == ""
+        with EventStore(tmp_path / "bom.db") as store:
+            assert store.content_hash() == "d9adf4d3b0f6bd38"

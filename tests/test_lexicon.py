@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from brieflens.lexicon import (
@@ -12,6 +14,7 @@ from brieflens.lexicon import (
     pluralize,
     singularize,
 )
+from brieflens.resources import default_lexicon_paths
 
 
 @pytest.mark.parametrize(
@@ -133,6 +136,39 @@ class TestLoadLexicon:
             "surface,label,canonical\ntusk,PRODUCT,\ntusk,ANIMAL,\n", encoding="utf-8"
         )
         with pytest.raises(LexiconError, match="lex.csv"):
+            load_lexicon(path)
+
+
+    def test_leading_byte_order_mark_skipped(self, tmp_path):
+        plain = default_lexicon_paths()["countries"]
+        bom = tmp_path / "countries.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, loaded = load_lexicon(plain), load_lexicon(bom)
+        assert (loaded.entries, loaded.n_rows) == (expected.entries, expected.n_rows)
+        # the version digests the file's bytes, mark included
+        assert loaded.version == hashlib.sha256(bom.read_bytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "\ufeff\ufeffsurface,label,canonical\ntusk,PRODUCT,\n",
+            "# comment\n\ufeffsurface,label,canonical\ntusk,PRODUCT,\n",
+            "surface,\ufefflabel,canonical\ntusk,PRODUCT,\n",
+        ],
+    )
+    def test_byte_order_mark_elsewhere_rejected(self, tmp_path, content):
+        path = tmp_path / "lex.csv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(LexiconError, match="expected header"):
+            load_lexicon(path)
+
+    def test_unreadable_file_named(self, tmp_path):
+        path = tmp_path / "lat.csv"
+        path.write_bytes("surface,label,canonical\nC\xf4te,COUNTRY,\n".encode("latin-1"))
+        with pytest.raises(LexiconError, match=r"^lat\.csv: 'utf-8' codec can't decode"):
+            load_lexicon(path)
+        path.write_text(f"surface,label,canonical\n{'x' * 200_000},ANIMAL,\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match=r"^lat\.csv: field larger than field limit"):
             load_lexicon(path)
 
 

@@ -283,6 +283,21 @@ class TestNumericSpans:
         ]
         assert (spans[0].first_token, spans[0].last_token) == (3, 6)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Police seized 1,200 kg and 12.5kg of ivory.",
+            "They carried 12.5 kg of scales.",
+            "They found 1,200kg and 3 tons.",
+            "Rangers held three hundred and six men.",
+            "Twenty-five tusks and forty two skins.",
+        ],
+    )
+    def test_text_is_the_source_slice(self, text):
+        spans = numeric_spans(sentence_of(text))
+        assert spans
+        assert [s.text for s in spans] == [text[s.start_char : s.end_char] for s in spans]
+
     def test_sorted_by_offset(self):
         spans = numeric_spans(sentence_of("five tusks and 2 tons of meat"))
         starts = [s.start_char for s in spans]

@@ -31,7 +31,7 @@ from brieflens.store import (
     import_csv,
 )
 
-from conftest import traced_statements
+from conftest import GOLD_CSV, damage_table, traced_statements
 
 
 def ev(report_id="a-2021-01", year=2021, month=1, **kwargs):
@@ -176,6 +176,47 @@ class TestBatch:
             store.register_report("d-2021-04", 2021, 4)
         assert (store.content_hash(), store.summarize()) == before
         assert not store.has_report("c-2021-03") and store.has_report("d-2021-04")
+
+
+class TestDamagedStore:
+    """SQLite's errors reach the caller as the store's own, naming the file."""
+
+    CANNOT = r"cannot {} event store at \S*damaged\.db: .*malformed"
+
+    @pytest.fixture()
+    def damaged(self, tmp_path):
+        def damage(table):
+            path = tmp_path / "damaged.db"
+            with EventStore(path) as s:
+                s.register_report("a-2021-01", 2021, 1)
+                s.register_report("b-2021-02", 2021, 2)
+                s.ingest(SAMPLE)
+            damage_table(path, table)
+            return EventStore(path)
+
+        return damage
+
+    @pytest.mark.parametrize(
+        "table,call",
+        [
+            ("reports", lambda s: s.events()),
+            ("reports", lambda s: s.content_hash()),
+            ("reports", lambda s: s.export_csv(io.StringIO())),
+            ("reports", lambda s: s.report_date("a-2021-01")),
+            ("reports", lambda s: s.has_report("a-2021-01")),
+            ("reports", lambda s: s.register_report("c-2021-03", 2021, 3)),
+            ("tallies", lambda s: s.summarize()),
+        ],
+    )
+    def test_reads(self, damaged, table, call):
+        with damaged(table) as s:
+            with pytest.raises(StoreError, match=self.CANNOT.format("read")):
+                call(s)
+
+    def test_writes(self, damaged):
+        with damaged("events") as s:
+            with pytest.raises(StoreError, match=self.CANNOT.format("write")):
+                s.ingest([ev()])
 
 
 class TestCsvExport:
@@ -335,6 +376,42 @@ class TestCsvImport:
     def test_malformed_input_rejected(self, content, message):
         with pytest.raises(CsvFormatError, match=message):
             import_csv(io.StringIO(content))
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text(CSV_HEADER + "\na-2021-01,2021,13,,x,,,,\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match=r"^\S*pred\.csv: row 2: month 13"):
+            import_csv(path)
+        path.write_bytes(f"{CSV_HEADER}\na-2021-01,2021,1,C\xf4te,x,,,,\n".encode("latin-1"))
+        with pytest.raises(CsvFormatError, match=r"^\S*pred\.csv: 'utf-8' codec can't decode"):
+            import_csv(path)
+
+    def test_leading_byte_order_mark_skipped(self, tmp_path):
+        plain = import_csv(GOLD_CSV)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + GOLD_CSV.read_bytes())
+        assert import_csv(bom) == plain
+        text = GOLD_CSV.read_text(encoding="utf-8")
+        assert import_csv(io.StringIO("\ufeff" + text)) == plain
+        with pytest.raises(CsvFormatError, match="missing header"):
+            import_csv(io.StringIO("\ufeff"))
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "\ufeff\ufeff" + CSV_HEADER + "\n",
+            "\n\ufeff" + CSV_HEADER + "\n",
+            CSV_HEADER.replace(",year", ",\ufeffyear") + "\n",
+            CSV_HEADER + "\ufeff\n",
+        ],
+    )
+    def test_byte_order_mark_elsewhere_rejected(self, content, tmp_path):
+        with pytest.raises(CsvFormatError, match="bad header"):
+            import_csv(io.StringIO(content))
+        path = tmp_path / "gold.csv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="bad header"):
+            import_csv(path)
 
 
 WORDS = ("elephant", "pangolin", "leopard", None)
