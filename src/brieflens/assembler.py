@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .corpus import ReportDocument, SentenceSpan
 from .lexicon import ANIMAL, COUNTRY, PRODUCT
@@ -74,11 +74,11 @@ _HEURISTIC_KEYS = tuple(f.name for f in fields(HeuristicConfig))
 def load_heuristics(path: str | Path) -> HeuristicConfig:
     """Read a key=value heuristics file.
 
-    Text that is not UTF-8, unknown keys and negative values raise
-    ``ValueError`` naming the file.
+    The file may start with one byte-order mark.  Text that is not UTF-8,
+    unknown keys and negative values raise ``ValueError`` naming the file.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     values: dict[str, int] = {}
@@ -152,23 +152,6 @@ def _interval_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return 0
 
 
-def _spans_within(
-    ranges: Sequence[tuple[int, int]], spans: Sequence[EntitySpan]
-) -> list[list[EntitySpan]]:
-    # The spans lying inside each half-open range, found in one walk: the
-    # ranges are disjoint and both sequences are sorted by offset.
-    groups: list[list[EntitySpan]] = []
-    k = 0
-    for start, end in ranges:
-        group: list[EntitySpan] = []
-        while k < len(spans) and spans[k].start_char < end:
-            if start <= spans[k].start_char and spans[k].end_char <= end:
-                group.append(spans[k])
-            k += 1
-        groups.append(group)
-    return groups
-
-
 def assemble(
     doc: ReportDocument,
     spans: Iterable[EntitySpan],
@@ -176,63 +159,66 @@ def assemble(
 ) -> list[TraffickingEvent]:
     """Turn annotated spans into events, sentence order then left to right.
 
-    ``spans`` are spans of ``doc``'s sentences, each carrying its token range
-    within its sentence (see :class:`EntitySpan`).
+    ``spans`` are spans of ``doc``'s sentences sorted by offset, as
+    ``merge_spans`` returns them, each carrying its token range within its
+    sentence (see :class:`EntitySpan`).
     """
-    all_spans = sorted(spans, key=lambda s: (s.start_char, s.end_char))
-    # paragraph fallback for country attribution
-    paragraph_countries = [
-        next((s.canonical for s in group if s.label == COUNTRY), None)
-        for group in _spans_within(doc.paragraphs, all_spans)
-    ]
-    by_sentence = _spans_within([(s.start_char, s.end_char) for s in doc.sentences], all_spans)
+    by_sentence: list[list[EntitySpan]] = [[] for _ in doc.sentences]
+    si = 0
+    for span in spans:
+        while doc.sentences[si].end_char <= span.start_char:
+            si += 1
+        by_sentence[si].append(span)
 
     events: list[TraffickingEvent] = []
-    pi = 0
-    for si, (sentence, sentence_spans) in enumerate(zip(doc.sentences, by_sentence)):
-        # every sentence lies inside one paragraph
-        while doc.paragraphs[pi][1] <= sentence.start_char:
-            pi += 1
-        animals = [s for s in sentence_spans if s.label == ANIMAL]
-        products = [s for s in sentence_spans if s.label == PRODUCT]
-        cardinals = [s for s in sentence_spans if s.label == CARDINAL]
-        weights = [s for s in sentence_spans if s.label == WEIGHT]
-        countries = [s for s in sentence_spans if s.label == COUNTRY]
-
-        if not animals and not products and not has_arrest_lexeme(sentence):
-            continue
-
-        shells = _build_shells(animals, products, config.pair_window)
-        if not shells:
-            shells = [_Shell()]
-
-        unconsumed = _attach_quantities(shells, cardinals, config.quantity_window)
-        _attach_weights(shells, weights)
-        _attach_countries(shells, countries)
-
-        arrest = detect_arrest_count(
-            sentence,
-            unconsumed,
-            window=config.arrest_window,
-            default=config.arrest_default,
+    for first, end in doc.paragraphs:
+        # paragraph fallback for country attribution
+        paragraph_country = next(
+            (s.canonical for group in by_sentence[first:end] for s in group if s.label == COUNTRY),
+            None,
         )
+        for si in range(first, end):
+            sentence, sentence_spans = doc.sentences[si], by_sentence[si]
+            animals = [s for s in sentence_spans if s.label == ANIMAL]
+            products = [s for s in sentence_spans if s.label == PRODUCT]
+            cardinals = [s for s in sentence_spans if s.label == CARDINAL]
+            weights = [s for s in sentence_spans if s.label == WEIGHT]
+            countries = [s for s in sentence_spans if s.label == COUNTRY]
 
-        paragraph_fallback = None if countries else paragraph_countries[pi]
-        for shell in shells:
-            events.append(
-                TraffickingEvent(
-                    report_id=doc.report_id,
-                    year=doc.year,
-                    month=doc.month,
-                    country=shell.country or paragraph_fallback,
-                    species=shell.species_span.canonical if shell.species_span else None,
-                    product=shell.product_span.canonical if shell.product_span else None,
-                    quantity=shell.quantity,
-                    weight_kg=shell.weight_kg,
-                    arrest_count=arrest,
-                    sentence_index=si,
-                )
+            if not animals and not products and not has_arrest_lexeme(sentence):
+                continue
+
+            shells = _build_shells(animals, products, config.pair_window)
+            if not shells:
+                shells = [_Shell()]
+
+            unconsumed = _attach_quantities(shells, cardinals, config.quantity_window)
+            _attach_weights(shells, weights)
+            _attach_countries(shells, countries)
+
+            arrest = detect_arrest_count(
+                sentence,
+                unconsumed,
+                window=config.arrest_window,
+                default=config.arrest_default,
             )
+
+            fallback = None if countries else paragraph_country
+            for shell in shells:
+                events.append(
+                    TraffickingEvent(
+                        report_id=doc.report_id,
+                        year=doc.year,
+                        month=doc.month,
+                        country=shell.country or fallback,
+                        species=shell.species_span.canonical if shell.species_span else None,
+                        product=shell.product_span.canonical if shell.product_span else None,
+                        quantity=shell.quantity,
+                        weight_kg=shell.weight_kg,
+                        arrest_count=arrest,
+                        sentence_index=si,
+                    )
+                )
     return events
 
 

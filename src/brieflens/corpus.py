@@ -1,11 +1,15 @@
 """Loading and segmenting monthly enforcement briefs.
 
 A brief arrives as a plain UTF-8 text file named ``<source>-<YYYY>-<MM>.txt``.
-This module turns such a file into a :class:`ReportDocument`: paragraphs are
-maximal runs of non-empty lines, each paragraph is tokenized once, and its
-token list is cut into sentences after period/exclamation/question tokens
-by a rule that an abbreviation list can veto, so every sentence carries its
-own offset-stable tokens.
+This module turns such a file into a :class:`ReportDocument`.  The text is
+tokenized once, and :func:`segment_sentences` cuts the token list into
+sentences at every blank line and after period/exclamation/question tokens,
+by a rule that an abbreviation list can veto; every sentence carries its own
+offset-stable tokens.  A paragraph is a maximal run of sentences with no
+blank line between them, kept as a range of sentence indices.  A blank line
+is a whole line, as ``str.splitlines`` counts lines, holding only whitespace.
+Abbreviations are matched against the whole text, so an entry that holds a
+line break can reach back across one.
 
 Offsets are always relative to the raw document text, so any span produced
 downstream can be sliced back out of ``raw_text`` unchanged.
@@ -83,8 +87,8 @@ class SentenceSpan:
 class ReportDocument:
     """A fully segmented brief.
 
-    ``paragraphs`` holds half-open character ranges; every sentence lies
-    inside exactly one paragraph.
+    ``paragraphs`` holds the half-open range of sentence indices of each
+    paragraph, in order; together they cover every sentence exactly once.
     """
 
     report_id: str
@@ -95,23 +99,12 @@ class ReportDocument:
     paragraphs: tuple[tuple[int, int], ...]
 
 
-def tokenize(text: str, offset: int = 0) -> list[Token]:
-    """Split ``text`` into offset-stable tokens.
-
-    Offsets are shifted by ``offset`` so callers can tokenize a slice of a
-    larger document and keep document-relative positions.
-    """
+def tokenize(text: str) -> list[Token]:
+    """Split ``text`` into offset-stable tokens."""
     tokens: list[Token] = []
     for m in TOKEN_RE.finditer(text):
         piece = m.group()
-        tokens.append(
-            Token(
-                start_char=offset + m.start(),
-                end_char=offset + m.end(),
-                text=piece,
-                lower=piece.casefold(),
-            )
-        )
+        tokens.append(Token(m.start(), m.end(), piece, piece.casefold()))
     return tokens
 
 
@@ -130,35 +123,44 @@ def _matches_abbreviation(text: str, period_index: int, abbreviations: Iterable[
     return False
 
 
+def _blank_line_between(text: str, end: int, start: int) -> bool:
+    # True when a whole line, as str.splitlines counts lines, lies in the
+    # whitespace gap between a token ending at ``end`` and the next token
+    # starting at ``start``: then the slice through that token's first
+    # character spans more than two lines.
+    return start - end > 1 and len(text[end : start + 1].splitlines()) > 2
+
+
 def segment_sentences(
     text: str,
     abbreviations: Iterable[str] = DEFAULT_ABBREVIATIONS,
-    offset: int = 0,
 ) -> list[SentenceSpan]:
     """Split ``text`` into sentences cut from its tokens.
 
-    ``text`` is tokenized once and the token list is cut after every '.',
-    '!' or '?' token that is the last token, or whose next token starts
-    after whitespace with an uppercase character.  A '.' that closes a
-    configured abbreviation does not end the sentence.  Every token lands
-    in exactly one sentence; tokens after the last terminator still become
-    a sentence.
+    ``text`` is tokenized once and the token list is cut at every blank
+    line, and after every '.', '!' or '?' token that is the last token, or
+    whose next token starts after whitespace with an uppercase character.
+    A '.' that closes a configured abbreviation does not end the sentence.
+    Every token lands in exactly one sentence; tokens after the last
+    terminator still become a sentence.
     """
     abbreviations = tuple(abbreviations)
-    tokens = tokenize(text, offset)
+    tokens = tokenize(text)
     cuts = [0]
     for i, tok in enumerate(tokens):
+        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+        if nxt is not None and _blank_line_between(text, tok.end_char, nxt.start_char):
+            cuts.append(i + 1)
+            continue
         if tok.text not in _TERMINATORS:
             continue
         # Tokens cover every non-whitespace character, and the regex's \s
         # agrees with str.isspace() on every code point, so a gap between two
         # tokens is exactly a run of whitespace: this is the rule "followed by
         # whitespace and an uppercase letter, or by the end of the text".
-        if i + 1 < len(tokens):
-            nxt = tokens[i + 1]
-            if nxt.start_char == tok.end_char or not nxt.text[0].isupper():
-                continue
-        if tok.text == "." and _matches_abbreviation(text, tok.start_char - offset, abbreviations):
+        if nxt is not None and (nxt.start_char == tok.end_char or not nxt.text[0].isupper()):
+            continue
+        if tok.text == "." and _matches_abbreviation(text, tok.start_char, abbreviations):
             continue
         cuts.append(i + 1)
     if cuts[-1] < len(tokens):
@@ -167,29 +169,6 @@ def segment_sentences(
         SentenceSpan(tokens[a].start_char, tokens[b - 1].end_char, tuple(tokens[a:b]))
         for a, b in zip(cuts, cuts[1:])
     ]
-
-
-def _find_paragraphs(text: str) -> list[tuple[int, int]]:
-    # A paragraph is a maximal run of non-blank lines; blank means empty or
-    # whitespace-only.  The range covers the first through last line content.
-    paragraphs: list[tuple[int, int]] = []
-    pos = 0
-    current_start: int | None = None
-    current_end = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.rstrip("\r\n")
-        if stripped.strip():
-            if current_start is None:
-                current_start = pos
-            current_end = pos + len(stripped)
-        else:
-            if current_start is not None:
-                paragraphs.append((current_start, current_end))
-                current_start = None
-        pos += len(line)
-    if current_start is not None:
-        paragraphs.append((current_start, current_end))
-    return paragraphs
 
 
 def document_from_text(
@@ -201,21 +180,21 @@ def document_from_text(
 ) -> ReportDocument:
     """Build a :class:`ReportDocument` from already-decoded text.
 
-    Sentences are segmented per paragraph, so no sentence ever crosses a
-    paragraph break.
+    The text is segmented once; a paragraph is a maximal run of sentences
+    with no blank line between them.
     """
-    abbreviations = tuple(abbreviations)
-    paragraphs = _find_paragraphs(text)
-    sentences: list[SentenceSpan] = []
-    for start, end in paragraphs:
-        sentences.extend(segment_sentences(text[start:end], abbreviations, offset=start))
+    sentences = segment_sentences(text, abbreviations)
+    starts = [0] + [
+        i for i in range(1, len(sentences))
+        if _blank_line_between(text, sentences[i - 1].end_char, sentences[i].start_char)
+    ]
     return ReportDocument(
         report_id=report_id,
         year=year,
         month=month,
         raw_text=text,
         sentences=tuple(sentences),
-        paragraphs=tuple(paragraphs),
+        paragraphs=tuple(zip(starts, starts[1:] + [len(sentences)])) if sentences else (),
     )
 
 
@@ -223,10 +202,11 @@ def load_abbreviations(path: str | Path) -> tuple[str, ...]:
     """Read one abbreviation per line; '#' comments and blank lines skipped.
 
     A missing trailing period is added, since matching is anchored at the
-    sentence terminator.  Text that is not UTF-8 raises ``ValueError``.
+    sentence terminator.  The file may start with one byte-order mark; text
+    that is not UTF-8 raises ``ValueError``.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     items: list[str] = []

@@ -129,15 +129,16 @@ def merge_spans(
 ) -> list[EntitySpan]:
     """Union lexical and numeric spans; on overlap the lexical span wins.
 
-    Both inputs must individually be free of overlaps.  The result is sorted
-    by start offset and non-overlapping.  One merge of the two sorted lists:
-    a numeric span can only overlap the first lexical span that ends after
+    Each input must be sorted by offset and free of overlaps, as
+    ``find_entities`` and ``numeric_spans`` return them.  The result is
+    sorted and non-overlapping.  One merge of the two sorted lists: a
+    numeric span can only overlap the first lexical span that ends after
     the numeric span starts.
     """
-    kept = sorted(lexical, key=_offsets)
+    kept = list(lexical)
     merged: list[EntitySpan] = []
     i = 0
-    for span in sorted(numeric, key=_offsets):
+    for span in numeric:
         while i < len(kept) and kept[i].end_char <= span.start_char:
             merged.append(kept[i])
             i += 1
@@ -145,7 +146,3 @@ def merge_spans(
             merged.append(span)
     merged.extend(kept[i:])
     return merged
-
-
-def _offsets(span: EntitySpan) -> tuple[int, int]:
-    return span.start_char, span.end_char

@@ -30,6 +30,7 @@ import csv
 import hashlib
 import io
 import itertools
+import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -427,13 +428,23 @@ class EventStore:
             yield text
 
     def export_csv(self, dest: str | Path | TextIO) -> int:
-        """Write the interchange CSV; returns the number of data rows."""
+        """Write the interchange CSV; returns the number of data rows.
+
+        A path is written only when the whole export succeeds: the rows go
+        to a temporary file beside it, which then replaces it.
+        """
         with self._sqlite_errors():
             if hasattr(dest, "write"):
                 dest.writelines(self._csv_chunks())
             else:
-                with open(dest, "w", encoding="utf-8", newline="") as handle:
-                    handle.writelines(self._csv_chunks())
+                partial = Path(f"{dest}.{os.getpid()}.tmp")
+                try:
+                    with open(partial, "w", encoding="utf-8", newline="") as handle:
+                        handle.writelines(self._csv_chunks())
+                    os.replace(partial, dest)
+                except BaseException:
+                    partial.unlink(missing_ok=True)
+                    raise
             row = self._conn.execute(
                 "SELECT events FROM tallies"
                 " WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0"

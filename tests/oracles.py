@@ -2,9 +2,10 @@
 
 Everything in this module is written from the documented contracts alone,
 deliberately using the dumbest correct algorithm available: the sentence
-segmenter walks the text one character at a time, the phrase matcher
-oracle tries every surface at every position and resolves overlaps with an
-explicit sweep, the span merger tests every numeric span against every
+segmenter walks the text one character at a time, the paragraph
+reference finds paragraphs by their lines before it segments each one,
+the phrase matcher oracle tries every surface at every position and
+resolves overlaps with an explicit sweep, the span merger tests every numeric span against every
 lexical span, the arrest counter re-reads every number of the sentence
 instead of taking the assembler's cardinals, the event matcher tests
 every predicted event against every gold event with a pairwise predicate,
@@ -16,6 +17,7 @@ they check.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from decimal import Decimal
 from typing import Iterable, Sequence
 
@@ -56,32 +58,87 @@ def _ends_sentence(text: str, i: int, abbreviations: tuple[str, ...]) -> bool:
     return not (text[i] == "." and _closes_abbreviation(text, i, abbreviations))
 
 
-def naive_segment_sentences(
-    text: str, abbreviations: Iterable[str], offset: int = 0
-) -> list[SentenceSpan]:
+def naive_segment_sentences(text: str, abbreviations: Iterable[str]) -> list[SentenceSpan]:
     """Character-by-character segmenter, tokenizing each sentence slice.
 
     A '.', '!' or '?' ends a sentence when followed by whitespace and an
     uppercase letter, or by nothing but whitespace, unless the '.' closes
-    an abbreviation; a trailing chunk without a terminator is a sentence.
+    an abbreviation; a whitespace-only line of ``str.splitlines`` ends the
+    open sentence; a trailing chunk without a terminator is a sentence.
     """
     abbreviations = tuple(abbreviations)
     bounds: list[tuple[int, int]] = []
     start = None
-    for i, ch in enumerate(text):
-        if start is None:
+    last = 0  # one past the open sentence's last non-space character
+    pos = 0
+    for line in text.splitlines(keepends=True):
+        if not line.strip() and start is not None:
+            bounds.append((start, last))
+            start = None
+        for i in range(pos, pos + len(line)):
+            ch = text[i]
             if ch.isspace():
                 continue
-            start = i
-        if ch in ".!?" and _ends_sentence(text, i, abbreviations):
-            bounds.append((start, i + 1))
-            start = None
+            if start is None:
+                start = i
+            last = i + 1
+            if ch in ".!?" and _ends_sentence(text, i, abbreviations):
+                bounds.append((start, i + 1))
+                start = None
+        pos += len(line)
     if start is not None:
-        bounds.append((start, len(text.rstrip())))
-    return [
-        SentenceSpan(offset + a, offset + b, tuple(tokenize(text[a:b], offset + a)))
-        for a, b in bounds
-    ]
+        bounds.append((start, last))
+    return [SentenceSpan(a, b, _shifted(tokenize(text[a:b]), a)) for a, b in bounds]
+
+
+def _shifted(tokens: Iterable[Token], offset: int) -> tuple[Token, ...]:
+    return tuple(
+        replace(tok, start_char=tok.start_char + offset, end_char=tok.end_char + offset)
+        for tok in tokens
+    )
+
+
+def _find_paragraphs(text: str) -> list[tuple[int, int]]:
+    # A paragraph is a maximal run of non-blank lines; blank means empty or
+    # whitespace-only.  The range covers the first through last line content.
+    paragraphs: list[tuple[int, int]] = []
+    pos = 0
+    current_start: int | None = None
+    current_end = 0
+    for line in text.splitlines(keepends=True):
+        stripped = line.rstrip("\r\n")
+        if stripped.strip():
+            if current_start is None:
+                current_start = pos
+            current_end = pos + len(stripped)
+        else:
+            if current_start is not None:
+                paragraphs.append((current_start, current_end))
+                current_start = None
+        pos += len(line)
+    if current_start is not None:
+        paragraphs.append((current_start, current_end))
+    return paragraphs
+
+
+def paragraph_document_from_text(
+    text: str, abbreviations: Iterable[str]
+) -> tuple[list[SentenceSpan], list[tuple[int, int]]]:
+    """Find the paragraphs by their lines first, then segment each one apart.
+
+    Returns the sentences and each paragraph's half-open range of sentence
+    indices.  Abbreviations are matched inside a paragraph only.
+    """
+    sentences: list[SentenceSpan] = []
+    paragraphs: list[tuple[int, int]] = []
+    for start, end in _find_paragraphs(text):
+        first = len(sentences)
+        sentences.extend(
+            SentenceSpan(s.start_char + start, s.end_char + start, _shifted(s.tokens, start))
+            for s in naive_segment_sentences(text[start:end], abbreviations)
+        )
+        paragraphs.append((first, len(sentences)))
+    return sentences, paragraphs
 
 
 def tokenized_phrase_table(lexicon: Lexicon) -> dict[tuple[str, ...], tuple[str, str]]:

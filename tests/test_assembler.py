@@ -416,6 +416,23 @@ class TestHeuristicsFile:
         with pytest.raises(ValueError, match="h.cfg:1"):
             load_heuristics(path)
 
+    def test_byte_order_mark_at_the_start(self, tmp_path):
+        plain = DATA_DIR / "heuristics.cfg"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_heuristics(bom) == load_heuristics(plain)
+        bom.write_bytes(b"\xef\xbb\xbfquantity_window=2\n")
+        assert load_heuristics(bom) == HeuristicConfig(quantity_window=2)
+
+    @pytest.mark.parametrize(
+        "text", ["pair_window=4\n\ufeffquantity_window=1\n", "pair_window=\ufeff4\n"]
+    )
+    def test_byte_order_mark_elsewhere_rejected(self, tmp_path, text):
+        path = tmp_path / "h.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="h.cfg"):
+            load_heuristics(path)
+
     def test_shipped_template_equals_defaults(self):
         assert load_heuristics(DATA_DIR / "heuristics.cfg") == HeuristicConfig()
 

@@ -439,6 +439,22 @@ class TestBadInputs:
         assert code == 1 and one_error(err, "damaged.db"), err
         assert "malformed" in err
 
+    @pytest.mark.parametrize("earlier", [b"earlier export\n", None])
+    def test_failed_export_leaves_no_file_behind(self, earlier, extracted, tmp_path, capsys):
+        # the damaged store opens, and the export fails after its header
+        damaged = tmp_path / "damaged.db"
+        shutil.copy(extracted, damaged)
+        damage_table(damaged, "reports")
+        out = tmp_path / "o.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        before = sorted(tmp_path.iterdir())
+        code, _, err = run(capsys, "export", out, "--store", damaged)
+        assert code == 1 and one_error(err, "damaged.db"), err
+        assert sorted(tmp_path.iterdir()) == before
+        if earlier is not None:
+            assert out.read_bytes() == earlier
+
 
 class TestByteOrderMark:
     """CSV inputs saved by spreadsheets start with a byte-order mark."""

@@ -23,7 +23,7 @@ from brieflens.pipeline import extract_document
 from brieflens.resources import DATA_DIR
 from brieflens.store import EventStore
 
-from oracles import naive_segment_sentences
+from oracles import naive_segment_sentences, paragraph_document_from_text
 
 
 def texts_of(tokens):
@@ -49,10 +49,6 @@ class TestTokenize:
     def test_lower_is_casefolded(self):
         tokens = tokenize("Gabon SEIZED")
         assert [t.lower for t in tokens] == ["gabon", "seized"]
-
-    def test_offset_shift(self):
-        tokens = tokenize("kg", offset=10)
-        assert (tokens[0].start_char, tokens[0].end_char) == (10, 12)
 
     def test_empty_text(self):
         assert tokenize("") == []
@@ -107,6 +103,22 @@ class TestSegmentation:
         assert len(segment_sentences(text, abbreviations=())) == 2
         assert len(segment_sentences(text, abbreviations=("Approx.",))) == 1
 
+    def test_blank_line_ends_sentence(self):
+        text = "In Gabon two tusks were seized\n\nRangers in Togo arrested 3 men."
+        spans = segment_sentences(text)
+        assert [text[s.start_char : s.end_char] for s in spans] == [
+            "In Gabon two tusks were seized",
+            "Rangers in Togo arrested 3 men.",
+        ]
+
+    @pytest.mark.parametrize(
+        "gap,count",
+        [("\n\n", 2), ("\r\n \r\n", 2), ("\n\t\x0b", 2), ("\x85\u2028", 2), ("\r\r", 2),
+         ("\r\n", 1), (" \n ", 1), ("\x1c\t", 1), ("\x1f\x1f", 1)],
+    )
+    def test_a_whole_blank_line_ends_sentence(self, gap, count):
+        assert len(segment_sentences(f"Mr.{gap}lower case")) == count
+
 
 class TestDocument:
     def test_sentences_ordered_and_in_bounds(self, make_doc):
@@ -120,26 +132,37 @@ class TestDocument:
 
     def test_paragraphs_split_on_blank_lines(self, make_doc):
         doc = make_doc("Alpha beta.\nGamma delta.\n\nNew paragraph here.\n")
-        assert len(doc.paragraphs) == 2
         assert len(doc.sentences) == 3
-        containing = [
-            [i for i, (start, end) in enumerate(doc.paragraphs)
-             if start <= s.start_char and s.end_char <= end]
-            for s in doc.sentences
-        ]
-        assert containing == [[0], [0], [1]]
+        assert doc.paragraphs == ((0, 2), (2, 3))
 
     def test_sentences_never_cross_paragraphs(self, make_doc):
         # no terminator before the blank line: the break still ends the sentence
         doc = make_doc("dangling start\n\nSecond paragraph.")
-        assert len(doc.sentences) == 2
-        para0 = doc.paragraphs[0]
-        assert doc.sentences[0].end_char <= para0[1]
+        assert [doc.raw_text[s.start_char : s.end_char] for s in doc.sentences] == [
+            "dangling start",
+            "Second paragraph.",
+        ]
+        assert doc.paragraphs == ((0, 1), (1, 2))
 
     def test_single_newline_keeps_paragraph(self, make_doc):
         doc = make_doc("Senegal operations continued.\nTwo leopard skins were seized.\n")
-        assert len(doc.paragraphs) == 1
         assert len(doc.sentences) == 2
+        assert doc.paragraphs == ((0, 2),)
+
+    @pytest.mark.parametrize("text", ["", " \n\n\t", "\u2028"])
+    def test_no_text_no_paragraphs(self, make_doc, text):
+        doc = make_doc(text)
+        assert doc.sentences == () and doc.paragraphs == ()
+
+    def test_abbreviation_with_a_line_break_reaches_across_it(self):
+        # abbreviations are matched against the whole text, so this one
+        # keeps "x." from ending a sentence, while the blank line still does
+        doc = document_from_text("t-2021-01", 2021, 1, "Alpha.\n\nx. Beta", ("\nx.",))
+        assert [doc.raw_text[s.start_char : s.end_char] for s in doc.sentences] == [
+            "Alpha.",
+            "x. Beta",
+        ]
+        assert doc.paragraphs == ((0, 1), (1, 2))
 
     def test_token_slices_reconstruct(self, make_doc):
         text = "In Gabon, three traffickers were arrested."
@@ -190,6 +213,17 @@ class TestAbbreviationFile:
         path.write_text("# comment\nMr.\n\nApprox\n", encoding="utf-8")
         assert load_abbreviations(path) == ("Mr.", "Approx.")
 
+    def test_byte_order_mark_at_the_start(self, tmp_path):
+        plain = DATA_DIR / "abbreviations.txt"
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_abbreviations(bom) == load_abbreviations(plain)
+
+    def test_byte_order_mark_elsewhere_is_kept(self, tmp_path):
+        path = tmp_path / "abbr.txt"
+        path.write_bytes("\ufeffMr.\n\ufeffDr.\nNo\ufeff.\n".encode("utf-8-sig"))
+        assert load_abbreviations(path) == ("\ufeffMr.", "\ufeffDr.", "No\ufeff.")
+
     def test_defaults_are_period_terminated(self):
         assert all(a.endswith(".") for a in DEFAULT_ABBREVIATIONS)
 
@@ -229,15 +263,15 @@ _ABBREVIATION_LISTS = st.one_of(
 )
 
 
-@given(
-    st.lists(_SEGMENT_PIECES, max_size=30).map("".join),
-    _ABBREVIATION_LISTS,
-    st.integers(min_value=0, max_value=10_000),
-)
-def test_segmentation_matches_the_character_oracle(text, abbreviations, offset):
-    assert segment_sentences(text, abbreviations, offset) == naive_segment_sentences(
-        text, abbreviations, offset
-    )
+@given(st.lists(_SEGMENT_PIECES, max_size=30).map("".join), _ABBREVIATION_LISTS)
+def test_segmentation_matches_the_character_oracle(text, abbreviations):
+    assert segment_sentences(text, abbreviations) == naive_segment_sentences(text, abbreviations)
+
+
+@given(st.lists(_SEGMENT_PIECES, max_size=30).map("".join), _ABBREVIATION_LISTS)
+def test_library_and_document_segment_alike(text, abbreviations):
+    doc = document_from_text("fuzz-2021-01", 2021, 1, text, abbreviations)
+    assert tuple(segment_sentences(text, abbreviations)) == doc.sentences
 
 
 @given(
@@ -267,8 +301,35 @@ _DOC_PIECES = st.one_of(
         ]
     ),
 )
-# str.splitlines, which finds the paragraphs, breaks lines at \r, \x0b, \x0c,
-# \x1c and \x85 as well as at \n
+# every line boundary of str.splitlines, which decides what a blank line is
+_LINE_BREAKS = (
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
+
+
+def test_line_breaks_are_every_splitlines_boundary():
+    single = [chr(cp) for cp in range(sys.maxunicode + 1) if len(f"a{chr(cp)}b".splitlines()) == 2]
+    assert sorted(single + ["\r\n"]) == sorted(_LINE_BREAKS)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            _DOC_PIECES,
+            st.lists(st.sampled_from(_LINE_BREAKS + (" ", "\t", ". ")), max_size=4).map("".join),
+        ),
+        max_size=30,
+    ),
+    _ABBREVIATION_LISTS.map(lambda abbrs: tuple(a for a in abbrs if a.splitlines() == [a])),
+)
+def test_document_matches_the_per_paragraph_reference(parts, abbreviations):
+    text = "".join(piece + separator for piece, separator in parts)
+    sentences, paragraphs = paragraph_document_from_text(text, abbreviations)
+    doc = document_from_text("fuzz-2021-01", 2021, 1, text, abbreviations)
+    assert doc.sentences == tuple(sentences)
+    assert doc.paragraphs == tuple(paragraphs)
+
+
 _DOC_SEPARATORS = st.sampled_from(
     ["\r\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x85", " ", ". ",
      "\n\n", "\r\n\r\n", "\n \t\n", "\r\r"]
@@ -282,11 +343,11 @@ def test_document_invariants_on_arbitrary_text(shipped_matcher, parts):
     for sentence in doc.sentences:
         for token in sentence.tokens:
             assert text[token.start_char : token.end_char] == token.text
-        inside = [
-            (start, end) for start, end in doc.paragraphs
-            if start <= sentence.start_char and sentence.end_char <= end
-        ]
-        assert len(inside) == 1
+    # the paragraphs are non-empty and cover the sentences in order
+    bounds = [0] + [end for _, end in doc.paragraphs]
+    assert [first for first, _ in doc.paragraphs] == bounds[:-1]
+    assert bounds[-1] == len(doc.sentences)
+    assert all(first < end for first, end in doc.paragraphs)
     events = extract_document(doc, shipped_matcher)
     with EventStore() as store:
         store.register_report(doc.report_id, doc.year, doc.month)
