@@ -12,6 +12,7 @@ import argparse
 import functools
 import logging
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .assembler import HeuristicConfig, load_heuristics
@@ -170,11 +171,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise _UsageError("give exactly one of --pred or --store")
     gold = import_csv(args.gold)
     if args.pred is not None:
-        predicted = import_csv(args.pred)
+        # a stable sort brings each report's rows together, in file order
+        predicted = sorted(import_csv(args.pred), key=attrgetter("report_id"))
+        results = evaluate_corpus(predicted, gold)
     else:
-        with EventStore(args.store) as store:
-            predicted = store.events()
-    report = compute_report(evaluate_corpus(predicted, gold))
+        # one report at a time, in key order, from one state of the store
+        with EventStore(args.store) as store, store.snapshot():
+            results = evaluate_corpus(
+                (e for report_id in store.report_ids() for e in store.events(report_id)), gold
+            )
+    report = compute_report(results)
     print(report.counts_line())
     print(f"detection_rate={report.detection_rate:.4f}")
     args.out.mkdir(parents=True, exist_ok=True)

@@ -18,9 +18,11 @@ gold events that were matched at all.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .assembler import TraffickingEvent
@@ -72,6 +74,11 @@ def _identity_keys(event: TraffickingEvent) -> list[tuple[str, object]]:
     return [key for key in keys if key[1] is not None]
 
 
+def _exact_key(event: TraffickingEvent) -> tuple:
+    """The compared fields other than the weight, which compare exactly."""
+    return (event.arrest_count, event.country, event.product, event.species, event.quantity)
+
+
 def pair_score(predicted: TraffickingEvent, gold: TraffickingEvent) -> int:
     """Number of agreeing fields among the six compared ones."""
     return sum(
@@ -103,19 +110,42 @@ def match_events(
         raise ValueError(f"match_events got events from several reports: {sorted(report_ids)}")
     report_id = report_ids.pop() if report_ids else ""
 
+    matched_pred: dict[int, int] = {}
+    matched_gold: set[int] = set()
+    # A pair agreeing on all six fields scores the maximum, so the greedy
+    # takes those pairs first: each prediction in index order takes its
+    # lowest free gold index.  Gold is bucketed by the five fields compared
+    # exactly; the weight is checked within the tolerance.
+    exact: dict[tuple, list[int]] = {}
+    for gi, g in enumerate(gold):
+        exact.setdefault(_exact_key(g), []).append(gi)
+    pred_keys = [_identity_keys(p) for p in predicted]
+    for pi, p in enumerate(predicted):
+        bucket = exact.get(_exact_key(p))
+        if not bucket or not pred_keys[pi]:  # an event without identity is never eligible
+            continue
+        for j, gi in enumerate(bucket):
+            if field_agree(p.weight_kg, gold[gi].weight_kg):
+                matched_pred[pi] = gi
+                matched_gold.add(gi)
+                del bucket[j]
+                break
+
+    # the rest score below six, through the identity keys
     gold_by_key: dict[tuple[str, object], list[int]] = {}
     for gi, g in enumerate(gold):
-        for key in _identity_keys(g):
-            gold_by_key.setdefault(key, []).append(gi)
+        if gi not in matched_gold:
+            for key in _identity_keys(g):
+                gold_by_key.setdefault(key, []).append(gi)
     candidates: list[tuple[int, int, int]] = []  # (-score, pred idx, gold idx)
     for pi, p in enumerate(predicted):
+        if pi in matched_pred:
+            continue
         # a set, so a gold event sharing both species and product is scored once
-        reached = {gi for key in _identity_keys(p) for gi in gold_by_key.get(key, ())}
+        reached = {gi for key in pred_keys[pi] for gi in gold_by_key.get(key, ())}
         candidates.extend((-pair_score(p, gold[gi]), pi, gi) for gi in reached)
     candidates.sort()
 
-    matched_pred: dict[int, int] = {}
-    matched_gold: set[int] = set()
     for _, pi, gi in candidates:
         if pi in matched_pred or gi in matched_gold:
             continue
@@ -154,18 +184,31 @@ def evaluate_corpus(
     predicted: Iterable[TraffickingEvent],
     gold: Iterable[TraffickingEvent],
 ) -> list[MatchResult]:
-    """Group both sides by report id and match report by report."""
-    by_report_pred: dict[str, list[TraffickingEvent]] = {}
+    """Match report by report; one result per report, sorted by report id.
+
+    Gold may come in any order: it is read once and grouped by report.
+    ``predicted`` is read once, and each report's predictions must arrive
+    together, as the store and every export yield them: a report is
+    matched as soon as its run ends, so the predictions are never all held
+    at once.  A report id that comes back after another report's run
+    raises ``ValueError``.  Reports with gold and no predictions get a
+    result too.
+    """
     by_report_gold: dict[str, list[TraffickingEvent]] = {}
-    for e in predicted:
-        by_report_pred.setdefault(e.report_id, []).append(e)
     for e in gold:
         by_report_gold.setdefault(e.report_id, []).append(e)
     results = []
-    for report_id in sorted(by_report_pred.keys() | by_report_gold.keys()):
-        results.append(
-            match_events(by_report_pred.get(report_id, []), by_report_gold.get(report_id, []))
-        )
+    seen: set[str] = set()
+    for report_id, run in itertools.groupby(predicted, key=attrgetter("report_id")):
+        if report_id in seen:
+            raise ValueError(
+                f"predictions of report {report_id!r} come after another report's;"
+                " each report's predictions must arrive together"
+            )
+        seen.add(report_id)
+        results.append(match_events(list(run), by_report_gold.pop(report_id, [])))
+    results.extend(match_events([], events) for events in by_report_gold.values())
+    results.sort(key=attrgetter("report_id"))
     return results
 
 

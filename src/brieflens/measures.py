@@ -16,7 +16,10 @@ without spaces ("12.5 kg"): the tokenizer splits it into "12", "." and
 becomes a cardinal of its own.  The unit may also be glued to the last
 digits ("513kg", "12.5kg", "1,200kg"), which the tokenizer keeps as one
 token: that token reads as its digits with the unit, so it is a weight
-and never a cardinal, and "0kg" is no number at all.
+and never a cardinal, and "0kg" is no number at all.  Neither is a weight
+too small for the interchange format to carry, which renders as 0 kg
+("0.0000001 kg"): it is skipped whole, and none of its pieces reads as a
+number of its own.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "MAX_NUMBER",
     "NumberMatch",
     "Weight",
+    "format_weight",
     "numeric_spans",
     "parse_number",
     "parse_weights",
@@ -89,6 +93,12 @@ class Weight:
     value_kg: float
     original_value: float
     original_unit: str
+
+
+def format_weight(kg: float) -> str:
+    """Render a weight with at most six decimals, trailing zeros trimmed."""
+    text = f"{kg:.6f}".rstrip("0").rstrip(".")
+    return text or "0"
 
 
 def _texts(tokens: Sequence[Token]) -> list[str]:
@@ -261,7 +271,12 @@ def _iter_numbers(tokens: Sequence[Token], texts: Sequence[str]) -> list[NumberM
             i = m.end + 2 if _fraction(tokens, texts, m) else m.end
             continue
         else:
-            m = _decimal_weight(tokens, texts, m) or m
+            decimal = _decimal_weight(tokens, texts, m)
+            # only a decimal can render as 0 kg: the least whole weight is 1 g
+            if decimal is not None and _renders_as_zero(texts, decimal):
+                i = decimal.end
+                continue
+            m = decimal or m
         if m is None:
             i += 1
         else:
@@ -305,6 +320,12 @@ def _weight_unit(texts: Sequence[str], m: NumberMatch) -> tuple[int, str] | None
     if m.end < len(texts) and texts[m.end] in WEIGHT_UNIT_TOKENS:
         return m.end, texts[m.end]
     return None
+
+
+def _renders_as_zero(texts: Sequence[str], m: NumberMatch) -> bool:
+    """Whether the weight ``m`` is too small for the interchange format to carry."""
+    _, unit = _weight_unit(texts, m)
+    return format_weight(_to_kg(m.value, unit)) == "0"
 
 
 def _weight(tokens: Sequence[Token], m: NumberMatch, unit: tuple[int, str]) -> EntitySpan:

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .assembler import TraffickingEvent
+from .measures import format_weight
 
 __all__ = [
     "CSV_COLUMNS",
@@ -135,12 +136,6 @@ CREATE TRIGGER tally_event_delete AFTER DELETE ON events BEGIN
         AND (year, month) = (SELECT year, month FROM reports WHERE report_id = OLD.report_id);
 END""",
 )
-
-
-def format_weight(kg: float) -> str:
-    """Render a weight with at most six decimals, trailing zeros trimmed."""
-    text = f"{kg:.6f}".rstrip("0").rstrip(".")
-    return text or "0"
 
 
 @dataclass(frozen=True)
@@ -386,23 +381,26 @@ class EventStore:
             self._refresh_csv_rows(affected)
         return len(events)
 
-    def events(self) -> list[TraffickingEvent]:
-        """All events in export order: report id, sentence index, insertion.
+    def events(self, report_id: str | None = None) -> list[TraffickingEvent]:
+        """Events in export order: report id, sentence index, insertion.
 
-        Equal string values share one object, since thousands of rows
-        repeat a few report ids, countries, species and products; so do
-        equal years.
+        With no argument, every event; with a report id, that report's
+        events, read through the ``events_by_report`` index.  Equal string
+        values share one object, since thousands of rows repeat a few
+        report ids, countries, species and products; so do equal years.
         """
         # years get their own int-only table: 1 == 1.0, so a table mixing
         # number types could hand a weight back as an int
         share = {}.setdefault
         share_year = {}.setdefault
+        where, params = ("", ()) if report_id is None else (" WHERE e.report_id = ?", (report_id,))
         with self._sqlite_errors():
             rows = self._conn.execute(
                 "SELECT e.report_id, r.year, r.month, e.country, e.species, e.product,"
                 " e.quantity, e.weight_kg, e.arrest_count, e.sentence_index"
-                " FROM events e JOIN reports r ON r.report_id = e.report_id"
-                " ORDER BY e.report_id, e.sentence_index, e.event_id"
+                f" FROM events e JOIN reports r ON r.report_id = e.report_id{where}"
+                " ORDER BY e.report_id, e.sentence_index, e.event_id",
+                params,
             )
             return [
                 TraffickingEvent(
@@ -420,6 +418,40 @@ class EventStore:
                 for (report_id, year, month, country, species, product,
                      quantity, weight_kg, arrest_count, sentence_index) in rows
             ]
+
+    def report_ids(self) -> list[str]:
+        """The ids of the reports that hold events, in key order.
+
+        They are read from the ``events_by_report`` index, not from
+        ``reports``, whose rows carry each report's cached CSV text.
+        """
+        with self._sqlite_errors():
+            return [
+                report_id
+                for (report_id,) in self._conn.execute(
+                    "SELECT DISTINCT report_id FROM events ORDER BY report_id"
+                )
+            ]
+
+    @contextlib.contextmanager
+    def snapshot(self) -> Iterator[None]:
+        """Run the block's reads in one read transaction.
+
+        Every read of the block sees one state of the store: from the first
+        read to the end of the block, no other connection can commit a
+        write.  Inside a ``batch`` the block already runs in that batch's
+        transaction.
+        """
+        if self._conn.in_transaction:
+            yield
+            return
+        with self._sqlite_errors():
+            self._conn.execute("BEGIN")
+        try:
+            yield
+        finally:
+            # the block only read, so there is nothing to keep
+            self._conn.rollback()
 
     def _csv_chunks(self) -> Iterator[str]:
         """The interchange CSV: the header, then each report's cached rows."""

@@ -9,6 +9,7 @@ resolves overlaps with an explicit sweep, the span merger tests every numeric sp
 lexical span, the arrest counter re-reads every number of the sentence
 instead of taking the assembler's cardinals, the event matcher tests
 every predicted event against every gold event with a pairwise predicate,
+the corpus evaluator groups both whole sides by report before matching,
 and the number speller is a plain lookup-table composition.  Keep these
 naive; their value is that they share no code with the implementations
 they check.
@@ -17,6 +18,7 @@ they check.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from decimal import Decimal
 from typing import Iterable, Sequence
@@ -32,7 +34,13 @@ from brieflens.evaluation import (
 )
 from brieflens.lexicon import Lexicon
 from brieflens.matcher import EntitySpan
-from brieflens.measures import MAX_NUMBER, WEIGHT_UNIT_TOKENS, parse_number, parse_weights
+from brieflens.measures import (
+    MAX_NUMBER,
+    WEIGHT_UNIT_TOKENS,
+    format_weight,
+    parse_number,
+    parse_weights,
+)
 
 
 def _closes_abbreviation(text: str, i: int, abbreviations: tuple[str, ...]) -> bool:
@@ -265,6 +273,34 @@ def _overflowing_run(tokens: Sequence[Token], i: int) -> int:
     return j - i
 
 
+_KG_PER_UNIT = {
+    **dict.fromkeys(("kg", "kilogram", "kilograms", "kilo", "kilos"), Decimal(1)),
+    **dict.fromkeys(("t", "ton", "tons", "tonne", "tonnes"), Decimal(1000)),
+    **dict.fromkeys(("g", "gram", "grams"), Decimal("0.001")),
+    **dict.fromkeys(("lb", "lbs", "pound", "pounds"), Decimal("0.45359237")),
+}
+
+
+def _zero_weight_run(tokens: Sequence[Token], i: int) -> int:
+    """Length of the decimal number at ``i`` if it is a weight rendering as 0 kg, else 0.
+
+    The weight is digits, a "." written against both neighbours, and
+    digits with a unit glued to them or followed by a unit token.
+    """
+    if not (tokens[i].text.isdecimal() and _between(tokens, i + 1, ".")):
+        return 0
+    fraction = re.fullmatch(r"(\d+)(.*)", tokens[i + 2].text)
+    if fraction is None:
+        return 0
+    digits, unit = fraction[1], fraction[2].lower()
+    if not unit and i + 3 < len(tokens):
+        unit = tokens[i + 3].text.lower()
+    if unit not in _KG_PER_UNIT:
+        return 0
+    kg = Decimal(f"{tokens[i].text}.{digits}") * _KG_PER_UNIT[unit]
+    return 3 if kg and format_weight(float(kg)) == "0" else 0
+
+
 def naive_arrest_count(
     sentence: SentenceSpan,
     *,
@@ -276,7 +312,8 @@ def naive_arrest_count(
 
     Candidates are the numbers ``parse_number`` reads left to right, except
     those sharing a token with a weight or with a span in ``exclude``; a
-    digit number above MAX_NUMBER is skipped whole, with its fraction.  The
+    digit number above MAX_NUMBER is skipped whole, with its fraction, and
+    so is a decimal weight that the export renders as 0 kg.  The
     nearest within ``window`` tokens of an arrest word wins, ties going to
     the leftmost; an arrest word with none in range gives ``default``, and
     a sentence without one gives None.
@@ -293,7 +330,7 @@ def naive_arrest_count(
     best = None  # (distance, first token, value)
     i = 0
     while i < len(tokens):
-        run = _overflowing_run(tokens, i)
+        run = _overflowing_run(tokens, i) or _zero_weight_run(tokens, i)
         if run:
             i += run
             continue
@@ -385,6 +422,23 @@ def naive_match_events(
         total_gold=len(gold),
         field_agreement=agreement,
     )
+
+
+def naive_evaluate_corpus(
+    predicted: Iterable[TraffickingEvent],
+    gold: Iterable[TraffickingEvent],
+) -> list[MatchResult]:
+    """Group both sides by report id in full, then match report by report."""
+    by_report_pred: dict[str, list[TraffickingEvent]] = {}
+    by_report_gold: dict[str, list[TraffickingEvent]] = {}
+    for e in predicted:
+        by_report_pred.setdefault(e.report_id, []).append(e)
+    for e in gold:
+        by_report_gold.setdefault(e.report_id, []).append(e)
+    return [
+        naive_match_events(by_report_pred.get(report_id, []), by_report_gold.get(report_id, []))
+        for report_id in sorted(by_report_pred.keys() | by_report_gold.keys())
+    ]
 
 
 _ONES = [

@@ -297,6 +297,12 @@ class TestArrestDetection:
         sentence = sentence_of("Two men were arrested with 3.5 kg of ivory")
         assert detect_arrest_count(sentence, cardinals_of(sentence), **ARREST) == 2
 
+    def test_weight_the_export_renders_as_zero_is_no_arrest_count(self):
+        sentence = sentence_of("Police arrested smugglers with 0.0000001 kg of ivory")
+        assert cardinals_of(sentence) == []
+        assert detect_arrest_count(sentence, [], **ARREST) == 1
+        assert naive_arrest_count(sentence, **ARREST) == 1
+
     def test_number_outside_window_ignored(self):
         sentence = sentence_of("Nine rangers on a routine forest patrol were ambushed and arrested")
         # "nine" sits more than five tokens from the lexeme

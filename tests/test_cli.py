@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import shutil
 import sqlite3
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brieflens import cli
 from brieflens.cli import main
-from brieflens.corpus import document_from_text
+from brieflens.corpus import DEFAULT_ABBREVIATIONS, document_from_text, load_report
+from brieflens.evaluation import field_agree
+from brieflens.pipeline import extract_document
 from brieflens.resources import default_lexicon_paths
-from brieflens.store import CSV_HEADER, EventStore, SchemaError
+from brieflens.store import CSV_HEADER, EventStore, SchemaError, import_csv
 
 from conftest import BRIEFS_DIR, GOLD_CSV, damage_table, traced_statements
 
@@ -285,6 +292,54 @@ class TestEval:
         )
         assert code == 1 and err.startswith("error:")
         assert taken.read_text(encoding="utf-8") == ""
+
+
+# Brief text from words that make events, numbers, arrests and paragraphs,
+# and decimal weights of any size, down to those the export renders as 0.
+BRIEF_WORDS = st.one_of(
+    st.sampled_from((
+        "In", "Gabon", "Togo", ",", ".", "\n\n", "elephant", "ivory", "tusks", "pangolin",
+        "scales", "two", "three", "12", "were", "seized", "with", "arrested", "officers",
+    )),
+    st.builds(
+        "{}.{}{}{}".format,
+        st.integers(0, 20),
+        st.from_regex(r"[0-9]{1,9}", fullmatch=True),
+        st.sampled_from(("", " ")),
+        st.sampled_from(("kg", "g", "t", "lbs")),
+    ),
+)
+
+
+class TestExportReadsBack:
+    @settings(max_examples=40, deadline=None)
+    @example(words=["In", "Gabon", ",", "0.0000001 kg", "ivory", "were", "seized", "."])
+    @given(words=st.lists(BRIEF_WORDS, max_size=30))
+    def test_extract_export_import(self, words, shipped_matcher):
+        text = " ".join(words)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            brief = tmp / "x-2021-01.txt"
+            brief.write_text(text, encoding="utf-8")
+            store, export = tmp / "x.db", tmp / "x.csv"
+            assert main(["extract", str(brief), "--store", str(store)]) == 0
+            assert main(["export", str(export), "--store", str(store)]) == 0
+            extracted = extract_document(load_report(brief, DEFAULT_ABBREVIATIONS),
+                                         shipped_matcher)
+            imported = import_csv(export)
+            assert len(imported) == len(extracted)
+            for got, want in zip(imported, extracted):
+                assert field_agree(got.weight_kg, want.weight_kg)
+                assert replace(got, weight_kg=None) == replace(
+                    want, weight_kg=None, sentence_index=0)
+
+            printed = []
+            for source in (["--pred", str(export)], ["--store", str(store)]):
+                buffer = io.StringIO()
+                with contextlib.redirect_stdout(buffer):
+                    assert main(["eval", "--gold", str(export), *source, "--out", str(tmp)]) == 0
+                printed.append(buffer.getvalue())
+            assert printed[0] == printed[1]
 
 
 class TestExportAndReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from brieflens.evaluation import (
     COMPARED_FIELDS,
     EvalOutcome,
     EvalReport,
+    WEIGHT_TOLERANCE_KG,
     compute_report,
     evaluate_corpus,
     field_agree,
@@ -21,7 +23,7 @@ from brieflens.evaluation import (
 from brieflens.store import import_csv
 
 from conftest import GOLD_CSV
-from oracles import naive_match_events
+from oracles import naive_evaluate_corpus, naive_match_events
 
 
 def ev(report_id="r-2021-01", **kwargs):
@@ -88,6 +90,22 @@ POOL_EVENTS = st.builds(
 )
 
 
+# Few distinct values, so that exact pairs and repeated gold events are
+# common: weights sit just inside and just outside the tolerance of 12.5 and
+# of each other, or are absent, and an event may have no identity key.
+TOLERANCE_EVENTS = st.builds(
+    ev,
+    species=st.sampled_from((None, "elephant")),
+    product=st.sampled_from((None, "ivory")),
+    arrest_count=st.sampled_from((None, 2)),
+    quantity=st.sampled_from((None, 3)),
+    weight_kg=st.sampled_from(
+        (None, 12.5, 12.5 + 0.9 * WEIGHT_TOLERANCE_KG, 12.5 - 0.9 * WEIGHT_TOLERANCE_KG,
+         12.5 + 1.1 * WEIGHT_TOLERANCE_KG)
+    ),
+)
+
+
 class TestMatchEventsOracle:
     @settings(max_examples=300)
     @given(
@@ -95,6 +113,16 @@ class TestMatchEventsOracle:
         gold=st.lists(POOL_EVENTS, max_size=10),
     )
     def test_agrees_with_all_pairs_matching(self, predicted, gold):
+        assert match_events(predicted, gold) == naive_match_events(predicted, gold)
+
+    @settings(max_examples=300)
+    @given(
+        predicted=st.lists(TOLERANCE_EVENTS, max_size=8),
+        gold=st.lists(TOLERANCE_EVENTS, max_size=5),
+        copies=st.integers(1, 3),
+    )
+    def test_agrees_near_the_tolerance_and_on_repeated_gold(self, predicted, gold, copies):
+        gold = [g for g in gold for _ in range(copies)]
         assert match_events(predicted, gold) == naive_match_events(predicted, gold)
 
 
@@ -188,6 +216,30 @@ class TestEvaluateCorpus:
         assert report.undetected == 1     # leopard report has no predictions
         assert report.total_gold == 2
 
+    def test_a_report_that_comes_back_is_rejected(self):
+        predicted = [ev(species="elephant"), ev(report_id="b-2021-01"), ev(product="ivory")]
+        with pytest.raises(ValueError, match="'r-2021-01'"):
+            evaluate_corpus(predicted, [])
+
+    @settings(max_examples=200)
+    @given(
+        events=st.lists(
+            st.tuples(st.sampled_from(("a-2021-01", "b-2021-01", "c-2021-01")), POOL_EVENTS),
+            max_size=12,
+        ),
+        gold=st.lists(
+            st.tuples(st.sampled_from(("a-2021-01", "b-2021-01", "d-2021-01")), POOL_EVENTS),
+            max_size=12,
+        ),
+        order=st.permutations(("a-2021-01", "b-2021-01", "c-2021-01")),
+    )
+    def test_agrees_with_grouping_both_sides(self, events, gold, order):
+        events = [replace(e, report_id=r) for r, e in events]
+        gold = [replace(e, report_id=r) for r, e in gold]
+        # each report's predictions together, the reports in any order
+        predicted = [e for report_id in order for e in events if e.report_id == report_id]
+        assert evaluate_corpus(predicted, gold) == naive_evaluate_corpus(predicted, gold)
+
     def test_gold_corpus_is_its_own_perfect_prediction(self):
         gold = import_csv(GOLD_CSV)
         assert len(gold) == 7
@@ -218,6 +270,8 @@ class TestEvaluateCorpus:
                     weight_kg=rng.choice((None, 12.5)),
                 )
             )
+        # evaluate_corpus takes each report's predictions together
+        events.sort(key=lambda e: e.report_id)
         report = compute_report(evaluate_corpus(events, events))
         assert report.fully_correct == len(events)
         assert report.undetected == 0 and report.unrelated == 0

@@ -9,7 +9,13 @@ import pytest
 from brieflens.assembler import HeuristicConfig, detect_arrest_count
 from brieflens.corpus import document_from_text, tokenize
 from brieflens.matcher import CARDINAL, WEIGHT
-from brieflens.measures import MAX_NUMBER, numeric_spans, parse_number, parse_weights
+from brieflens.measures import (
+    MAX_NUMBER,
+    format_weight,
+    numeric_spans,
+    parse_number,
+    parse_weights,
+)
 
 from oracles import spell_number
 
@@ -174,6 +180,18 @@ class TestParseWeights:
 
     def test_zero_is_not_a_weight(self):
         assert parse_weights(sentence_of("0 kg")) == []
+
+    @pytest.mark.parametrize(
+        "text", ["0.0000001 kg", "0.0000001kg", "0.0004 g", "0.0000000001 t", "0.000001 lbs"]
+    )
+    def test_weight_the_export_renders_as_zero_is_no_number(self, text):
+        sentence = sentence_of(f"In Gabon, {text} of ivory was seized by 2 officers.")
+        assert parse_weights(sentence) == []
+        assert [s.canonical for s in numeric_spans(sentence)] == ["2"]
+
+    def test_least_weight_the_export_carries(self):
+        (_, weight), = parse_weights(sentence_of("0.000001 kg"))
+        assert format_weight(weight.value_kg) == "0.000001"
 
     def test_two_weights_in_one_sentence(self):
         results = parse_weights(sentence_of("100 kg of ivory and 2 tons of scales"))

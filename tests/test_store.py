@@ -345,6 +345,39 @@ class TestLoadedEvents:
                     int, float, int)
 
 
+class TestReportReads:
+    def test_events_of_one_report(self, store):
+        store.register_report("c-2021-03", 2021, 3)  # registered, with no events
+        store.ingest(SAMPLE + [ev(country="gabon", sentence_index=5)])
+        every = store.events()
+        for report_id in ("a-2021-01", "b-2021-02", "c-2021-03", "z-2021-01"):
+            assert store.events(report_id) == [e for e in every if e.report_id == report_id]
+        assert store.report_ids() == ["a-2021-01", "b-2021-02"]
+
+    def test_snapshot_holds_off_other_writers(self, tmp_path):
+        path = tmp_path / "events.db"
+        with EventStore(path) as s:
+            s.register_report("a-2021-01", 2021, 1)
+            s.ingest([ev()])
+            writer = sqlite3.connect(path, timeout=0)
+            try:
+                with s.snapshot():
+                    assert s.report_ids() == ["a-2021-01"]
+                    writer.execute("DELETE FROM events")
+                    with pytest.raises(sqlite3.OperationalError, match="locked"):
+                        writer.commit()
+                    assert s.events("a-2021-01") == [ev()]
+                writer.commit()
+            finally:
+                writer.close()
+            assert s.report_ids() == []
+
+    def test_snapshot_inside_a_batch_keeps_its_writes(self, store):
+        with store.batch(), store.snapshot():
+            store.ingest([ev()])
+        assert store.events() == [ev()]
+
+
 class TestCsvImport:
     def test_round_trip(self, store):
         store.ingest(SAMPLE)
