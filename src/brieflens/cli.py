@@ -175,11 +175,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         predicted = sorted(import_csv(args.pred), key=attrgetter("report_id"))
         results = evaluate_corpus(predicted, gold)
     else:
-        # one report at a time, in key order, from one state of the store
-        with EventStore(args.store) as store, store.snapshot():
-            results = evaluate_corpus(
-                (e for report_id in store.report_ids() for e in store.events(report_id)), gold
-            )
+        with EventStore(args.store) as store:
+            results = evaluate_corpus(store.iter_events(), gold)
     report = compute_report(results)
     print(report.counts_line())
     print(f"detection_rate={report.detection_rate:.4f}")

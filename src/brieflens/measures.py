@@ -16,10 +16,11 @@ without spaces ("12.5 kg"): the tokenizer splits it into "12", "." and
 becomes a cardinal of its own.  The unit may also be glued to the last
 digits ("513kg", "12.5kg", "1,200kg"), which the tokenizer keeps as one
 token: that token reads as its digits with the unit, so it is a weight
-and never a cardinal, and "0kg" is no number at all.  Neither is a weight
-too small for the interchange format to carry, which renders as 0 kg
-("0.0000001 kg"): it is skipped whole, and none of its pieces reads as a
-number of its own.
+and never a cardinal.  A weight that the interchange format renders as
+0 kg is skipped whole, whether it is zero ("0 kg", "0kg", "zero kg",
+"0.0 kg") or too small to carry ("0.0000001 kg"): none of its pieces
+reads as a number of its own, so none becomes a quantity or an arrest
+count.
 """
 
 from __future__ import annotations
@@ -161,8 +162,6 @@ def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> Numb
             unit = group[1]
             if unit:
                 break
-    if unit and not value:
-        return None
     return NumberMatch(value=value, start=i, length=length)
 
 
@@ -257,32 +256,36 @@ def _decimal_weight(
     if not unit and not (dot + 2 < len(texts) and texts[dot + 2] in WEIGHT_UNIT_TOKENS):
         return None
     value = Decimal(f"{m.value}.{digits}")
-    return NumberMatch(value=value, start=m.start, length=m.length + 2) if value else None
+    return NumberMatch(value=value, start=m.start, length=m.length + 2)
 
 
-def _iter_numbers(tokens: Sequence[Token], texts: Sequence[str]) -> list[NumberMatch]:
-    matches: list[NumberMatch] = []
+def _iter_numbers(
+    tokens: Sequence[Token], texts: Sequence[str]
+) -> list[tuple[NumberMatch, tuple[int, str] | None]]:
+    """Each number of the sentence, with its unit's token index and text if it is a weight.
+
+    An overflowing number is skipped whole, with its fraction, and so is a
+    weight that ``format_weight`` renders as ``0``.
+    """
+    numbers: list[tuple[NumberMatch, tuple[int, str] | None]] = []
     i = 0
     while i < len(texts):
         m = _parse_digits(tokens, texts, i)
         if m is None:
             m = _parse_words(texts, i)
-        elif m.value > MAX_NUMBER:  # an overflowing number: skip it and its fraction
+            if m is None:
+                i += 1
+                continue
+        elif m.value > MAX_NUMBER:
             i = m.end + 2 if _fraction(tokens, texts, m) else m.end
             continue
         else:
-            decimal = _decimal_weight(tokens, texts, m)
-            # only a decimal can render as 0 kg: the least whole weight is 1 g
-            if decimal is not None and _renders_as_zero(texts, decimal):
-                i = decimal.end
-                continue
-            m = decimal or m
-        if m is None:
-            i += 1
-        else:
-            matches.append(m)
-            i = m.end
-    return matches
+            m = _decimal_weight(tokens, texts, m) or m
+        unit = _weight_unit(texts, m)
+        if unit is None or format_weight(_to_kg(m.value, unit[1])) != "0":
+            numbers.append((m, unit))
+        i = m.end
+    return numbers
 
 
 def _join_text(tokens: Sequence[Token], start: int, end: int) -> str:
@@ -311,21 +314,13 @@ def _to_kg(value: int | Decimal, unit: str) -> float:
 
 
 def _weight_unit(texts: Sequence[str], m: NumberMatch) -> tuple[int, str] | None:
-    """The token index and unit of a positive number glued to or followed by a unit."""
-    if not m.value > 0:
-        return None
+    """The token index and unit of a number glued to or followed by a unit."""
     last = texts[m.end - 1]
     if not last.isdecimal() and (glued := _split_unit(last)) is not None:
         return m.end - 1, glued[1]
     if m.end < len(texts) and texts[m.end] in WEIGHT_UNIT_TOKENS:
         return m.end, texts[m.end]
     return None
-
-
-def _renders_as_zero(texts: Sequence[str], m: NumberMatch) -> bool:
-    """Whether the weight ``m`` is too small for the interchange format to carry."""
-    _, unit = _weight_unit(texts, m)
-    return format_weight(_to_kg(m.value, unit)) == "0"
 
 
 def _weight(tokens: Sequence[Token], m: NumberMatch, unit: tuple[int, str]) -> EntitySpan:
@@ -363,8 +358,8 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     tokens = sentence.tokens
     texts = _texts(tokens)
     weights = []
-    for m in _iter_numbers(tokens, texts):
-        if unit := _weight_unit(texts, m):
+    for m, unit in _iter_numbers(tokens, texts):
+        if unit is not None:
             unit_index, unit_text = unit
             # digits never change under casefolding, so the unit starts at the
             # same position in the token's text as in its casefolded form
@@ -385,8 +380,6 @@ def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
     tokens = sentence.tokens
     texts = _texts(tokens)
     return [
-        _weight(tokens, m, unit)
-        if (unit := _weight_unit(texts, m))
-        else _cardinal(tokens, m)
-        for m in _iter_numbers(tokens, texts)
+        _cardinal(tokens, m) if unit is None else _weight(tokens, m, unit)
+        for m, unit in _iter_numbers(tokens, texts)
     ]

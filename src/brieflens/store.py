@@ -12,9 +12,11 @@ is registered.  Each write call is atomic; ``EventStore.batch`` groups
 many into one transaction, in which a failed call undoes only itself.  A third
 table, ``tallies``, holds the running totals that ``summarize`` reads; two
 triggers on ``events`` keep it current, so no write path does its own
-bookkeeping.  A store of an older schema version is replayed into the
-current schema when opened: its report and event rows are copied, and the
-tallies and CSV cache are rebuilt by the code that keeps them current.
+bookkeeping.  ``iter_events`` reads every event one report at a time,
+inside one read transaction, so a reader sees one state of the store.
+A store of an older schema version is replayed into the current schema
+when opened: its report and event rows are copied, and the tallies and
+CSV cache are rebuilt by the code that keeps them current.
 The CSV interchange format is fixed:
 
     report_id,year,month,country,species,product,quantity,weight_kg,arrest_count
@@ -137,6 +139,14 @@ CREATE TRIGGER tally_event_delete AFTER DELETE ON events BEGIN
 END""",
 )
 
+# The event columns in TraffickingEvent field order, joined to their report;
+# readers append their own WHERE and ORDER BY.
+_EVENT_ROWS = (
+    "SELECT e.report_id, r.year, r.month, e.country, e.species, e.product,"
+    " e.quantity, e.weight_kg, e.arrest_count, e.sentence_index"
+    " FROM events e JOIN reports r ON r.report_id = e.report_id"
+)
+
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -241,10 +251,7 @@ class EventStore:
         """
         for report_id in report_ids:
             rows = self._conn.execute(
-                "SELECT r.report_id, r.year, r.month, e.country, e.species, e.product,"
-                " e.quantity, e.weight_kg, e.arrest_count"
-                " FROM events e JOIN reports r ON r.report_id = e.report_id"
-                " WHERE e.report_id = ? ORDER BY e.sentence_index, e.event_id",
+                f"{_EVENT_ROWS} WHERE e.report_id = ? ORDER BY e.sentence_index, e.event_id",
                 (report_id,),
             )
             self._conn.execute(
@@ -389,69 +396,41 @@ class EventStore:
         values share one object, since thousands of rows repeat a few
         report ids, countries, species and products; so do equal years.
         """
-        # years get their own int-only table: 1 == 1.0, so a table mixing
-        # number types could hand a weight back as an int
-        share = {}.setdefault
-        share_year = {}.setdefault
         where, params = ("", ()) if report_id is None else (" WHERE e.report_id = ?", (report_id,))
+        sql = f"{_EVENT_ROWS}{where} ORDER BY e.report_id, e.sentence_index, e.event_id"
         with self._sqlite_errors():
-            rows = self._conn.execute(
-                "SELECT e.report_id, r.year, r.month, e.country, e.species, e.product,"
-                " e.quantity, e.weight_kg, e.arrest_count, e.sentence_index"
-                f" FROM events e JOIN reports r ON r.report_id = e.report_id{where}"
-                " ORDER BY e.report_id, e.sentence_index, e.event_id",
-                params,
-            )
-            return [
-                TraffickingEvent(
-                    report_id=share(report_id, report_id),
-                    year=share_year(year, year),
-                    month=month,
-                    country=share(country, country),
-                    species=share(species, species),
-                    product=share(product, product),
-                    quantity=quantity,
-                    weight_kg=weight_kg,
-                    arrest_count=arrest_count,
-                    sentence_index=sentence_index,
-                )
-                for (report_id, year, month, country, species, product,
-                     quantity, weight_kg, arrest_count, sentence_index) in rows
-            ]
+            return _shared_events(self._conn.execute(sql, params))
 
-    def report_ids(self) -> list[str]:
-        """The ids of the reports that hold events, in key order.
+    def iter_events(self) -> Iterator[TraffickingEvent]:
+        """Every event in export order, read one report at a time.
 
-        They are read from the ``events_by_report`` index, not from
-        ``reports``, whose rows carry each report's cached CSV text.
+        The reads run in one read transaction, so they see one state of the
+        store: while the iterator is suspended, no other connection can
+        commit a write.  The transaction ends when the iterator is
+        exhausted, closed or dropped, and a write made through this store
+        meanwhile is undone with it.  Inside a ``batch`` the reads run in
+        the batch's own transaction instead, and see its writes.
         """
-        with self._sqlite_errors():
-            return [
-                report_id
-                for (report_id,) in self._conn.execute(
-                    "SELECT DISTINCT report_id FROM events ORDER BY report_id"
-                )
-            ]
-
-    @contextlib.contextmanager
-    def snapshot(self) -> Iterator[None]:
-        """Run the block's reads in one read transaction.
-
-        Every read of the block sees one state of the store: from the first
-        read to the end of the block, no other connection can commit a
-        write.  Inside a ``batch`` the block already runs in that batch's
-        transaction.
-        """
-        if self._conn.in_transaction:
-            yield
-            return
-        with self._sqlite_errors():
-            self._conn.execute("BEGIN")
+        opened = False
         try:
-            yield
+            with self._sqlite_errors():
+                if not self._conn.in_transaction:
+                    self._conn.execute("BEGIN")
+                    opened = True
+                # read from the events_by_report index, not from ``reports``,
+                # whose rows carry each report's cached CSV text
+                ids = self._conn.execute("SELECT DISTINCT report_id FROM events ORDER BY report_id")
+                report_ids = [report_id for (report_id,) in ids]
+            for report_id in report_ids:
+                # one events() call per report: perfbench's tracer counts the
+                # rows read at that method
+                yield from self.events(report_id)
         finally:
-            # the block only read, so there is nothing to keep
-            self._conn.rollback()
+            if opened:
+                # the reads kept nothing; a store closed meanwhile has
+                # already ended the transaction
+                with contextlib.suppress(sqlite3.ProgrammingError):
+                    self._conn.rollback()
 
     def _csv_chunks(self) -> Iterator[str]:
         """The interchange CSV: the header, then each report's cached rows."""
@@ -527,11 +506,30 @@ class EventStore:
         )
 
 
+def _shared_events(rows: Iterable[tuple]) -> list[TraffickingEvent]:
+    """Events of rows holding their fields in ``TraffickingEvent`` order.
+
+    Equal strings share one object, and so do equal years; a string never
+    equals a number, so one table serves both.  No other value is shared: as
+    1 == 1.0, a shared weight could come back as an int.
+    """
+    share = {}.setdefault
+    return [
+        TraffickingEvent(
+            share(report_id, report_id), share(year, year), month, share(country, country),
+            share(species, species), share(product, product),
+            quantity, weight_kg, arrest_count, sentence_index,
+        )
+        for (report_id, year, month, country, species, product,
+             quantity, weight_kg, arrest_count, sentence_index) in rows
+    ]
+
+
 def _csv_text(rows: Iterable[tuple]) -> str:
-    """CSV lines, without header, of rows holding the interchange columns."""
+    """CSV lines, without header, of ``_EVENT_ROWS`` rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    for report_id, year, month, country, species, product, quantity, weight_kg, arrests in rows:
+    for report_id, year, month, country, species, product, quantity, weight_kg, arrests, _ in rows:
         writer.writerow(
             [
                 report_id,
@@ -565,15 +563,16 @@ def import_csv(source: str | Path | TextIO) -> list[TraffickingEvent]:
     raises :class:`CsvFormatError` naming the file.
     """
     if hasattr(source, "read"):
-        return _read_csv(source)
+        return _shared_events(_parse_csv(source))
     try:
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _read_csv(handle)
+            return _shared_events(_parse_csv(handle))
     except (UnicodeDecodeError, CsvFormatError, csv.Error) as exc:  # csv.Error: an overlong field
         raise CsvFormatError(f"{source}: {exc}") from exc
 
 
-def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
+def _parse_csv(handle: TextIO) -> Iterator[tuple]:
+    """The validated rows of the interchange CSV, in ``TraffickingEvent`` field order."""
     first = handle.readline().removeprefix("\ufeff")
     reader = csv.reader(itertools.chain((first,) if first else (), handle))
     try:
@@ -582,10 +581,6 @@ def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
         raise CsvFormatError(f"missing header; expected {CSV_HEADER!r}") from None
     if tuple(header) != CSV_COLUMNS:
         raise CsvFormatError(f"bad header {','.join(header)!r}; expected {CSV_HEADER!r}")
-    events: list[TraffickingEvent] = []
-    # one object per distinct text value and per distinct year, as in EventStore.events
-    share = {}.setdefault
-    share_year = {}.setdefault
     for i, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -609,18 +604,5 @@ def _read_csv(handle: TextIO) -> list[TraffickingEvent]:
                 raise CsvFormatError(f"row {i}: weight_kg {weight!r} is not a number") from exc
             if weight_value <= 0:
                 raise CsvFormatError(f"row {i}: weight_kg must be positive")
-        year_value = _parse_int(year, "year", i)
-        events.append(
-            TraffickingEvent(
-                report_id=share(report_id, report_id),
-                year=share_year(year_value, year_value),
-                month=month_value,
-                country=share(country, country) or None,
-                species=share(species, species) or None,
-                product=share(product, product) or None,
-                quantity=quantity_value,
-                weight_kg=weight_value,
-                arrest_count=arrest_value,
-            )
-        )
-    return events
+        yield (report_id, _parse_int(year, "year", i), month_value, country or None,
+               species or None, product or None, quantity_value, weight_value, arrest_value, 0)

@@ -281,24 +281,34 @@ _KG_PER_UNIT = {
 }
 
 
-def _zero_weight_run(tokens: Sequence[Token], i: int) -> int:
-    """Length of the decimal number at ``i`` if it is a weight rendering as 0 kg, else 0.
+def _unit_after(tokens: Sequence[Token], last: int) -> str:
+    """The unit glued to the digits of token ``last``, else the next token, lowercased."""
+    glued = re.fullmatch(r"\d+(\D+)", tokens[last].text)
+    if glued:
+        return glued[1].lower()
+    return tokens[last + 1].text.lower() if last + 1 < len(tokens) else ""
 
-    The weight is digits, a "." written against both neighbours, and
-    digits with a unit glued to them or followed by a unit token.
+
+def _zero_weight_run(tokens: Sequence[Token], i: int) -> int:
+    """Length of the weight at ``i`` if it renders as 0 kg, zero included, else 0.
+
+    Its number is what ``parse_number`` reads at ``i``, extended over a
+    fraction when a unit follows that: a "." written against both
+    neighbours after plain digits, then digits.  Its unit is glued to the
+    number's last token or is the token after it.
     """
-    if not (tokens[i].text.isdecimal() and _between(tokens, i + 1, ".")):
+    m = parse_number(tokens, i)
+    if m is None:
         return 0
-    fraction = re.fullmatch(r"(\d+)(.*)", tokens[i + 2].text)
-    if fraction is None:
-        return 0
-    digits, unit = fraction[1], fraction[2].lower()
-    if not unit and i + 3 < len(tokens):
-        unit = tokens[i + 3].text.lower()
+    value, end = Decimal(m.value), m.end
+    if tokens[end - 1].text.isdecimal() and _between(tokens, end, "."):
+        fraction = re.fullmatch(r"(\d+)\D*", tokens[end + 1].text)
+        if fraction and _unit_after(tokens, end + 1) in _KG_PER_UNIT:
+            value, end = Decimal(f"{m.value}.{fraction[1]}"), end + 2
+    unit = _unit_after(tokens, end - 1)
     if unit not in _KG_PER_UNIT:
         return 0
-    kg = Decimal(f"{tokens[i].text}.{digits}") * _KG_PER_UNIT[unit]
-    return 3 if kg and format_weight(float(kg)) == "0" else 0
+    return end - i if format_weight(float(value * _KG_PER_UNIT[unit])) == "0" else 0
 
 
 def naive_arrest_count(
@@ -313,7 +323,7 @@ def naive_arrest_count(
     Candidates are the numbers ``parse_number`` reads left to right, except
     those sharing a token with a weight or with a span in ``exclude``; a
     digit number above MAX_NUMBER is skipped whole, with its fraction, and
-    so is a decimal weight that the export renders as 0 kg.  The
+    so is a weight that the export renders as 0 kg, zero included.  The
     nearest within ``window`` tokens of an arrest word wins, ties going to
     the leftmost; an arrest word with none in range gives ``default``, and
     a sentence without one gives None.

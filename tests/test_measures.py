@@ -11,13 +11,14 @@ from brieflens.corpus import document_from_text, tokenize
 from brieflens.matcher import CARDINAL, WEIGHT
 from brieflens.measures import (
     MAX_NUMBER,
+    NumberMatch,
     format_weight,
     numeric_spans,
     parse_number,
     parse_weights,
 )
 
-from oracles import spell_number
+from oracles import naive_arrest_count, spell_number
 
 
 CONFIG = HeuristicConfig()
@@ -267,6 +268,17 @@ class TestGluedWeights:
 
     def test_zero_and_overlong_glued_numbers_are_no_numbers(self):
         assert numeric_spans(sentence_of("about 0kg and 1000000kg of ivory")) == []
+
+    def test_zero_glued_to_a_unit_parses_as_zero(self):
+        # the number grammar reads it; only the weight rule then skips it
+        assert parse_number(tokenize("0kg")) == NumberMatch(value=0, start=0, length=1)
+
+    @pytest.mark.parametrize("weight", ["0 kg", "0.0 kg", "0kg", "0.0kg", "zero kg"])
+    def test_zero_weight_is_no_number_and_no_arrest_count(self, weight):
+        sentence = sentence_of(f"Police arrested smugglers with {weight} of ivory")
+        assert numeric_spans(sentence) == []
+        assert detect_arrest_count(sentence, [], **ARREST) == 1
+        assert naive_arrest_count(sentence, **ARREST) == 1
 
     def test_thousands_group_never_splits_off(self):
         (_, weight), = parse_weights(sentence_of("about 1,200kg of ivory"))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import random
 import re
 import shutil
 import sqlite3
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -352,30 +354,52 @@ class TestReportReads:
         every = store.events()
         for report_id in ("a-2021-01", "b-2021-02", "c-2021-03", "z-2021-01"):
             assert store.events(report_id) == [e for e in every if e.report_id == report_id]
-        assert store.report_ids() == ["a-2021-01", "b-2021-02"]
+        assert list(store.iter_events()) == every
 
-    def test_snapshot_holds_off_other_writers(self, tmp_path):
+    def test_iter_events_holds_off_other_writers(self, tmp_path):
         path = tmp_path / "events.db"
         with EventStore(path) as s:
             s.register_report("a-2021-01", 2021, 1)
-            s.ingest([ev()])
+            s.register_report("b-2021-02", 2021, 2)
+            s.ingest([ev(), ev("b-2021-02", month=2)])
             writer = sqlite3.connect(path, timeout=0)
             try:
-                with s.snapshot():
-                    assert s.report_ids() == ["a-2021-01"]
-                    writer.execute("DELETE FROM events")
-                    with pytest.raises(sqlite3.OperationalError, match="locked"):
-                        writer.commit()
-                    assert s.events("a-2021-01") == [ev()]
+                assert list(s.iter_events()) == [ev(), ev("b-2021-02", month=2)]
+                # exhausted, the iterator has ended its transaction
+                writer.execute("DELETE FROM events WHERE report_id = 'b-2021-02'")
+                writer.commit()
+                events = s.iter_events()
+                assert next(events) == ev()
+                writer.execute("DELETE FROM events")
+                with pytest.raises(sqlite3.OperationalError, match="locked"):
+                    writer.commit()
+                events.close()
                 writer.commit()
             finally:
                 writer.close()
-            assert s.report_ids() == []
+            assert s.events() == []
 
-    def test_snapshot_inside_a_batch_keeps_its_writes(self, store):
-        with store.batch(), store.snapshot():
+    def test_iter_events_inside_a_batch_sees_its_writes(self, store):
+        with store.batch():
             store.ingest([ev()])
-        assert store.events() == [ev()]
+            assert list(store.iter_events()) == [ev()]
+            # the batch's transaction outlives the read
+            store.ingest([ev(country="gabon")])
+        assert store.events() == [ev(country="gabon")]
+
+    def test_store_closed_under_a_suspended_iterator(self, tmp_path, monkeypatch, capsys):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        s = EventStore(tmp_path / "events.db")
+        s.register_report("a-2021-01", 2021, 1)
+        s.ingest([ev(), ev(sentence_index=1)])
+        events = s.iter_events()
+        next(events)
+        s.close()
+        del events
+        gc.collect()
+        assert unraisable == []
+        assert capsys.readouterr() == ("", "")
 
 
 class TestCsvImport:
@@ -475,6 +499,21 @@ def random_event(rng, report_id, year, month, sentence_index):
     )
 
 
+def affinity_converted(rng, event):
+    """``event`` with values that SQLite's column affinity converts on insert.
+
+    An INTEGER column stores 3.0 as 3 and a REAL column stores 12 as 12.0,
+    so the export must be written from the stored values, not these.
+    """
+    quantity, weight, arrests = event.quantity, event.weight_kg, event.arrest_count
+    return replace(
+        event,
+        quantity=None if quantity is None else float(quantity),
+        weight_kg=None if weight is None else rng.randint(1, 10_000),
+        arrest_count=None if arrests is None else float(arrests),
+    )
+
+
 class TestRoundTripProperty:
     def test_export_import_identity(self):
         rng = random.Random(777)
@@ -485,14 +524,24 @@ class TestRoundTripProperty:
                     rid = f"r{r}-2021-0{r + 1}"
                     s.register_report(rid, 2021, r + 1)
                     for si in range(rng.randint(0, 5)):
-                        events.append(random_event(rng, rid, 2021, r + 1, si))
+                        event = random_event(rng, rid, 2021, r + 1, si)
+                        if rng.random() < 0.5:
+                            event = affinity_converted(rng, event)
+                        events.append(event)
                 s.ingest(events)
+                stored = s.events()
+                assert stored == events, f"trial {trial}"
+                # the stored values have the column's type, whatever was ingested
+                for e in stored:
+                    for value, kind in ((e.quantity, int), (e.weight_kg, float),
+                                        (e.arrest_count, int)):
+                        assert value is None or type(value) is kind, f"trial {trial}"
                 buffer = io.StringIO()
                 s.export_csv(buffer)
                 buffer.seek(0)
                 imported = import_csv(buffer)
                 assert imported == [
-                    replace(e, sentence_index=0) for e in s.events()
+                    replace(e, sentence_index=0) for e in stored
                 ], f"trial {trial}"
 
 
