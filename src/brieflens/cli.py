@@ -19,7 +19,7 @@ from .assembler import HeuristicConfig, load_heuristics
 from .corpus import DEFAULT_ABBREVIATIONS, load_abbreviations, load_report
 from .evaluation import compute_report, evaluate_corpus
 from .lexicon import Lexicon, LexiconError, load_lexicon, merge_lexicons
-from .matcher import compile_lexicon
+from .matcher import compile_lexicon, phrase_collisions
 from .pipeline import extract_document
 from .report import write_report_files
 from .resources import default_lexicon_paths
@@ -221,7 +221,17 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
             print(f"merge: INVALID: {exc}", file=sys.stderr)
             failed = True
         else:
-            print(f"merged: {len(merged)} surfaces, no conflicts")
+            # surfaces that differ only in what tokenizing drops, such as
+            # spacing, are one phrase, and extract keeps the first in sorted order
+            for kept, kept_pair, dropped, pair in phrase_collisions(merged):
+                print(
+                    f"phrases: INVALID: surfaces {kept!r} {kept_pair} and {dropped!r} {pair}"
+                    " are one phrase",
+                    file=sys.stderr,
+                )
+                failed = True
+            if not failed:
+                print(f"merged: {len(merged)} surfaces, no conflicts")
     return EXIT_USAGE if failed else EXIT_OK
 
 

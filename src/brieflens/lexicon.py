@@ -7,6 +7,12 @@ left empty to default to the lowercased surface.  Loading auto-generates a
 plural surface for every entry so that "tusk" and "tusks" both resolve to
 the canonical "tusk".
 
+``load_lexicon`` reads a file in one pass: each row goes straight from the
+CSV reader into the surface table, through the same private builder that
+``Lexicon.from_rows`` uses, with no record per row.  A label or conflict
+error is raised once the whole file has been read, so a row the reader
+rejects is reported first, wherever it is.
+
 Inflection is a deliberately small rule cascade rather than a general
 English morphology engine.  The irregulars table carries three kinds of
 entries: true irregular plurals (goose/geese), invariant nouns that are
@@ -21,14 +27,13 @@ import hashlib
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "ANIMAL",
     "COUNTRY",
     "LEXICON_LABELS",
     "Lexicon",
-    "LexiconEntry",
     "LexiconError",
     "PRODUCT",
     "load_lexicon",
@@ -135,16 +140,6 @@ class LexiconError(ValueError):
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    """One explicit lexicon row, with provenance for diagnostics."""
-
-    surface: str
-    label: str
-    canonical: str
-    origin: str = ""
-
-
-@dataclass(frozen=True)
 class Lexicon:
     """Immutable surface table: case-folded surface -> (label, canonical)."""
 
@@ -156,89 +151,96 @@ class Lexicon:
         return len(self.entries)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[LexiconEntry | tuple], version: str = "") -> "Lexicon":
-        """Build a lexicon from explicit rows and auto-generated plurals.
+    def from_rows(cls, rows: Iterable[tuple], version: str = "") -> "Lexicon":
+        """Build a lexicon from ``(surface, label[, canonical])`` rows and their plurals.
 
         Explicit rows conflict when the same case-folded surface maps to two
         different (label, canonical) pairs.  Auto-generated plural surfaces
         never override an explicit row; two auto plurals that disagree are a
-        conflict as well.
+        conflict as well.  An empty ``version`` becomes a digest of the table.
         """
-        normalized: list[LexiconEntry] = []
-        for row in rows:
-            if isinstance(row, LexiconEntry):
-                normalized.append(row)
-            else:
-                surface, label, *rest = row
-                canonical = rest[0] if rest and rest[0] else ""
-                normalized.append(LexiconEntry(surface, label, canonical))
-
-        explicit: dict[str, tuple[str, str]] = {}
-        origin_of: dict[str, str] = {}
-        for entry in normalized:
-            if entry.label not in LEXICON_LABELS:
-                raise LexiconError(
-                    f"unknown label {entry.label!r} for surface {entry.surface!r}"
-                    + (f" at {entry.origin}" if entry.origin else "")
-                )
-            key = entry.surface.casefold()
-            canonical = (entry.canonical or entry.surface).casefold()
-            pair = (entry.label, canonical)
-            if key in explicit and explicit[key] != pair:
-                raise LexiconError(
-                    f"surface {entry.surface!r} maps to both {explicit[key]} "
-                    f"(from {origin_of[key] or 'earlier row'}) and {pair}"
-                    + (f" (from {entry.origin})" if entry.origin else "")
-                )
-            explicit[key] = pair
-            origin_of.setdefault(key, entry.origin)
-
-        table = dict(explicit)
-        for key, pair in explicit.items():
-            plural = pluralize(key)
-            if plural == key:
-                continue
-            if plural in explicit:
-                continue
-            if plural in table and table[plural] != pair:
-                raise LexiconError(
-                    f"auto-generated plural {plural!r} is ambiguous: "
-                    f"{table[plural]} vs {pair}"
-                )
-            table[plural] = pair
-
-        if not version:
-            digest = hashlib.sha256(repr(sorted(table.items())).encode("utf-8"))
-            version = digest.hexdigest()[:16]
-        return cls(entries=table, version=version, n_rows=len(normalized))
+        return _build_table(
+            ((surface, label, rest[0] if rest else "", 0) for surface, label, *rest in rows),
+            "",
+            version,
+        )
 
 
-def _read_rows(text: str, origin: str) -> list[LexiconEntry]:
-    rows: list[LexiconEntry] = []
+def _build_table(
+    rows: Iterable[tuple[str, str, str | None, int]], origin: str, version: str
+) -> Lexicon:
+    """The one table builder behind ``from_rows`` and ``load_lexicon``.
+
+    ``rows`` yields ``(surface, label, canonical, line)``; a nonzero ``line``
+    is the row's line in the file ``origin`` and is named in errors.  Every
+    row is read before a label or conflict error is raised, so a row the
+    reader rejects further down the file is the error reported.
+    """
+    explicit: dict[str, tuple[str, str]] = {}
+    line_of: dict[str, int] = {}
+    error: LexiconError | None = None
+    n_rows = 0
+    for n_rows, (surface, label, canonical, line) in enumerate(rows, start=1):
+        if error is not None:
+            continue
+        if label not in LEXICON_LABELS:
+            error = LexiconError(
+                f"unknown label {label!r} for surface {surface!r}"
+                + (f" at {origin}:{line}" if line else "")
+            )
+            continue
+        key = surface.casefold()
+        pair = (label, canonical.casefold() if canonical else key)
+        known = explicit.setdefault(key, pair)
+        if known is pair:
+            line_of[key] = line
+        elif known != pair:
+            earlier = f"{origin}:{line_of[key]}" if line_of[key] else "earlier row"
+            error = LexiconError(
+                f"surface {surface!r} maps to both {known} (from {earlier}) and {pair}"
+                + (f" (from {origin}:{line})" if line else "")
+            )
+    if error is not None:
+        raise error
+
+    table = dict(explicit)
+    for key, pair in explicit.items():
+        plural = pluralize(key)
+        if plural == key or plural in explicit:
+            continue
+        known = table.setdefault(plural, pair)
+        if known != pair:
+            raise LexiconError(f"auto-generated plural {plural!r} is ambiguous: {known} vs {pair}")
+
+    if not version:
+        digest = hashlib.sha256(repr(sorted(table.items())).encode("utf-8"))
+        version = digest.hexdigest()[:16]
+    return Lexicon(entries=table, version=version, n_rows=n_rows)
+
+
+def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, int]]:
+    """Yield each data row of a lexicon file with its line number.
+
+    Blank and ``#`` comment lines are skipped, and cells are stripped.  The
+    first other line must be the header.  A file with no content at all is
+    a valid empty lexicon.
+    """
     header_seen = False
-    reader = csv.reader(io.StringIO(text))
-    for lineno, row in enumerate(reader, start=1):
-        if not row or not any(cell.strip() for cell in row):
+    for line, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        cells = list(map(str.strip, row))
+        if not any(cells) or cells[0].startswith("#"):
             continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        cells = [cell.strip() for cell in row]
         if not header_seen:
             if tuple(cells[:3]) != LEXICON_HEADER:
                 raise LexiconError(
-                    f"{origin}:{lineno}: expected header "
+                    f"{origin}:{line}: expected header "
                     f"{','.join(LEXICON_HEADER)!r}, got {','.join(cells)!r}"
                 )
             header_seen = True
             continue
         if len(cells) < 2 or not cells[0]:
-            raise LexiconError(f"{origin}:{lineno}: need at least surface and label")
-        surface, label = cells[0], cells[1]
-        canonical = cells[2] if len(cells) > 2 else ""
-        rows.append(LexiconEntry(surface, label, canonical, origin=f"{origin}:{lineno}"))
-    # a file with no content at all is a valid empty lexicon; only data
-    # without the header line is an error (handled above on the first row)
-    return rows
+            raise LexiconError(f"{origin}:{line}: need at least surface and label")
+        yield cells[0], cells[1], cells[2] if len(cells) > 2 else "", line
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -248,12 +250,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     data = path.read_bytes()
+    version = hashlib.sha256(data).hexdigest()[:16]
     try:
-        rows = _read_rows(data.decode("utf-8-sig"), origin=path.name)
+        return _build_table(_file_rows(data.decode("utf-8-sig"), path.name), path.name, version)
     except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: an overlong field
         raise LexiconError(f"{path.name}: {exc}") from exc
-    version = hashlib.sha256(data).hexdigest()[:16]
-    return Lexicon.from_rows(rows, version=version)
 
 
 def merge_lexicons(lexicons: Iterable[Lexicon]) -> Lexicon:

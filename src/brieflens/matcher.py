@@ -6,6 +6,17 @@ matched as phrases.  Overlaps are resolved leftmost-longest: the candidate
 starting earliest wins, and among candidates sharing a start the longest
 wins.  The result is always a sorted, non-overlapping list of spans.
 
+The phrase table is indexed by first token: each token that starts a
+phrase maps to the lengths of the phrases starting with it, longest first.
+The scan looks each token up once and tries only those lengths, so tokens
+that start no phrase cost one dictionary lookup.  At a few hundred surfaces
+this index is enough, and an Aho-Corasick automaton is not needed.
+
+Surfaces that tokenize alike, such as "sea turtle" and "sea  turtle", are
+one phrase, and the surface that sorts first keeps it.
+``phrase_collisions`` lists the others whose (label, canonical) differs;
+``lexicon-validate`` rejects a lexicon that has any.
+
 Every span records both its character offsets and the token range it
 covers, so later stages measure token distances without re-scanning the
 sentence.
@@ -16,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import TOKEN_RE, ReportDocument
+from .corpus import TOKEN_RE, ReportDocument, tokenize
 from .lexicon import Lexicon
 
 __all__ = [
@@ -27,6 +38,7 @@ __all__ = [
     "compile_lexicon",
     "find_entities",
     "merge_spans",
+    "phrase_collisions",
 ]
 
 # Numeric span labels; lexical labels live in the lexicon module.
@@ -56,59 +68,102 @@ class EntitySpan:
 
 @dataclass(frozen=True)
 class CompiledMatcher:
-    """Phrase table keyed by case-folded token tuples.
+    """Phrase table keyed by case-folded token tuples, indexed by first token.
 
-    Matching behaviour is a pure function of the lexicon the matcher was
-    compiled from; ``lexicon_version`` records which one that was.
+    ``first_token_lengths`` maps each token that starts a phrase to the
+    lengths of the phrases starting with it, longest first, so the scan
+    tries only those lengths at that token and skips every other token
+    after one lookup.  Matching behaviour is a pure function of the lexicon
+    the matcher was compiled from; ``lexicon_version`` records which one
+    that was.
     """
 
     phrases: Mapping[tuple[str, ...], tuple[str, str]]
-    max_len: int
+    first_token_lengths: Mapping[str, tuple[int, ...]]
     lexicon_version: str
 
 
 def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
-    """Compile every lexicon surface into the token-tuple phrase table."""
+    """Compile every lexicon surface into the phrase table and its first-token index."""
     phrases: dict[tuple[str, ...], tuple[str, str]] = {}
+    lengths: dict[str, tuple[int, ...]] = {}
+    entries = lexicon.entries
     # sorted iteration keeps compilation deterministic if two distinct
-    # surfaces collapse to the same token sequence
+    # surfaces collapse to the same token sequence: the first one wins
+    for surface in sorted(entries):
+        # str.isalnum accepts exactly the characters of TOKEN_RE's [^\W_], so
+        # an alphanumeric surface is one token and needs no regex
+        if surface.isalnum():
+            key = (surface.casefold(),)
+        else:
+            key = tuple(piece.casefold() for piece in TOKEN_RE.findall(surface))
+            if not key:
+                continue
+        if key in phrases:
+            continue
+        phrases[key] = entries[surface]
+        first, n = key[0], len(key)
+        known = lengths.get(first)
+        if known is None:
+            lengths[first] = (n,)
+        elif n not in known:
+            lengths[first] = tuple(sorted((*known, n), reverse=True))
+    return CompiledMatcher(
+        phrases=phrases, first_token_lengths=lengths, lexicon_version=lexicon.version
+    )
+
+
+def phrase_collisions(
+    lexicon: Lexicon,
+) -> list[tuple[str, tuple[str, str], str, tuple[str, str]]]:
+    """Surfaces that compile to the phrase of an earlier surface with another pair.
+
+    Each item is ``(kept, kept_pair, dropped, dropped_pair)``: ``compile_lexicon``
+    keeps the surface that sorts first, so ``dropped`` can never match.
+    """
+    first: dict[tuple[str, ...], str] = {}
+    collisions = []
     for surface in sorted(lexicon.entries):
-        pair = lexicon.entries[surface]
-        key = tuple(piece.casefold() for piece in TOKEN_RE.findall(surface))
-        if key:
-            phrases.setdefault(key, pair)
-    max_len = max((len(key) for key in phrases), default=0)
-    return CompiledMatcher(phrases=phrases, max_len=max_len, lexicon_version=lexicon.version)
+        key = tuple(tok.lower for tok in tokenize(surface))
+        if not key:
+            continue
+        kept = first.setdefault(key, surface)
+        pair, kept_pair = lexicon.entries[surface], lexicon.entries[kept]
+        if pair != kept_pair:
+            collisions.append((kept, kept_pair, surface, pair))
+    return collisions
 
 
 def find_entities(doc: ReportDocument, matcher: CompiledMatcher) -> list[EntitySpan]:
     """Find all lexicon matches in ``doc``, sentence by sentence.
 
-    The scan is greedy left to right within each sentence: at every position
-    the longest matching phrase is taken and the scan resumes after it,
-    which realises the leftmost-longest rule.
+    The scan is greedy left to right within each sentence: at every token
+    that starts a phrase it tries that token's phrase lengths, longest
+    first, takes the first that matches and resumes after it, which
+    realises the leftmost-longest rule.
     """
     spans: list[EntitySpan] = []
-    if matcher.max_len == 0:
-        return spans
+    phrases = matcher.phrases
+    starts = matcher.first_token_lengths
     for sentence in doc.sentences:
         tokens = sentence.tokens
         lowers = [tok.lower for tok in tokens]
         n = len(tokens)
-        i = 0
-        while i < n:
-            found = None
-            for length in range(min(matcher.max_len, n - i), 0, -1):
-                pair = matcher.phrases.get(tuple(lowers[i : i + length]))
-                if pair is not None:
-                    found = (length, pair)
-                    break
-            if found is None:
-                i += 1
+        resume = 0
+        for i, lower in enumerate(lowers):
+            if i < resume or lower not in starts:
                 continue
-            length, (label, canonical) = found
+            for length in starts[lower]:
+                if i + length <= n:
+                    pair = phrases.get(tuple(lowers[i : i + length]))
+                    if pair is not None:
+                        break
+            else:
+                continue
+            label, canonical = pair
+            last = i + length - 1
             start = tokens[i].start_char
-            end = tokens[i + length - 1].end_char
+            end = tokens[last].end_char
             spans.append(
                 EntitySpan(
                     start_char=start,
@@ -117,10 +172,10 @@ def find_entities(doc: ReportDocument, matcher: CompiledMatcher) -> list[EntityS
                     label=label,
                     canonical=canonical,
                     first_token=i,
-                    last_token=i + length - 1,
+                    last_token=last,
                 )
             )
-            i += length
+            resume = last + 1
     return spans
 
 

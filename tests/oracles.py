@@ -17,10 +17,14 @@ they check.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import random
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from brieflens.assembler import TraffickingEvent
@@ -32,7 +36,13 @@ from brieflens.evaluation import (
     field_agree,
     pair_score,
 )
-from brieflens.lexicon import Lexicon
+from brieflens.lexicon import (
+    LEXICON_HEADER,
+    LEXICON_LABELS,
+    Lexicon,
+    LexiconError,
+    pluralize,
+)
 from brieflens.matcher import EntitySpan
 from brieflens.measures import (
     MAX_NUMBER,
@@ -149,6 +159,84 @@ def paragraph_document_from_text(
     return sentences, paragraphs
 
 
+@dataclass(frozen=True)
+class _LexiconRow:
+    surface: str
+    label: str
+    canonical: str
+    origin: str = ""
+
+
+def _naive_lexicon_rows(text: str, origin: str) -> list[_LexiconRow]:
+    rows: list[_LexiconRow] = []
+    header_seen = False
+    reader = csv.reader(io.StringIO(text))
+    for lineno, row in enumerate(reader, start=1):
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        if row[0].lstrip().startswith("#"):
+            continue
+        cells = [cell.strip() for cell in row]
+        if not header_seen:
+            if tuple(cells[:3]) != LEXICON_HEADER:
+                raise LexiconError(
+                    f"{origin}:{lineno}: expected header "
+                    f"{','.join(LEXICON_HEADER)!r}, got {','.join(cells)!r}"
+                )
+            header_seen = True
+            continue
+        if len(cells) < 2 or not cells[0]:
+            raise LexiconError(f"{origin}:{lineno}: need at least surface and label")
+        surface, label = cells[0], cells[1]
+        canonical = cells[2] if len(cells) > 2 else ""
+        rows.append(_LexiconRow(surface, label, canonical, origin=f"{origin}:{lineno}"))
+    return rows
+
+
+def _naive_lexicon_table(rows: list[_LexiconRow], version: str) -> Lexicon:
+    explicit: dict[str, tuple[str, str]] = {}
+    origin_of: dict[str, str] = {}
+    for entry in rows:
+        if entry.label not in LEXICON_LABELS:
+            raise LexiconError(
+                f"unknown label {entry.label!r} for surface {entry.surface!r}"
+                + (f" at {entry.origin}" if entry.origin else "")
+            )
+        key = entry.surface.casefold()
+        canonical = (entry.canonical or entry.surface).casefold()
+        pair = (entry.label, canonical)
+        if key in explicit and explicit[key] != pair:
+            raise LexiconError(
+                f"surface {entry.surface!r} maps to both {explicit[key]} "
+                f"(from {origin_of[key] or 'earlier row'}) and {pair}"
+                + (f" (from {entry.origin})" if entry.origin else "")
+            )
+        explicit[key] = pair
+        origin_of.setdefault(key, entry.origin)
+
+    table = dict(explicit)
+    for key, pair in explicit.items():
+        plural = pluralize(key)
+        if plural == key or plural in explicit:
+            continue
+        if plural in table and table[plural] != pair:
+            raise LexiconError(
+                f"auto-generated plural {plural!r} is ambiguous: {table[plural]} vs {pair}"
+            )
+        table[plural] = pair
+    return Lexicon(entries=table, version=version, n_rows=len(rows))
+
+
+def naive_load_lexicon(path: Path) -> Lexicon:
+    """Read every row of a lexicon file into a record, then build the table from them."""
+    data = path.read_bytes()
+    try:
+        rows = _naive_lexicon_rows(data.decode("utf-8-sig"), origin=path.name)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise LexiconError(f"{path.name}: {exc}") from exc
+    return _naive_lexicon_table(rows, hashlib.sha256(data).hexdigest()[:16])
+
+
 def tokenized_phrase_table(lexicon: Lexicon) -> dict[tuple[str, ...], tuple[str, str]]:
     """Each surface's ``tokenize`` lowers as a key; the first surface in sorted order wins."""
     surface_keys: dict[tuple[str, ...], tuple[str, str]] = {}
@@ -157,6 +245,16 @@ def tokenized_phrase_table(lexicon: Lexicon) -> dict[tuple[str, ...], tuple[str,
         if key and key not in surface_keys:
             surface_keys[key] = lexicon.entries[surface]
     return surface_keys
+
+
+def first_token_lengths(
+    phrases: Iterable[tuple[str, ...]],
+) -> dict[str, tuple[int, ...]]:
+    """Each phrase's first token -> the lengths of the phrases it starts, longest first."""
+    lengths: dict[str, set[int]] = {}
+    for phrase in phrases:
+        lengths.setdefault(phrase[0], set()).add(len(phrase))
+    return {first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()}
 
 
 def naive_leftmost_longest(doc: ReportDocument, lexicon: Lexicon) -> list[EntitySpan]:

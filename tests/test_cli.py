@@ -386,6 +386,23 @@ class TestLexiconValidate:
         code, _, err = run(capsys, "lexicon-validate", "--animals", bad)
         assert code == 1 and "INVALID" in err
 
+    def test_surfaces_that_are_one_phrase_flagged(self, tmp_path, capsys):
+        animals, products = tmp_path / "a.csv", tmp_path / "p.csv"
+        animals.write_text("surface,label,canonical\nsea turtle,ANIMAL,\n", encoding="utf-8")
+        products.write_text(
+            "surface,label,canonical\nsea  turtle,PRODUCT,turtle shell\n", encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "lexicon-validate", "--animals", animals, "--products", products
+        )
+        assert code == 1 and "no conflicts" not in out
+        assert err.splitlines() == [
+            "phrases: INVALID: surfaces 'sea  turtle' ('PRODUCT', 'turtle shell') and"
+            " 'sea turtle' ('ANIMAL', 'sea turtle') are one phrase",
+            "phrases: INVALID: surfaces 'sea  turtles' ('PRODUCT', 'turtle shell') and"
+            " 'sea turtles' ('ANIMAL', 'sea turtle') are one phrase",
+        ]
+
 
 class TestUsage:
     def test_parser_built_once(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from brieflens.lexicon import (
     Lexicon,
@@ -15,6 +16,8 @@ from brieflens.lexicon import (
     singularize,
 )
 from brieflens.resources import default_lexicon_paths
+
+from oracles import naive_load_lexicon
 
 
 @pytest.mark.parametrize(
@@ -162,6 +165,12 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="expected header"):
             load_lexicon(path)
 
+    def test_unreadable_row_reported_before_an_earlier_bad_label(self, tmp_path):
+        path = tmp_path / "lex.csv"
+        path.write_text("surface,label,canonical\ntusk,THING,\n,ANIMAL,\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match=r"^lex\.csv:3: need at least surface and label$"):
+            load_lexicon(path)
+
     def test_unreadable_file_named(self, tmp_path):
         path = tmp_path / "lat.csv"
         path.write_bytes("surface,label,canonical\nC\xf4te,COUNTRY,\n".encode("latin-1"))
@@ -203,3 +212,88 @@ def test_shipped_lists_cover_core_terms(shipped_lexicon):
     assert canonicals["PRODUCT"] == {"ivory", "tusk", "skin", "scale", "horn", "bone",
                                      "tooth", "claw", "meat"}
     assert len(canonicals["ANIMAL"]) >= 100
+
+
+def _rarely(values, others):
+    """Draw from ``others`` about one time in ten, else from ``values``."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(
+        lambda common: values if common else others
+    )
+
+
+# Cells that exercise every rule of the loader: case-folded duplicates,
+# explicit plurals, plurals that two singulars share ("fox" and "foxe" both
+# give "foxes"), commas and quotes that need csv quoting, and comment marks.
+# Repeated values weight the draw towards files that load.
+_SURFACES = _rarely(
+    st.sampled_from(["tusk", "Tusk", "tusks", "fox", "foxe", "leaf", "leaves", "sea turtle",
+                     "ivory", "Côte d'Ivoire", "ox", "ß", "SS"]),
+    st.sampled_from(["a,b", 'say "hi"', "#tag", ""]),
+)
+_LABELS = st.sampled_from(["ANIMAL", "PRODUCT", "COUNTRY"] * 6 + ["animal", "THING", ""])
+_CANONICALS = st.sampled_from(["", "", "", "tusk", "Fox", "leaf", "hippopotamus", "a,b"])
+_PADS = st.sampled_from(["", "", "", " ", "\t", "  "])
+
+
+@st.composite
+def _cell(draw, values):
+    value = draw(values)
+    if "," in value or '"' in value or not draw(_rarely(st.just(True), st.just(False))):
+        value = '"' + value.replace('"', '""') + '"'
+    return draw(_PADS) + value + draw(_PADS)
+
+
+@st.composite
+def _data_row(draw):
+    cells = [draw(_cell(_SURFACES)), draw(_cell(_LABELS)), draw(_cell(_CANONICALS)), "extra"]
+    return ",".join(cells[: draw(st.sampled_from([1] + [2] * 4 + [3] * 12 + [4] * 3))])
+
+
+_HEADERS = _rarely(
+    st.sampled_from(["surface,label,canonical", " surface , label ,canonical",
+                     "surface,label,canonical,note"]),
+    st.sampled_from(["surface,label", "Surface,label,canonical",
+                     "\ufeffsurface,label,canonical", "tusk,PRODUCT,"]),
+)
+_SKIPPED_LINES = st.sampled_from(
+    ["", "   ", ",,", " , ,", "# a comment", "  # indented, with a comma", "#"]
+)
+_OTHER_LINES = _rarely(_SKIPPED_LINES, st.sampled_from(["a\rb,ANIMAL,", "nul\0,ANIMAL,"]))
+
+
+@st.composite
+def _lexicon_file(draw):
+    lines = draw(st.lists(_SKIPPED_LINES, max_size=3))
+    if draw(_rarely(st.just(True), st.just(False))):
+        lines.append(draw(_HEADERS))
+    lines += draw(st.lists(_rarely(_data_row(), _OTHER_LINES), min_size=1, max_size=12))
+    newline = draw(_rarely(st.just("\n"), st.just("\r\n")))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if not draw(_rarely(st.just(True), st.just(False))):
+        # bytes that are not UTF-8, such as a Latin-1 "ô"
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xf4", b"\xff", b"\xc3"])) + data[at:]
+    return data
+
+
+def _load_outcome(load, path):
+    try:
+        lexicon = load(path)
+    except LexiconError as exc:
+        return "error", str(exc)
+    return dict(lexicon.entries), lexicon.version, lexicon.n_rows
+
+
+@given(_lexicon_file())
+@example(b"surface,label,canonical\nfox,ANIMAL,\nfoxe,PRODUCT,\n")  # ambiguous plural
+@example(b"surface,label,canonical\nfox,ANIMAL,\nfoxes,PRODUCT,\nfoxe,PRODUCT,\n")
+@example(b"surface,label,canonical\ntusk,PRODUCT,\nTusk,ANIMAL,\n")  # conflict
+@example(b"surface,label,canonical\ntusk,THING,\nC\xf4te,COUNTRY,\n")  # not UTF-8
+@example(b"surface,label,canonical\ntusk,THING,\na\rb,ANIMAL,\n")  # csv error
+def test_loader_matches_the_two_pass_oracle(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "lex.csv"
+    path.write_bytes(data)
+    assert _load_outcome(load_lexicon, path) == _load_outcome(naive_load_lexicon, path)

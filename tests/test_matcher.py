@@ -15,10 +15,12 @@ from brieflens.matcher import (
     compile_lexicon,
     find_entities,
     merge_spans,
+    phrase_collisions,
 )
 from brieflens.measures import numeric_spans
 
 from oracles import (
+    first_token_lengths,
     naive_leftmost_longest,
     naive_merge_spans,
     random_matcher_case,
@@ -68,7 +70,63 @@ def assert_table_matches_tokenize(lexicon: Lexicon, matcher: CompiledMatcher) ->
     # tokenize would give, so surfaces match exactly where document tokens do
     expected = tokenized_phrase_table(lexicon)
     assert matcher.phrases == expected
-    assert matcher.max_len == max(map(len, expected), default=0)
+    assert matcher.first_token_lengths == first_token_lengths(expected)
+
+
+# Phrases of 1-4 tokens that share first tokens, with punctuation, hyphens,
+# case folding that changes length ("ß", "İ") and arbitrary Unicode words.
+_FIRST_WORDS = st.sampled_from(["sea", "Sea", "big", "côte", "twenty-five", "3", "İ", "ß", "-"])
+_LATER_WORDS = st.one_of(
+    st.sampled_from(["turtle", "five", "d'ivoire", "-", ",", "horn", "ss", "SS", "3-5", "a_b"]),
+    st.text(min_size=1, max_size=4),
+)
+_PHRASES = st.builds(
+    lambda first, rest: " ".join([first, *rest]), _FIRST_WORDS, st.lists(_LATER_WORDS, max_size=3)
+)
+_SPACES = st.sampled_from([" ", "  ", ". ", ", ", "\n", "-"])
+
+
+@given(
+    st.dictionaries(
+        st.one_of(_PHRASES, st.text(max_size=6)),
+        st.sampled_from(["ANIMAL", "PRODUCT", "COUNTRY"]),
+        min_size=1,
+        max_size=10,
+    ),
+    st.data(),
+)
+def test_first_token_index_matches_the_oracle(labels, data):
+    lexicon = Lexicon(entries={s: (label, s) for s, label in labels.items()}, version="")
+    matcher = compile_lexicon(lexicon)
+    assert_table_matches_tokenize(lexicon, matcher)
+    pieces = st.one_of(st.sampled_from(sorted(labels)), _FIRST_WORDS, _LATER_WORDS)
+    parts = data.draw(st.lists(st.tuples(pieces, _SPACES), max_size=20))
+    doc = doc_of("".join(piece + space for piece, space in parts))
+    assert find_entities(doc, matcher) == naive_leftmost_longest(doc, lexicon)
+
+
+class TestPhraseCollisions:
+    def test_surfaces_differing_in_spacing_collide(self):
+        lexicon = Lexicon.from_rows(
+            [("sea turtle", "ANIMAL", ""), ("sea  turtle", "PRODUCT", "turtle shell")]
+        )
+        animal, product = ("ANIMAL", "sea turtle"), ("PRODUCT", "turtle shell")
+        assert phrase_collisions(lexicon) == [
+            ("sea  turtle", product, "sea turtle", animal),
+            ("sea  turtles", product, "sea turtles", animal),
+        ]
+        # extract keeps the surface that sorts first
+        spans = find_entities(doc_of("a sea turtle"), compile_lexicon(lexicon))
+        assert [(s.label, s.canonical) for s in spans] == [product]
+
+    def test_agreeing_surfaces_do_not_collide(self):
+        lexicon = Lexicon.from_rows(
+            [("côte d'ivoire", "COUNTRY", ""), ("côte  d'ivoire", "COUNTRY", "côte d'ivoire")]
+        )
+        assert phrase_collisions(lexicon) == []
+
+    def test_shipped_lists_have_none(self, shipped_lexicon):
+        assert phrase_collisions(shipped_lexicon) == []
 
 
 class TestFindEntities:
