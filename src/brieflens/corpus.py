@@ -13,6 +13,12 @@ line break can reach back across one.
 
 Offsets are always relative to the raw document text, so any span produced
 downstream can be sliced back out of ``raw_text`` unchanged.
+
+Tokens, sentences and documents are frozen, slotted dataclasses: they hold
+no ``__dict__``, compare and hash by value, and change only through
+``dataclasses.replace``.  Within one call of :func:`tokenize`, tokens with
+equal text share one ``text`` string, and a token's ``lower`` is its
+``text`` itself when casefolding leaves the text unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class ReportEncodingError(ValueError):
     """Raised when a brief is not valid UTF-8."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One token with document-relative character offsets."""
 
@@ -74,7 +80,7 @@ class Token:
     lower: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceSpan:
     """A sentence as a half-open [start_char, end_char) slice plus its tokens."""
 
@@ -83,7 +89,7 @@ class SentenceSpan:
     tokens: tuple[Token, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportDocument:
     """A fully segmented brief.
 
@@ -100,11 +106,21 @@ class ReportDocument:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Split ``text`` into offset-stable tokens."""
+    """Split ``text`` into offset-stable tokens.
+
+    Tokens with equal text share one ``(text, lower)`` pair of strings.
+    """
     tokens: list[Token] = []
+    # token text -> the (text, lower) pair every token with that text shares
+    pairs: dict[str, tuple[str, str]] = {}
     for m in TOKEN_RE.finditer(text):
         piece = m.group()
-        tokens.append(Token(m.start(), m.end(), piece, piece.casefold()))
+        pair = pairs.get(piece)
+        if pair is None:
+            lower = piece.casefold()
+            pair = pairs[piece] = (piece, piece if lower == piece else lower)
+        start, end = m.span()
+        tokens.append(Token(start, end, pair[0], pair[1]))
     return tokens
 
 

@@ -158,12 +158,18 @@ class Lexicon:
         different (label, canonical) pairs.  Auto-generated plural surfaces
         never override an explicit row; two auto plurals that disagree are a
         conflict as well.  An empty ``version`` becomes a digest of the table.
+        A row with fewer than two cells or an empty surface is rejected, as
+        the file loader rejects it, with the row's 1-based position.
         """
-        return _build_table(
-            ((surface, label, rest[0] if rest else "", 0) for surface, label, *rest in rows),
-            "",
-            version,
-        )
+        return _build_table(_given_rows(rows), "", version)
+
+
+def _given_rows(rows: Iterable[tuple]) -> Iterator[tuple[str, str, str, int]]:
+    """Yield ``from_rows``'s rows as the table builder reads them."""
+    for position, row in enumerate(rows, start=1):
+        if len(row) < 2 or not row[0]:
+            raise LexiconError(f"row {position}: need at least surface and label")
+        yield row[0], row[1], row[2] if len(row) > 2 else "", 0
 
 
 def _build_table(

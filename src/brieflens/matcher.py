@@ -46,7 +46,7 @@ CARDINAL = "CARDINAL"
 WEIGHT = "WEIGHT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntitySpan:
     """A labeled span of one sentence, in characters and in tokens.
 

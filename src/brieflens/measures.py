@@ -70,7 +70,7 @@ WEIGHT_UNIT_TOKENS = _KG_UNITS | _TON_UNITS | _GRAM_UNITS | _POUND_UNITS
 _POUND_KG = 0.45359237
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberMatch:
     """A parsed number and the token span it consumed.
 

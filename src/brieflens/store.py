@@ -57,6 +57,23 @@ CSV_HEADER = "report_id,year,month,country,species,product,quantity,weight_kg,ar
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 
 
+def _replace_file(dest: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``dest`` only if every one of them is written.
+
+    The text goes to ``<dest>.<pid>.tmp`` beside it, which then replaces
+    ``dest``.  On any failure the temporary file is removed and ``dest``
+    keeps its earlier bytes.
+    """
+    partial = Path(f"{dest}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+        os.replace(partial, dest)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 class StoreError(Exception):
     """Raised when the backing database cannot be opened, read or written."""
 
@@ -448,14 +465,7 @@ class EventStore:
             if hasattr(dest, "write"):
                 dest.writelines(self._csv_chunks())
             else:
-                partial = Path(f"{dest}.{os.getpid()}.tmp")
-                try:
-                    with open(partial, "w", encoding="utf-8", newline="") as handle:
-                        handle.writelines(self._csv_chunks())
-                    os.replace(partial, dest)
-                except BaseException:
-                    partial.unlink(missing_ok=True)
-                    raise
+                _replace_file(dest, self._csv_chunks())
             row = self._conn.execute(
                 "SELECT events FROM tallies"
                 " WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0"

@@ -2,23 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import string
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
 from brieflens.corpus import (
     DEFAULT_ABBREVIATIONS,
+    ReportDocument,
     ReportEncodingError,
     ReportNamingError,
+    SentenceSpan,
+    Token,
     document_from_text,
     load_abbreviations,
     load_report,
     segment_sentences,
     tokenize,
 )
+from brieflens.matcher import EntitySpan
+from brieflens.measures import NumberMatch
 from brieflens.pipeline import extract_document
 from brieflens.resources import DATA_DIR
 from brieflens.store import EventStore
@@ -66,6 +73,46 @@ class TestTokenize:
         for i, ch in enumerate(text):
             if ch.isalnum():
                 assert i in covered, f"alphanumeric char {ch!r} at {i} missed"
+
+
+_TOKEN = Token(4, 9, "Ivory", "ivory")
+_RECORDS = [
+    (_TOKEN, "start_char", 5),
+    (SentenceSpan(4, 9, (_TOKEN,)), "end_char", 10),
+    (ReportDocument("a-2021-01", 2021, 1, "The Ivory", (SentenceSpan(4, 9, (_TOKEN,)),), ((0, 1),)),
+     "month", 2),
+    (EntitySpan(4, 9, "Ivory", "PRODUCT", "ivory", 0, 0), "label", "ANIMAL"),
+    (NumberMatch(Decimal("1.5"), 2, 3), "length", 1),
+]
+
+
+@pytest.mark.parametrize(("record", "field", "other"), _RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in _RECORDS])
+def test_records_are_slotted_values(record, field, other):
+    assert not hasattr(record, "__dict__")
+    twin = dataclasses.replace(record)
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+    assert repr(twin) == repr(record)
+    changed = dataclasses.replace(record, **{field: other})
+    assert getattr(changed, field) == other and changed != record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, other)
+
+
+_SHARED_WORDS = st.sampled_from(["Ivory", "ivory", "IVORY", "Straße", "STRASSE", "İstanbul", "kg", "."])
+
+
+@given(st.lists(st.one_of(st.text(max_size=8), _SHARED_WORDS), max_size=30).map(" ".join))
+def test_equal_token_texts_share_one_string(text):
+    sentences = document_from_text("a-2021-01", 2021, 1, text).sentences
+    for tokens in (tokenize(text), [t for s in sentences for t in s.tokens]):
+        first: dict[str, str] = {}
+        for tok in tokens:
+            assert tok.lower == tok.text.casefold()
+            assert tok.text is first.setdefault(tok.text, tok.text)
+            if tok.text.casefold() == tok.text:
+                assert tok.lower is tok.text
 
 
 class TestSegmentation:

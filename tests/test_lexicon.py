@@ -98,6 +98,11 @@ class TestFromRows:
     def test_empty_rows_give_empty_lexicon(self):
         assert len(Lexicon.from_rows([])) == 0
 
+    @pytest.mark.parametrize("short", [("tusk",), (), ("", "ANIMAL", "")])
+    def test_short_row_named_by_position(self, short):
+        with pytest.raises(LexiconError, match=r"^row 2: need at least surface and label$"):
+            Lexicon.from_rows([("ivory", "PRODUCT", ""), short, ("tusk", "THING", "")])
+
     def test_version_is_stable(self):
         rows = [("tusk", "PRODUCT", "")]
         assert Lexicon.from_rows(rows).version == Lexicon.from_rows(rows).version

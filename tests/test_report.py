@@ -7,6 +7,10 @@ import json
 import math
 import re
 
+import pytest
+
+import brieflens.report
+from brieflens.assembler import TraffickingEvent
 from brieflens.report import emit_html, emit_json, render, write_report_files
 from brieflens.store import EventStore, SummaryStats
 
@@ -183,8 +187,6 @@ class TestRenderAndFiles:
     def seeded_store(self):
         s = EventStore()
         s.register_report("a-2021-01", 2021, 1)
-        from brieflens.assembler import TraffickingEvent
-
         s.ingest(
             [
                 TraffickingEvent(
@@ -209,3 +211,23 @@ class TestRenderAndFiles:
         payload = json.loads(json_path.read_text(encoding="utf-8"))
         assert payload["total_events"] == 1
         assert 'data-metric="total_events" data-value="1"' in html_path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("failing", ["emit_json", "emit_html"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, failing):
+        out = tmp_path / "out"
+        with self.seeded_store() as s:
+            write_report_files(s, out)
+            earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+            s.register_report("b-2021-02", 2021, 2)
+            s.ingest([TraffickingEvent(report_id="b-2021-02", year=2021, month=2, species="pangolin")])
+            rendered = render(s)
+            assert rendered.json_text.encode("utf-8") != earlier["summary.json"]
+            # a lone surrogate cannot be encoded as UTF-8
+            monkeypatch.setattr(brieflens.report, failing, lambda *args, **kwargs: "\ud800")
+            with pytest.raises(UnicodeEncodeError):
+                write_report_files(s, out)
+        assert sorted(p.name for p in out.iterdir()) == ["dashboard.html", "summary.json"]
+        assert (out / "dashboard.html").read_bytes() == earlier["dashboard.html"]
+        # summary.json is written first, so only a failing dashboard lets it through
+        summary = rendered.json_text.encode("utf-8") if failing == "emit_html" else earlier["summary.json"]
+        assert (out / "summary.json").read_bytes() == summary
