@@ -36,6 +36,7 @@ from typing import Iterable
 from .corpus import ReportDocument, SentenceSpan
 from .lexicon import ANIMAL, COUNTRY, PRODUCT
 from .matcher import CARDINAL, WEIGHT, EntitySpan
+from .resources import decode_text
 
 __all__ = [
     "ARREST_LEXEMES",
@@ -74,13 +75,10 @@ _HEURISTIC_KEYS = tuple(f.name for f in fields(HeuristicConfig))
 def load_heuristics(path: str | Path) -> HeuristicConfig:
     """Read a key=value heuristics file.
 
-    The file may start with one byte-order mark.  Text that is not UTF-8,
-    unknown keys and negative values raise ``ValueError`` naming the file.
+    Text that is not UTF-8, unknown keys and negative values raise
+    ``ValueError`` naming the file.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    text = decode_text(Path(path).read_bytes(), path, ValueError)
     values: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

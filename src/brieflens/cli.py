@@ -22,7 +22,7 @@ from .lexicon import Lexicon, LexiconError, load_lexicon, merge_lexicons
 from .matcher import compile_lexicon, phrase_collisions
 from .pipeline import extract_document
 from .report import write_report_files
-from .resources import default_lexicon_paths
+from .resources import default_lexicon_paths, replace_file
 from .store import EventStore, StoreError, import_csv
 
 __all__ = ["main"]
@@ -182,7 +182,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"detection_rate={report.detection_rate:.4f}")
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "eval_report.txt"
-    out_path.write_text("\n".join(report.machine_lines()) + "\n", encoding="utf-8")
+    replace_file(out_path, ["\n".join(report.machine_lines()) + "\n"])
     LOGGER.info("wrote %s", out_path)
     return EXIT_OK
 
@@ -238,7 +238,7 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a bad flag, input file or store prints ``error:`` and exits 1.
 
-    LexiconError, CsvFormatError and UnicodeDecodeError are ValueErrors.
+    LexiconError and CsvFormatError are ValueErrors.
     """
     try:
         args = build_parser().parse_args(argv)

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .resources import decode_text
+
 __all__ = [
     "DEFAULT_ABBREVIATIONS",
     "ReportDocument",
@@ -218,15 +220,10 @@ def load_abbreviations(path: str | Path) -> tuple[str, ...]:
     """Read one abbreviation per line; '#' comments and blank lines skipped.
 
     A missing trailing period is added, since matching is anchored at the
-    sentence terminator.  The file may start with one byte-order mark; text
-    that is not UTF-8 raises ``ValueError``.
+    sentence terminator.  Text that is not UTF-8 raises ``ValueError``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     items: list[str] = []
-    for raw in text.splitlines():
+    for raw in decode_text(Path(path).read_bytes(), path, ValueError).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -243,9 +240,10 @@ def load_report(
     """Load one brief from disk.
 
     The filename must look like ``eastern-2021-04.txt``; the stem becomes the
-    report id and the trailing year/month become the report date.  Raises
-    :class:`ReportNamingError` for a bad name or month, and
-    :class:`ReportEncodingError` for invalid UTF-8.
+    report id and the trailing year/month become the report date.  A leading
+    byte-order mark is dropped, as from every input, so it changes no token,
+    offset or event.  Raises :class:`ReportNamingError` for a bad name or
+    month, and :class:`ReportEncodingError` for invalid UTF-8.
     """
     path = Path(path)
     m = _FILENAME_RE.fullmatch(path.name)
@@ -256,14 +254,10 @@ def load_report(
     month = int(m.group("month"))
     if not 1 <= month <= 12:
         raise ReportNamingError(f"report filename {path.name!r} has month {month} outside 1..12")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ReportEncodingError(f"report {path.name!r} is not valid UTF-8: {exc}") from exc
     return document_from_text(
         report_id=path.name[: -len(".txt")],
         year=int(m.group("year")),
         month=month,
-        text=text,
+        text=decode_text(path.read_bytes(), path, ReportEncodingError),
         abbreviations=abbreviations,
     )

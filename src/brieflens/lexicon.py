@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from .resources import decode_text
+
 __all__ = [
     "ANIMAL",
     "COUNTRY",
@@ -250,16 +252,14 @@ def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, int]]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load one lexicon CSV; the version is a digest of the file bytes.
-
-    The file may start with one byte-order mark, as spreadsheets write it.
-    """
+    """Load one lexicon CSV; the version is a digest of the file bytes."""
     path = Path(path)
     data = path.read_bytes()
     version = hashlib.sha256(data).hexdigest()[:16]
+    rows = _file_rows(decode_text(data, path, LexiconError), path.name)
     try:
-        return _build_table(_file_rows(data.decode("utf-8-sig"), path.name), path.name, version)
-    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: an overlong field
+        return _build_table(rows, path.name, version)
+    except csv.Error as exc:  # an overlong field
         raise LexiconError(f"{path.name}: {exc}") from exc
 
 

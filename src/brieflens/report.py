@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .store import EventStore, SummaryStats, _replace_file
+from .resources import replace_file
+from .store import EventStore, SummaryStats
 
 __all__ = [
     "RenderedReport",
@@ -236,16 +237,12 @@ def render(store: EventStore) -> RenderedReport:
 
 
 def write_report_files(store: EventStore, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write summary.json and dashboard.html into ``out_dir``.
-
-    Each file is replaced only once its new text is written whole, as
-    ``EventStore.export_csv`` replaces its destination.
-    """
+    """Write summary.json and dashboard.html into ``out_dir``, each replaced whole."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rendered = render(store)
     json_path = out / "summary.json"
     html_path = out / "dashboard.html"
-    _replace_file(json_path, [rendered.json_text])
-    _replace_file(html_path, [rendered.html_text])
+    replace_file(json_path, [rendered.json_text])
+    replace_file(html_path, [rendered.html_text])
     return json_path, html_path

@@ -31,8 +31,6 @@ import contextlib
 import csv
 import hashlib
 import io
-import itertools
-import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +38,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .assembler import TraffickingEvent
 from .measures import format_weight
+from .resources import open_lines, replace_file
 
 __all__ = [
     "CSV_COLUMNS",
@@ -55,23 +54,6 @@ __all__ = [
 
 CSV_HEADER = "report_id,year,month,country,species,product,quantity,weight_kg,arrest_count"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
-
-
-def _replace_file(dest: str | Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to ``dest`` only if every one of them is written.
-
-    The text goes to ``<dest>.<pid>.tmp`` beside it, which then replaces
-    ``dest``.  On any failure the temporary file is removed and ``dest``
-    keeps its earlier bytes.
-    """
-    partial = Path(f"{dest}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
-        os.replace(partial, dest)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
 
 
 class StoreError(Exception):
@@ -458,14 +440,13 @@ class EventStore:
     def export_csv(self, dest: str | Path | TextIO) -> int:
         """Write the interchange CSV; returns the number of data rows.
 
-        A path is written only when the whole export succeeds: the rows go
-        to a temporary file beside it, which then replaces it.
+        A path is replaced only once the whole export is written.
         """
         with self._sqlite_errors():
             if hasattr(dest, "write"):
                 dest.writelines(self._csv_chunks())
             else:
-                _replace_file(dest, self._csv_chunks())
+                replace_file(dest, self._csv_chunks())
             row = self._conn.execute(
                 "SELECT events FROM tallies"
                 " WHERE kind = 'total' AND name = '' AND year = 0 AND month = 0"
@@ -566,25 +547,24 @@ def _parse_int(value: str, column: str, row: int) -> int:
 def import_csv(source: str | Path | TextIO) -> list[TraffickingEvent]:
     """Read the interchange CSV back into events.
 
-    The text may start with one byte-order mark, as spreadsheets write it;
-    after it, the header must match exactly.  Empty cells become absent
-    fields.  Events read this way have no sentence provenance, so
-    sentence_index is 0.  A file that is not UTF-8 or not in this format
-    raises :class:`CsvFormatError` naming the file.
+    The text is read a line at a time; after one leading byte-order mark,
+    the header must match exactly.  Empty cells become absent fields.  Events
+    read this way have no sentence provenance, so sentence_index is 0.  A file
+    that is not UTF-8 or not in this format raises :class:`CsvFormatError`
+    naming the file.
     """
-    if hasattr(source, "read"):
-        return _shared_events(_parse_csv(source))
-    try:
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _shared_events(_parse_csv(handle))
-    except (UnicodeDecodeError, CsvFormatError, csv.Error) as exc:  # csv.Error: an overlong field
-        raise CsvFormatError(f"{source}: {exc}") from exc
+    with open_lines(source, CsvFormatError) as lines:
+        try:
+            return _shared_events(_parse_csv(lines))
+        except (CsvFormatError, csv.Error) as exc:  # csv.Error: an overlong field
+            if hasattr(source, "read"):
+                raise
+            raise CsvFormatError(f"{source}: {exc}") from exc
 
 
-def _parse_csv(handle: TextIO) -> Iterator[tuple]:
+def _parse_csv(lines: Iterable[str]) -> Iterator[tuple]:
     """The validated rows of the interchange CSV, in ``TraffickingEvent`` field order."""
-    first = handle.readline().removeprefix("\ufeff")
-    reader = csv.reader(itertools.chain((first,) if first else (), handle))
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:

@@ -231,8 +231,12 @@ def naive_load_lexicon(path: Path) -> Lexicon:
     """Read every row of a lexicon file into a record, then build the table from them."""
     data = path.read_bytes()
     try:
-        rows = _naive_lexicon_rows(data.decode("utf-8-sig"), origin=path.name)
-    except (UnicodeDecodeError, csv.Error) as exc:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not valid UTF-8: {exc}") from exc
+    try:
+        rows = _naive_lexicon_rows(text, origin=path.name)
+    except csv.Error as exc:
         raise LexiconError(f"{path.name}: {exc}") from exc
     return _naive_lexicon_table(rows, hashlib.sha256(data).hexdigest()[:16])
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from brieflens import cli
 from brieflens.cli import main
 from brieflens.corpus import DEFAULT_ABBREVIATIONS, document_from_text, load_report
-from brieflens.evaluation import field_agree
+from brieflens.evaluation import EvalReport, field_agree
 from brieflens.pipeline import extract_document
 from brieflens.resources import default_lexicon_paths
 from brieflens.store import CSV_HEADER, EventStore, SchemaError, import_csv
@@ -284,6 +284,17 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--gold", bad, "--store", extracted)
         assert code == 1 and "error:" in err
 
+    def test_failed_write_keeps_the_earlier_report(self, extracted, tmp_path, capsys, monkeypatch):
+        run(capsys, "eval", "--gold", GOLD_CSV, "--store", extracted, "--out", tmp_path)
+        earlier = (tmp_path / "eval_report.txt").read_bytes()
+        before = sorted(tmp_path.iterdir())
+        # a lone surrogate cannot be encoded as UTF-8
+        monkeypatch.setattr(EvalReport, "machine_lines", lambda self: ["fully=0", "\ud800"])
+        code, _, err = run(capsys, "eval", "--gold", GOLD_CSV, "--store", extracted, "--out", tmp_path)
+        assert code == 1 and err.startswith("error:")
+        assert (tmp_path / "eval_report.txt").read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_out_naming_a_file_is_usage_error(self, extracted, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
@@ -541,6 +552,25 @@ class TestByteOrderMark:
             code, _, err = run(capsys, "eval", "--gold", gold, "--pred", pred, "--out", out_dir)
             assert code == 0 and err == ""
             assert (out_dir / "eval_report.txt").read_text(encoding="utf-8") == expected
+
+    def test_brief(self, tmp_path, capsys):
+        exports = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            briefs = tmp_path / f"briefs-{len(prefix)}"
+            briefs.mkdir()
+            for brief in sorted(BRIEFS_DIR.glob("*.txt")):
+                (briefs / brief.name).write_bytes(prefix + brief.read_bytes())
+            store, export = tmp_path / f"{len(prefix)}.db", tmp_path / f"{len(prefix)}.csv"
+            code, out, err = run(capsys, "extract", briefs, "--store", store)
+            assert code == 0 and err == "" and out.count(" events\n") == 6
+            run(capsys, "export", export, "--store", store)
+            exports.append(export.read_bytes())
+            brief = briefs / "demo-2021-06.txt"
+            assert not load_report(brief).raw_text.startswith("\ufeff")
+            assert load_report(brief).sentences == load_report(BRIEFS_DIR / brief.name).sentences
+        assert exports[0] == exports[1]
+        with EventStore(tmp_path / "3.db") as s:
+            assert s.content_hash() == "d9adf4d3b0f6bd38"
 
     def test_lexicon(self, tmp_path, capsys):
         plain = default_lexicon_paths()["countries"]

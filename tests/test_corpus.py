@@ -250,8 +250,24 @@ class TestLoadReport:
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "demo-2021-01.txt"
         path.write_bytes(b"\xff\xfe broken")
-        with pytest.raises(ReportEncodingError):
+        with pytest.raises(ReportEncodingError, match=r"^\S*demo-2021-01\.txt: not valid UTF-8: "):
             load_report(path)
+
+    def test_byte_order_mark_at_the_start(self, tmp_path, shipped_matcher):
+        text = "\n\nIn Gabon, two elephant tusks were seized.\n\nPolice arrested 3 men in Togo.\n"
+        loaded = {}
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf"), ("two", b"\xef\xbb\xbf" * 2)):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "x-2021-01.txt"
+            path.write_bytes(prefix + text.encode("utf-8"))
+            loaded[name] = load_report(path)
+        # same text, tokens, offsets and paragraphs, so the same events
+        assert loaded["bom"] == loaded["plain"]
+        assert extract_document(loaded["bom"], shipped_matcher) == extract_document(
+            loaded["plain"], shipped_matcher
+        )
+        # only one mark is dropped: a second is text
+        assert loaded["two"].raw_text == "\ufeff" + text
 
 
 class TestAbbreviationFile:

@@ -179,7 +179,7 @@ class TestLoadLexicon:
     def test_unreadable_file_named(self, tmp_path):
         path = tmp_path / "lat.csv"
         path.write_bytes("surface,label,canonical\nC\xf4te,COUNTRY,\n".encode("latin-1"))
-        with pytest.raises(LexiconError, match=r"^lat\.csv: 'utf-8' codec can't decode"):
+        with pytest.raises(LexiconError, match=r"^\S*lat\.csv: not valid UTF-8: 'utf-8' codec"):
             load_lexicon(path)
         path.write_text(f"surface,label,canonical\n{'x' * 200_000},ANIMAL,\n", encoding="utf-8")
         with pytest.raises(LexiconError, match=r"^lat\.csv: field larger than field limit"):

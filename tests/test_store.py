@@ -440,7 +440,7 @@ class TestCsvImport:
         with pytest.raises(CsvFormatError, match=r"^\S*pred\.csv: row 2: month 13"):
             import_csv(path)
         path.write_bytes(f"{CSV_HEADER}\na-2021-01,2021,1,C\xf4te,x,,,,\n".encode("latin-1"))
-        with pytest.raises(CsvFormatError, match=r"^\S*pred\.csv: 'utf-8' codec can't decode"):
+        with pytest.raises(CsvFormatError, match=r"^\S*pred\.csv: not valid UTF-8: 'utf-8' codec"):
             import_csv(path)
 
     def test_leading_byte_order_mark_skipped(self, tmp_path):
