@@ -2,8 +2,9 @@
 
 Subcommands: extract, eval, export, report, lexicon-validate.  Exit codes
 are 0 for success, 1 for usage or format errors, 2 when a batch finished
-but some inputs failed.  A bad flag, input file or store ends any command
-with one ``error:`` line, printed by :func:`main`.
+but some inputs failed, and 130 when an interrupted extract kept the briefs
+it had finished.  A bad flag, input file or store ends any command with one
+``error:`` line, printed by :func:`main`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ LOGGER = logging.getLogger("brieflens")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
+EXIT_INTERRUPTED = 130
 
 
 class _UsageError(Exception):
@@ -146,7 +148,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     extracted = 0
     failures = 0
-    # one transaction for the run; a failed brief rolls back its own savepoint only
+    interrupted = False
+    # one transaction for the run; a failed or interrupted brief rolls back
+    # its own savepoint only, and an interrupt commits the briefs before it
     with EventStore(args.store) as store, store.batch():
         for path in paths:
             try:
@@ -155,6 +159,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 with store.batch():
                     store.register_report(doc.report_id, doc.year, doc.month, str(path))
                     store.ingest(events)
+            except KeyboardInterrupt:
+                interrupted = True
+                break
             except Exception as exc:  # a bad brief or a store error fails that brief only
                 failures += 1
                 print(f"error: {path.name}: {exc}", file=sys.stderr)
@@ -163,6 +170,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             print(f"{doc.report_id}: {len(events)} events")
 
     LOGGER.info("extracted %d reports, %d failures", extracted, failures)
+    if interrupted:
+        print(f"interrupted: kept {extracted} briefs", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

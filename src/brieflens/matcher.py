@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import TOKEN_RE, ReportDocument, tokenize
+from .corpus import TOKEN_RE, ReportDocument
 from .lexicon import Lexicon
 
 __all__ = [
@@ -83,6 +83,15 @@ class CompiledMatcher:
     lexicon_version: str
 
 
+def _phrase_key(surface: str) -> tuple[str, ...]:
+    """The phrase ``surface`` compiles to: the case-folded texts of its tokens."""
+    # str.isalnum accepts exactly the characters of TOKEN_RE's [^\W_], so an
+    # alphanumeric surface is one token and needs no regex
+    if surface.isalnum():
+        return (surface.casefold(),)
+    return tuple(piece.casefold() for piece in TOKEN_RE.findall(surface))
+
+
 def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
     """Compile every lexicon surface into the phrase table and its first-token index."""
     phrases: dict[tuple[str, ...], tuple[str, str]] = {}
@@ -91,15 +100,8 @@ def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
     # sorted iteration keeps compilation deterministic if two distinct
     # surfaces collapse to the same token sequence: the first one wins
     for surface in sorted(entries):
-        # str.isalnum accepts exactly the characters of TOKEN_RE's [^\W_], so
-        # an alphanumeric surface is one token and needs no regex
-        if surface.isalnum():
-            key = (surface.casefold(),)
-        else:
-            key = tuple(piece.casefold() for piece in TOKEN_RE.findall(surface))
-            if not key:
-                continue
-        if key in phrases:
+        key = _phrase_key(surface)
+        if not key or key in phrases:
             continue
         phrases[key] = entries[surface]
         first, n = key[0], len(key)
@@ -124,7 +126,7 @@ def phrase_collisions(
     first: dict[tuple[str, ...], str] = {}
     collisions = []
     for surface in sorted(lexicon.entries):
-        key = tuple(tok.lower for tok in tokenize(surface))
+        key = _phrase_key(surface)
         if not key:
             continue
         kept = first.setdefault(key, surface)

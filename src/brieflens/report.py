@@ -226,9 +226,14 @@ def emit_html(stats: SummaryStats, store_version: str = "") -> str:
 
 
 def render(store: EventStore) -> RenderedReport:
-    """Summarize a store and render both output formats."""
-    stats = store.summarize()
-    version = store.content_hash()
+    """Summarize a store and render both output formats.
+
+    The totals and the store version are read from one snapshot, so the
+    version is the digest of the state the totals describe.
+    """
+    with store.snapshot():
+        stats = store.summarize()
+        version = store.content_hash()
     return RenderedReport(
         json_text=emit_json(stats),
         html_text=emit_html(stats, store_version=version),

@@ -12,8 +12,9 @@ is registered.  Each write call is atomic; ``EventStore.batch`` groups
 many into one transaction, in which a failed call undoes only itself.  A third
 table, ``tallies``, holds the running totals that ``summarize`` reads; two
 triggers on ``events`` keep it current, so no write path does its own
-bookkeeping.  ``iter_events`` reads every event one report at a time,
-inside one read transaction, so a reader sees one state of the store.
+bookkeeping.  ``snapshot`` runs a block of reads in one read transaction,
+so they see one state of the store; ``iter_events`` reads every event one
+report at a time inside one.
 A store of an older schema version is replayed into the current schema
 when opened: its report and event rows are copied, and the tallies and
 CSV cache are rebuilt by the code that keeps them current.
@@ -400,22 +401,36 @@ class EventStore:
         with self._sqlite_errors():
             return _shared_events(self._conn.execute(sql, params))
 
+    @contextlib.contextmanager
+    def snapshot(self) -> Iterator[None]:
+        """Run the block's reads in one read transaction, so they see one state.
+
+        While the block runs, no other connection can commit a write.  The
+        transaction ends with the block, and a write made through this store
+        meanwhile is undone with it.  Inside a ``batch`` the reads run in the
+        batch's own transaction instead, and see its writes.
+        """
+        if self._conn.in_transaction:
+            yield
+            return
+        with self._sqlite_errors():
+            self._conn.execute("BEGIN")
+        try:
+            yield
+        finally:
+            # the reads kept nothing; a store closed meanwhile has already
+            # ended the transaction
+            with contextlib.suppress(sqlite3.ProgrammingError):
+                self._conn.rollback()
+
     def iter_events(self) -> Iterator[TraffickingEvent]:
         """Every event in export order, read one report at a time.
 
-        The reads run in one read transaction, so they see one state of the
-        store: while the iterator is suspended, no other connection can
-        commit a write.  The transaction ends when the iterator is
-        exhausted, closed or dropped, and a write made through this store
-        meanwhile is undone with it.  Inside a ``batch`` the reads run in
-        the batch's own transaction instead, and see its writes.
+        The reads run in one :meth:`snapshot`, which stays open while the
+        iterator is suspended and ends when it is exhausted, closed or dropped.
         """
-        opened = False
-        try:
+        with self.snapshot():
             with self._sqlite_errors():
-                if not self._conn.in_transaction:
-                    self._conn.execute("BEGIN")
-                    opened = True
                 # read from the events_by_report index, not from ``reports``,
                 # whose rows carry each report's cached CSV text
                 ids = self._conn.execute("SELECT DISTINCT report_id FROM events ORDER BY report_id")
@@ -424,12 +439,6 @@ class EventStore:
                 # one events() call per report: perfbench's tracer counts the
                 # rows read at that method
                 yield from self.events(report_id)
-        finally:
-            if opened:
-                # the reads kept nothing; a store closed meanwhile has
-                # already ended the transaction
-                with contextlib.suppress(sqlite3.ProgrammingError):
-                    self._conn.rollback()
 
     def _csv_chunks(self) -> Iterator[str]:
         """The interchange CSV: the header, then each report's cached rows."""

@@ -149,6 +149,40 @@ class TestExtract:
         with EventStore(store) as s:
             assert s.content_hash() == "d9adf4d3b0f6bd38"
 
+    @pytest.mark.parametrize("where", ["load_report", "ingest"])
+    def test_interrupt_keeps_the_finished_briefs(self, where, tmp_path, capsys, monkeypatch):
+        real_load_report, real_ingest = cli.load_report, EventStore.ingest
+
+        def interrupted_load_report(path, *args, **kwargs):
+            if path.name == "demo-2021-05.txt":
+                raise KeyboardInterrupt
+            return real_load_report(path, *args, **kwargs)
+
+        def interrupted_ingest(self, events):
+            # writes brief 5's events, then is interrupted
+            count = real_ingest(self, events)
+            if any(e.report_id == "demo-2021-05" for e in events):
+                raise KeyboardInterrupt
+            return count
+
+        if where == "load_report":
+            monkeypatch.setattr(cli, "load_report", interrupted_load_report)
+        else:
+            monkeypatch.setattr(EventStore, "ingest", interrupted_ingest)
+        store = tmp_path / "events.db"
+        try:
+            code, out, err = run(capsys, "extract", BRIEFS_DIR, "--store", store)
+        except KeyboardInterrupt:
+            code, (out, err) = "KeyboardInterrupt", capsys.readouterr()
+        assert code == 130
+        kept = [f"demo-2021-0{m}" for m in (1, 2, 3, 4)]
+        assert out.splitlines() == [f"{report_id}: 1 events" for report_id in kept]
+        assert err == "interrupted: kept 4 briefs\n"
+        conn = sqlite3.connect(store)
+        assert [r for (r,) in conn.execute("SELECT report_id FROM reports ORDER BY 1")] == kept
+        assert [r for (r,) in conn.execute("SELECT DISTINCT report_id FROM events ORDER BY 1")] == kept
+        conn.close()
+
     def test_one_transaction_per_run(self, tmp_path, capsys, monkeypatch):
         store = tmp_path / "events.db"
         EventStore(store).close()
@@ -289,7 +323,7 @@ class TestEval:
         earlier = (tmp_path / "eval_report.txt").read_bytes()
         before = sorted(tmp_path.iterdir())
         # a lone surrogate cannot be encoded as UTF-8
-        monkeypatch.setattr(EvalReport, "machine_lines", lambda self: ["fully=0", "\ud800"])
+        monkeypatch.setattr(EvalReport, "machine_lines", lambda self: ["\ud800"])
         code, _, err = run(capsys, "eval", "--gold", GOLD_CSV, "--store", extracted, "--out", tmp_path)
         assert code == 1 and err.startswith("error:")
         assert (tmp_path / "eval_report.txt").read_bytes() == earlier

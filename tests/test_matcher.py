@@ -6,7 +6,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from brieflens.corpus import document_from_text
+from brieflens.corpus import document_from_text, tokenize
 from brieflens.lexicon import Lexicon
 from brieflens.matcher import (
     CARDINAL,
@@ -127,6 +127,23 @@ class TestPhraseCollisions:
 
     def test_shipped_lists_have_none(self, shipped_lexicon):
         assert phrase_collisions(shipped_lexicon) == []
+
+    @given(
+        st.dictionaries(
+            st.one_of(_PHRASES, st.text(alphabet="aAßs -,.", max_size=6)),
+            st.tuples(st.sampled_from(["ANIMAL", "PRODUCT"]), st.sampled_from(["x", "y"])),
+            max_size=10,
+        )
+    )
+    def test_reported_exactly_when_compile_drops_them(self, entries):
+        lexicon = Lexicon(entries=entries, version="")
+        phrases = compile_lexicon(lexicon).phrases
+        # a surface is dropped when the phrase it tokenizes to carries another pair
+        dropped = {
+            surface for surface, pair in entries.items()
+            if (key := tuple(t.lower for t in tokenize(surface))) and phrases[key] != pair
+        }
+        assert {dropped for _, _, dropped, _ in phrase_collisions(lexicon)} == dropped
 
 
 class TestFindEntities:

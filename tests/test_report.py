@@ -6,6 +6,7 @@ import html as html_lib
 import json
 import math
 import re
+import sqlite3
 
 import pytest
 
@@ -203,6 +204,43 @@ class TestRenderAndFiles:
             assert rendered.store_version == s.content_hash()
             assert rendered.json_text == emit_json(s.summarize())
             assert f'data-metric="store_version">{rendered.store_version}<' in rendered.html_text
+
+    def test_render_reads_one_state(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.db"
+        with EventStore(path) as s:
+            s.register_report("a-2021-01", 2021, 1)
+            s.ingest([TraffickingEvent(report_id="a-2021-01", year=2021, month=1, species="elephant")])
+            before = s.content_hash()
+        writer = sqlite3.connect(path, timeout=0)
+        real_summarize = EventStore.summarize
+        landed = []
+
+        def summarize_then_write(self):
+            stats = real_summarize(self)
+            # another process commits a report and its event right after the read
+            try:
+                writer.execute(
+                    "INSERT INTO reports (report_id, year, month, csv_rows)"
+                    " VALUES ('b-2021-02', 2021, 2, 'b-2021-02,2021,2,,pangolin,,,,\n')"
+                )
+                writer.execute("INSERT INTO events (report_id, species) VALUES ('b-2021-02', 'pangolin')")
+                writer.commit()
+                landed.append(True)
+            except sqlite3.OperationalError:
+                writer.rollback()
+                landed.append(False)
+            return stats
+
+        monkeypatch.setattr(EventStore, "summarize", summarize_then_write)
+        try:
+            with EventStore(path) as s:
+                rendered = render(s)
+        finally:
+            writer.close()
+        assert json.loads(rendered.json_text)["total_events"] == 1
+        # the stamp is the digest of the state the totals describe
+        assert rendered.store_version == before
+        assert landed == [False]
 
     def test_write_report_files(self, tmp_path):
         with self.seeded_store() as s:
