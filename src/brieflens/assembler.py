@@ -75,11 +75,12 @@ _HEURISTIC_KEYS = tuple(f.name for f in fields(HeuristicConfig))
 def load_heuristics(path: str | Path) -> HeuristicConfig:
     """Read a key=value heuristics file.
 
-    Text that is not UTF-8, unknown keys and negative values raise
-    ``ValueError`` naming the file.
+    Text that is not UTF-8, unknown or repeated keys and negative values
+    raise ``ValueError`` naming the file.
     """
     text = decode_text(Path(path).read_bytes(), path, ValueError)
     values: dict[str, int] = {}
+    set_at: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,6 +89,9 @@ def load_heuristics(path: str | Path) -> HeuristicConfig:
         key = key.strip()
         if not sep or key not in _HEURISTIC_KEYS:
             raise ValueError(f"{path}:{lineno}: expected one of {_HEURISTIC_KEYS}, got {raw!r}")
+        if key in set_at:
+            raise ValueError(f"{path}:{lineno}: {key} repeated (first set at line {set_at[key]})")
+        set_at[key] = lineno
         try:
             values[key] = int(value.strip())
         except ValueError as exc:

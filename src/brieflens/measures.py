@@ -5,22 +5,25 @@ separators ("1,200") and English number words composed from units, teens,
 tens and the hundred/thousand multipliers ("twenty-five", "three hundred
 and six").  Values outside 0..999,999 are not recognised.  Thousands
 groups are written without spaces: "3, 200" is the two numbers 3 and 200.
-A number above 999,999 ("1000000", "1,000,000") is no number, and none
-of its groups, nor a ".<digits>" fraction written against it, reads as a
-number of its own.
 
-Weights are a number immediately followed by a unit token and are always
-normalised to kilograms.  A weight's number may also be a decimal written
-without spaces ("12.5 kg"): the tokenizer splits it into "12", "." and
-"5", and the three tokens are read back as one value, so none of them
-becomes a cardinal of its own.  The unit may also be glued to the last
-digits ("513kg", "12.5kg", "1,200kg"), which the tokenizer keeps as one
-token: that token reads as its digits with the unit, so it is a weight
-and never a cardinal.  A weight that the interchange format renders as
-0 kg is skipped whole, whether it is zero ("0 kg", "0kg", "zero kg",
-"0.0 kg") or too small to carry ("0.0000001 kg"): none of its pieces
-reads as a number of its own, so none becomes a quantity or an arrest
-count.
+One reader takes each number of a sentence, in this order:
+
+1. The number itself, in digits with their thousands groups or in words.
+2. Its fraction: a "." and digits written against its last plain digits.
+   The tokenizer splits "12.5" into "12", "." and "5", and the reader puts
+   them back together as one value.
+3. Its unit, glued to the last digits ("513kg", "12.5kg", "1,200kg",
+   which the tokenizer keeps as one token) or the next token.  A number
+   with a unit is a weight, normalised to kilograms, and never a cardinal.
+   The fraction belongs to the number only when a unit follows it, so
+   "12.5 tusks" is the two cardinals 12 and 5.
+4. The skips.  A number above 999,999 ("1000000", "1,000,000") is no
+   number: it is skipped with its fraction, so none of its groups and
+   none of its fraction's digits reads as a number of its own.  A weight
+   that the interchange format renders as 0 kg is skipped whole, whether
+   it is zero ("0 kg", "0kg", "zero kg", "0.0 kg") or too small to carry
+   ("0.0000001 kg"), so none of its pieces becomes a quantity or an
+   arrest count.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import SentenceSpan, Token
 from .matcher import CARDINAL, WEIGHT, EntitySpan
@@ -74,8 +77,7 @@ _POUND_KG = 0.45359237
 class NumberMatch:
     """A parsed number and the token span it consumed.
 
-    The value is a Decimal only for a decimal weight; every other number is
-    an int.
+    ``parse_number`` always gives an int value.
     """
 
     value: int | Decimal
@@ -226,66 +228,54 @@ def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
     return m if m is None or m.value <= MAX_NUMBER else None
 
 
-def _fraction(
+def _read_number(
     tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
-) -> tuple[str, str] | None:
-    """The digits and glued unit of a ``.<digits>`` written against ``m``'s plain digits."""
-    dot = m.end
-    if not (
-        dot + 1 < len(texts)
-        and texts[dot] == "."
-        and texts[dot - 1].isdecimal()
-        and _touches(tokens, dot)
-    ):
-        return None
-    return _split_unit(texts[dot + 1])
+) -> tuple[int | Decimal | None, int, str]:
+    """``m`` read on over its fraction and its unit, in the module's order.
 
-
-def _decimal_weight(
-    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
-) -> NumberMatch | None:
-    """``m`` extended over its fraction when a unit follows.
-
-    The unit is the next token or is glued to the fraction's digits.
+    Returns the value, the index of the last token read (a weight's unit
+    token) and the unit, "" for a cardinal.  The value is None when the
+    number is skipped through that token.
     """
-    fraction = _fraction(tokens, texts, m)
-    if fraction is None:
-        return None
-    digits, unit = fraction
-    dot = m.end
-    if not unit and not (dot + 2 < len(texts) and texts[dot + 2] in WEIGHT_UNIT_TOKENS):
-        return None
-    value = Decimal(f"{m.value}.{digits}")
-    return NumberMatch(value=value, start=m.start, length=m.length + 2)
+    last = m.end - 1
+    value, unit, fraction = m.value, "", None
+    if texts[last].isdecimal():
+        if last + 2 < len(texts) and texts[last + 1] == "." and _touches(tokens, last + 1):
+            fraction = _split_unit(texts[last + 2])
+    elif (glued := _split_unit(texts[last])) is not None:  # None for a number word
+        unit = glued[1]
+    tail = last + 2 if fraction else last  # the token of the last digits read
+    if value > MAX_NUMBER:
+        return None, tail, ""
+    if fraction:
+        unit = fraction[1]
+    if not unit and tail + 1 < len(texts) and texts[tail + 1] in WEIGHT_UNIT_TOKENS:
+        tail += 1
+        unit = texts[tail]
+    if not unit:
+        # a fraction is read only for a weight: "12.5 tusks" is 12, then 5
+        return value, last, ""
+    if fraction:
+        value = Decimal(f"{value}.{fraction[0]}")
+    if format_weight(_to_kg(value, unit)) == "0":
+        return None, tail, ""
+    return value, tail, unit
 
 
 def _iter_numbers(
     tokens: Sequence[Token], texts: Sequence[str]
-) -> list[tuple[NumberMatch, tuple[int, str] | None]]:
-    """Each number of the sentence, with its unit's token index and text if it is a weight.
-
-    An overflowing number is skipped whole, with its fraction, and so is a
-    weight that ``format_weight`` renders as ``0``.
-    """
-    numbers: list[tuple[NumberMatch, tuple[int, str] | None]] = []
+) -> Iterator[tuple[int | Decimal, int, int, str]]:
+    """Each number of the sentence: its value, first and last token, and unit ("" for none)."""
     i = 0
     while i < len(texts):
-        m = _parse_digits(tokens, texts, i)
+        m = _parse_digits(tokens, texts, i) or _parse_words(texts, i)
         if m is None:
-            m = _parse_words(texts, i)
-            if m is None:
-                i += 1
-                continue
-        elif m.value > MAX_NUMBER:
-            i = m.end + 2 if _fraction(tokens, texts, m) else m.end
+            i += 1
             continue
-        else:
-            m = _decimal_weight(tokens, texts, m) or m
-        unit = _weight_unit(texts, m)
-        if unit is None or format_weight(_to_kg(m.value, unit[1])) != "0":
-            numbers.append((m, unit))
-        i = m.end
-    return numbers
+        value, last, unit = _read_number(tokens, texts, m)
+        if value is not None:
+            yield value, i, last, unit
+        i = last + 1
 
 
 def _join_text(tokens: Sequence[Token], start: int, end: int) -> str:
@@ -313,38 +303,17 @@ def _to_kg(value: int | Decimal, unit: str) -> float:
     raise ValueError(f"unknown weight unit {unit!r}")
 
 
-def _weight_unit(texts: Sequence[str], m: NumberMatch) -> tuple[int, str] | None:
-    """The token index and unit of a number glued to or followed by a unit."""
-    last = texts[m.end - 1]
-    if not last.isdecimal() and (glued := _split_unit(last)) is not None:
-        return m.end - 1, glued[1]
-    if m.end < len(texts) and texts[m.end] in WEIGHT_UNIT_TOKENS:
-        return m.end, texts[m.end]
-    return None
-
-
-def _weight(tokens: Sequence[Token], m: NumberMatch, unit: tuple[int, str]) -> EntitySpan:
-    unit_index, unit_text = unit
+def _span(tokens: Sequence[Token], number: tuple[int | Decimal, int, int, str]) -> EntitySpan:
+    """The span of a number from ``_iter_numbers``: a WEIGHT if it has a unit, else a CARDINAL."""
+    value, start, last, unit = number
     return EntitySpan(
-        start_char=tokens[m.start].start_char,
-        end_char=tokens[unit_index].end_char,
-        text=_join_text(tokens, m.start, unit_index + 1),
-        label=WEIGHT,
-        canonical=repr(_to_kg(m.value, unit_text)),
-        first_token=m.start,
-        last_token=unit_index,
-    )
-
-
-def _cardinal(tokens: Sequence[Token], m: NumberMatch) -> EntitySpan:
-    return EntitySpan(
-        start_char=tokens[m.start].start_char,
-        end_char=tokens[m.end - 1].end_char,
-        text=_join_text(tokens, m.start, m.end),
-        label=CARDINAL,
-        canonical=str(m.value),
-        first_token=m.start,
-        last_token=m.end - 1,
+        start_char=tokens[start].start_char,
+        end_char=tokens[last].end_char,
+        text=_join_text(tokens, start, last + 1),
+        label=WEIGHT if unit else CARDINAL,
+        canonical=repr(_to_kg(value, unit)) if unit else str(value),
+        first_token=start,
+        last_token=last,
     )
 
 
@@ -358,14 +327,14 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     tokens = sentence.tokens
     texts = _texts(tokens)
     weights = []
-    for m, unit in _iter_numbers(tokens, texts):
-        if unit is not None:
-            unit_index, unit_text = unit
+    for number in _iter_numbers(tokens, texts):
+        value, _, last, unit = number
+        if unit:
             # digits never change under casefolding, so the unit starts at the
             # same position in the token's text as in its casefolded form
-            original_unit = tokens[unit_index].text[len(texts[unit_index]) - len(unit_text) :]
-            weight = Weight(_to_kg(m.value, unit_text), float(m.value), original_unit)
-            weights.append((_weight(tokens, m, unit), weight))
+            original_unit = tokens[last].text[len(texts[last]) - len(unit) :]
+            weight = Weight(_to_kg(value, unit), float(value), original_unit)
+            weights.append((_span(tokens, number), weight))
     return weights
 
 
@@ -379,7 +348,4 @@ def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
-    return [
-        _cardinal(tokens, m) if unit is None else _weight(tokens, m, unit)
-        for m, unit in _iter_numbers(tokens, texts)
-    ]
+    return [_span(tokens, number) for number in _iter_numbers(tokens, texts)]

@@ -558,17 +558,16 @@ def import_csv(source: str | Path | TextIO) -> list[TraffickingEvent]:
 
     The text is read a line at a time; after one leading byte-order mark,
     the header must match exactly.  Empty cells become absent fields.  Events
-    read this way have no sentence provenance, so sentence_index is 0.  A file
-    that is not UTF-8 or not in this format raises :class:`CsvFormatError`
-    naming the file.
+    read this way have no sentence provenance, so sentence_index is 0.  Text
+    that is not UTF-8 or not in this format raises :class:`CsvFormatError`,
+    which names the file when ``source`` is a path.
     """
     with open_lines(source, CsvFormatError) as lines:
         try:
             return _shared_events(_parse_csv(lines))
         except (CsvFormatError, csv.Error) as exc:  # csv.Error: an overlong field
-            if hasattr(source, "read"):
-                raise
-            raise CsvFormatError(f"{source}: {exc}") from exc
+            prefix = "" if hasattr(source, "read") else f"{source}: "
+            raise CsvFormatError(f"{prefix}{exc}") from exc
 
 
 def _parse_csv(lines: Iterable[str]) -> Iterator[tuple]:

@@ -12,7 +12,10 @@ every predicted event against every gold event with a pairwise predicate,
 the corpus evaluator groups both whole sides by report before matching,
 and the number speller is a plain lookup-table composition.  Keep these
 naive; their value is that they share no code with the implementations
-they check.
+they check.  The one exception is ``reference_numeric_spans`` and
+``reference_parse_weights``: frozen copies of an earlier number reader,
+kept so that a rewrite of ``measures`` is checked against the exact
+output it replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import hashlib
 import io
 import random
 import re
+import unicodedata
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
@@ -43,10 +47,12 @@ from brieflens.lexicon import (
     LexiconError,
     pluralize,
 )
-from brieflens.matcher import EntitySpan
+from brieflens.matcher import CARDINAL, WEIGHT, EntitySpan
 from brieflens.measures import (
     MAX_NUMBER,
     WEIGHT_UNIT_TOKENS,
+    NumberMatch,
+    Weight,
     format_weight,
     parse_number,
     parse_weights,
@@ -457,6 +463,264 @@ def naive_arrest_count(
                     best = (distance, m.start, m.value)
         i = m.end
     return default if best is None else best[2]
+
+
+# Reference copies of the number reader that `measures` used before its
+# fraction, unit and skip rules were folded into one reader: a sentence
+# must give the same spans and weights through both.  They keep that
+# reader's shape (two fraction helpers, three unit helpers, two span
+# builders) on purpose and share no private code with `measures`.
+
+_REF_UNITS = {
+    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
+    "six": 6, "seven": 7, "eight": 8, "nine": 9,
+}
+_REF_TEENS = {
+    "ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13, "fourteen": 14,
+    "fifteen": 15, "sixteen": 16, "seventeen": 17, "eighteen": 18, "nineteen": 19,
+}
+_REF_TENS = {
+    "twenty": 20, "thirty": 30, "forty": 40, "fifty": 50,
+    "sixty": 60, "seventy": 70, "eighty": 80, "ninety": 90,
+}
+_REF_SMALL = {"zero": 0, **_REF_UNITS, **_REF_TEENS}
+_REF_KG_UNITS = frozenset({"kg", "kilogram", "kilograms", "kilo", "kilos"})
+_REF_TON_UNITS = frozenset({"t", "ton", "tons", "tonne", "tonnes"})
+_REF_GRAM_UNITS = frozenset({"g", "gram", "grams"})
+_REF_POUND_UNITS = frozenset({"lb", "lbs", "pound", "pounds"})
+_REF_WEIGHT_UNITS = _REF_KG_UNITS | _REF_TON_UNITS | _REF_GRAM_UNITS | _REF_POUND_UNITS
+_REF_MAX_DIGITS = len(str(MAX_NUMBER))
+
+
+def _ref_split_unit(tok: str) -> tuple[str, str] | None:
+    if tok.isdecimal():
+        return tok, ""
+    if not tok[:1].isdecimal():
+        return None
+    end = 1
+    while tok[end].isdecimal():
+        end += 1
+    return (tok[:end], tok[end:]) if tok[end:] in _REF_WEIGHT_UNITS else None
+
+
+def _ref_touches(tokens: Sequence[Token], i: int) -> bool:
+    return (
+        tokens[i - 1].end_char == tokens[i].start_char
+        and tokens[i].end_char == tokens[i + 1].start_char
+    )
+
+
+def _ref_parse_digits(
+    tokens: Sequence[Token], texts: Sequence[str], i: int
+) -> NumberMatch | None:
+    tok = texts[i]
+    if not tok[:1].isdecimal():
+        return None
+    split = _ref_split_unit(tok)
+    if split is None:
+        return None
+    digits, unit = split
+    if len(digits) > _REF_MAX_DIGITS and any(
+        unicodedata.decimal(ch) for ch in digits[:-_REF_MAX_DIGITS]
+    ):
+        value = MAX_NUMBER + 1
+    else:
+        value = int(digits[-_REF_MAX_DIGITS:])
+    length = 1
+    if not unit and len(digits) <= 3:
+        j = i + 1
+        while j + 1 < len(texts) and texts[j] == "," and _ref_touches(tokens, j):
+            group = _ref_split_unit(texts[j + 1])
+            if group is None or len(group[0]) != 3:
+                break
+            value = min(value * 1000 + int(group[0]), MAX_NUMBER + 1)
+            length += 2
+            j += 2
+            unit = group[1]
+            if unit:
+                break
+    return NumberMatch(value=value, start=i, length=length)
+
+
+def _ref_below_hundred(texts: Sequence[str], i: int) -> tuple[int, int] | None:
+    tok = texts[i]
+    if tok in _REF_SMALL:
+        return _REF_SMALL[tok], 1
+    if tok in _REF_TENS:
+        if i + 1 < len(texts) and texts[i + 1] in _REF_UNITS:
+            return _REF_TENS[tok] + _REF_UNITS[texts[i + 1]], 2
+        return _REF_TENS[tok], 1
+    if "-" in tok:
+        tens, _, unit = tok.partition("-")
+        if tens in _REF_TENS and unit in _REF_UNITS:
+            return _REF_TENS[tens] + _REF_UNITS[unit], 1
+    return None
+
+
+def _ref_below_thousand(texts: Sequence[str], i: int) -> tuple[int, int] | None:
+    tok = texts[i]
+    if tok in _REF_UNITS and i + 1 < len(texts) and texts[i + 1] == "hundred":
+        value = _REF_UNITS[tok] * 100
+        length = 2
+        j = i + 2
+        if j < len(texts) and texts[j] == "and":
+            rest = _ref_below_hundred(texts, j + 1) if j + 1 < len(texts) else None
+            if rest is not None:
+                return value + rest[0], length + 1 + rest[1]
+            return value, length
+        rest = _ref_below_hundred(texts, j) if j < len(texts) else None
+        if rest is not None:
+            return value + rest[0], length + rest[1]
+        return value, length
+    return _ref_below_hundred(texts, i)
+
+
+def _ref_parse_words(texts: Sequence[str], i: int) -> NumberMatch | None:
+    below = _ref_below_thousand(texts, i)
+    if below is None:
+        return None
+    value, length = below
+    j = i + length
+    if j < len(texts) and texts[j] == "thousand" and value > 0:
+        value *= 1000
+        length += 1
+        j += 1
+        rest = _ref_below_thousand(texts, j) if j < len(texts) else None
+        if rest is not None:
+            value += rest[0]
+            length += rest[1]
+    if value > MAX_NUMBER:
+        return None
+    return NumberMatch(value=value, start=i, length=length)
+
+
+def _ref_fraction(
+    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
+) -> tuple[str, str] | None:
+    dot = m.end
+    if not (
+        dot + 1 < len(texts)
+        and texts[dot] == "."
+        and texts[dot - 1].isdecimal()
+        and _ref_touches(tokens, dot)
+    ):
+        return None
+    return _ref_split_unit(texts[dot + 1])
+
+
+def _ref_decimal_weight(
+    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
+) -> NumberMatch | None:
+    fraction = _ref_fraction(tokens, texts, m)
+    if fraction is None:
+        return None
+    digits, unit = fraction
+    dot = m.end
+    if not unit and not (dot + 2 < len(texts) and texts[dot + 2] in _REF_WEIGHT_UNITS):
+        return None
+    value = Decimal(f"{m.value}.{digits}")
+    return NumberMatch(value=value, start=m.start, length=m.length + 2)
+
+
+def _ref_to_kg(value: int | Decimal, unit: str) -> float:
+    if unit in _REF_KG_UNITS:
+        return float(value)
+    if unit in _REF_TON_UNITS:
+        return float(value * 1000)
+    if unit in _REF_GRAM_UNITS:
+        return float(value / 1000)
+    if unit in _REF_POUND_UNITS:
+        return float(value) * 0.45359237
+    raise ValueError(f"unknown weight unit {unit!r}")
+
+
+def _ref_weight_unit(texts: Sequence[str], m: NumberMatch) -> tuple[int, str] | None:
+    last = texts[m.end - 1]
+    if not last.isdecimal() and (glued := _ref_split_unit(last)) is not None:
+        return m.end - 1, glued[1]
+    if m.end < len(texts) and texts[m.end] in _REF_WEIGHT_UNITS:
+        return m.end, texts[m.end]
+    return None
+
+
+def _ref_iter_numbers(
+    tokens: Sequence[Token], texts: Sequence[str]
+) -> list[tuple[NumberMatch, tuple[int, str] | None]]:
+    numbers: list[tuple[NumberMatch, tuple[int, str] | None]] = []
+    i = 0
+    while i < len(texts):
+        m = _ref_parse_digits(tokens, texts, i)
+        if m is None:
+            m = _ref_parse_words(texts, i)
+            if m is None:
+                i += 1
+                continue
+        elif m.value > MAX_NUMBER:
+            i = m.end + 2 if _ref_fraction(tokens, texts, m) else m.end
+            continue
+        else:
+            m = _ref_decimal_weight(tokens, texts, m) or m
+        unit = _ref_weight_unit(texts, m)
+        if unit is None or format_weight(_ref_to_kg(m.value, unit[1])) != "0":
+            numbers.append((m, unit))
+        i = m.end
+    return numbers
+
+
+def _ref_join_text(tokens: Sequence[Token], start: int, end: int) -> str:
+    text = tokens[start].text
+    for prev, tok in zip(tokens[start : end - 1], tokens[start + 1 : end]):
+        text += " " + tok.text if tok.start_char > prev.end_char else tok.text
+    return text
+
+
+def _ref_weight(tokens: Sequence[Token], m: NumberMatch, unit: tuple[int, str]) -> EntitySpan:
+    unit_index, unit_text = unit
+    return EntitySpan(
+        start_char=tokens[m.start].start_char,
+        end_char=tokens[unit_index].end_char,
+        text=_ref_join_text(tokens, m.start, unit_index + 1),
+        label=WEIGHT,
+        canonical=repr(_ref_to_kg(m.value, unit_text)),
+        first_token=m.start,
+        last_token=unit_index,
+    )
+
+
+def _ref_cardinal(tokens: Sequence[Token], m: NumberMatch) -> EntitySpan:
+    return EntitySpan(
+        start_char=tokens[m.start].start_char,
+        end_char=tokens[m.end - 1].end_char,
+        text=_ref_join_text(tokens, m.start, m.end),
+        label=CARDINAL,
+        canonical=str(m.value),
+        first_token=m.start,
+        last_token=m.end - 1,
+    )
+
+
+def reference_parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
+    """``measures.parse_weights`` as it was before the one-reader rewrite."""
+    tokens = sentence.tokens
+    texts = [t.lower for t in tokens]
+    weights = []
+    for m, unit in _ref_iter_numbers(tokens, texts):
+        if unit is not None:
+            unit_index, unit_text = unit
+            original_unit = tokens[unit_index].text[len(texts[unit_index]) - len(unit_text) :]
+            weight = Weight(_ref_to_kg(m.value, unit_text), float(m.value), original_unit)
+            weights.append((_ref_weight(tokens, m, unit), weight))
+    return weights
+
+
+def reference_numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
+    """``measures.numeric_spans`` as it was before the one-reader rewrite."""
+    tokens = sentence.tokens
+    texts = [t.lower for t in tokens]
+    return [
+        _ref_cardinal(tokens, m) if unit is None else _ref_weight(tokens, m, unit)
+        for m, unit in _ref_iter_numbers(tokens, texts)
+    ]
 
 
 def _both_equal(a: object, b: object) -> bool:

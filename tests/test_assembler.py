@@ -422,6 +422,13 @@ class TestHeuristicsFile:
         with pytest.raises(ValueError, match="h.cfg:1"):
             load_heuristics(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "h.cfg"
+        path.write_text("quantity_window=2\n# wider\nquantity_window = 5\n", encoding="utf-8")
+        message = r"h\.cfg:3: quantity_window repeated \(first set at line 1\)$"
+        with pytest.raises(ValueError, match=message):
+            load_heuristics(path)
+
     def test_byte_order_mark_at_the_start(self, tmp_path):
         plain = DATA_DIR / "heuristics.cfg"
         bom = tmp_path / "bom.cfg"

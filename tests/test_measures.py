@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brieflens.assembler import HeuristicConfig, detect_arrest_count
-from brieflens.corpus import document_from_text, tokenize
+from brieflens.corpus import SentenceSpan, document_from_text, tokenize
 from brieflens.matcher import CARDINAL, WEIGHT
 from brieflens.measures import (
     MAX_NUMBER,
+    WEIGHT_UNIT_TOKENS,
     NumberMatch,
     format_weight,
     numeric_spans,
@@ -18,7 +20,12 @@ from brieflens.measures import (
     parse_weights,
 )
 
-from oracles import naive_arrest_count, spell_number
+from oracles import (
+    naive_arrest_count,
+    reference_numeric_spans,
+    reference_parse_weights,
+    spell_number,
+)
 
 
 CONFIG = HeuristicConfig()
@@ -333,3 +340,33 @@ class TestNumericSpans:
         starts = [s.start_char for s in spans]
         assert starts == sorted(starts)
 
+
+_DIGITS = st.text(alphabet="0123456789٣", min_size=1, max_size=7)
+_UNIT_WORDS = st.sampled_from(sorted(WEIGHT_UNIT_TOKENS)).flatmap(
+    lambda unit: st.tuples(*(st.sampled_from([c, c.upper()]) for c in unit)).map("".join)
+)
+_PIECES = st.one_of(
+    _DIGITS,
+    st.text(alphabet="0123456789", min_size=3, max_size=3),
+    st.sampled_from([",", "."]),
+    st.builds(str.__add__, _DIGITS, st.sampled_from(["kg", "KG", "lbs", "t", "kgs"])),
+    _UNIT_WORDS,
+    st.sampled_from(["zero", "five", "twenty", "twenty-five", "hundred", "and", "thousand"]),
+    st.sampled_from(["tusks", "of", "ivory", "were", "seized", "Gabon"]),
+)
+
+
+class TestAgainstTheEarlierReader:
+    """The one-reader ``measures`` gives the spans and weights of the reader it replaced."""
+
+    @given(st.lists(st.tuples(_PIECES, st.sampled_from(["", " "])), max_size=14))
+    @example([("1,000,000.5", " "), ("kg", "")])
+    @example([("12.5kg", " "), ("and", " "), ("0.0", " "), ("KG", "")])
+    @example([("In", " "), ("7", ""), (".", ""), ("25T", "")])
+    @example([("3", ""), (",", ""), ("200", ""), (".", ""), ("5", " "), ("Lbs", "")])
+    @settings(max_examples=400, deadline=None)
+    def test_same_spans_and_weights(self, pieces):
+        text = "".join(piece + space for piece, space in pieces)
+        sentence = SentenceSpan(0, len(text), tuple(tokenize(text)))
+        assert numeric_spans(sentence) == reference_numeric_spans(sentence)
+        assert parse_weights(sentence) == reference_parse_weights(sentence)

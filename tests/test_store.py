@@ -428,6 +428,11 @@ class TestCsvImport:
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,heavy,\n", "not a number"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,,-1\n", "not be negative"),
             (CSV_HEADER + "\na-2021-01,20x1,1,,x,,,,\n", "not an integer"),
+            pytest.param(
+                CSV_HEADER + "\n" + "x" * 200_000 + ",2021,1,,e,,,,\n",
+                "^field larger than field limit",
+                id="overlong field",
+            ),
         ],
     )
     def test_malformed_input_rejected(self, content, message):
