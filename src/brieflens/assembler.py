@@ -1,26 +1,28 @@
 """Assembling trafficking events from annotated sentences.
 
 Each candidate sentence (one with an animal or product span, or an arrest
-mention) contributes events by a fixed proximity procedure:
+mention) contributes events by five proximity rules.  Every rule takes the
+nearest span, or event, that it may choose, ties going to the leftmost:
 
-1. every PRODUCT span pairs with the nearest ANIMAL span to its left within
-   the pairing window; a paired product and its animal become one event,
-   while animals that modified no product and products with no nearby
-   animal each become their own event;
-2. a CARDINAL immediately before an event's species or product span (within
-   the quantity window) becomes that event's quantity, each cardinal
-   feeding at most one event;
-3. weight spans attach to the nearest event that still lacks a weight, ties
-   going to the leftmost event;
-4. in a sentence with an arrest lexeme, the arrest count is the nearest
-   CARDINAL span within the arrest window that no event consumed as a
-   quantity, or the arrest default when none is in range; CARDINAL spans
-   are those left after merging, so a number inside a lexicon phrase never
-   counts; the count lands on every event of the sentence, and a sentence
-   with only an arrest mention yields a single event with no species or
-   product;
+1. every PRODUCT span pairs with the nearest ANIMAL span that ends before
+   it within the pairing window; a paired product and its animal become
+   one event, while animals that modified no product and products with no
+   nearby animal each become their own event, and a sentence with only an
+   arrest mention yields a single event with no species or product;
+2. an event's quantity is the nearest CARDINAL of at least 1, not taken by
+   an earlier event, that ends before its product within the quantity
+   window, and only when there is none the one before its species: the
+   product's cardinal comes first, so "2 elephant 3 tusks" counts 3;
+3. each WEIGHT span attaches to the nearest event that still lacks one;
+4. in a sentence with an arrest lexeme, the arrest count is the CARDINAL
+   span nearest to any lexeme within the arrest window that no event took
+   as a quantity, or the arrest default when none is in range; CARDINAL
+   spans are those left after merging, so a number inside a lexicon phrase
+   never counts; the count lands on every event of the sentence;
 5. the country is the nearest COUNTRY span in the sentence, falling back to
-   the first COUNTRY span of the surrounding paragraph.
+   the first COUNTRY span of the surrounding paragraph; an event with
+   neither species nor product stands for its whole sentence, so it takes
+   the sentence's first COUNTRY span, not the one nearest the lexeme.
 
 All distances are token distances, read from each span's token range, so
 the procedure is deterministic for a given document, span list and
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .corpus import ReportDocument, SentenceSpan
 from .lexicon import ANIMAL, COUNTRY, PRODUCT
@@ -47,6 +49,8 @@ __all__ = [
     "has_arrest_lexeme",
     "load_heuristics",
 ]
+
+_T = TypeVar("_T")
 
 ARREST_LEXEMES = frozenset(
     {"arrest", "arrested", "arrests", "apprehended", "detained", "jailed"}
@@ -123,35 +127,54 @@ class TraffickingEvent:
     sentence_index: int = 0
 
 
+class _Range(NamedTuple):
+    """Inclusive token indices within one sentence, with the field names of a span's."""
+
+    first_token: int
+    last_token: int
+
+
+@dataclass(slots=True)
 class _Shell:
-    """Mutable event under construction for a single sentence."""
+    """An event of one sentence under construction."""
 
-    __slots__ = ("species_span", "product_span", "anchor", "quantity", "weight_kg", "country")
-
-    def __init__(
-        self,
-        species_span: EntitySpan | None = None,
-        product_span: EntitySpan | None = None,
-    ) -> None:
-        self.species_span = species_span
-        self.product_span = product_span
-        spans = [s for s in (species_span, product_span) if s]
-        # the token range covering both spans; None for a shell with neither
-        self.anchor: tuple[int, int] | None = None
-        if spans:
-            self.anchor = (min(s.first_token for s in spans), max(s.last_token for s in spans))
-        self.quantity: int | None = None
-        self.weight_kg: float | None = None
-        self.country: str | None = None
+    species: EntitySpan | None
+    product: EntitySpan | None
+    # the tokens it covers: its span, both spans, or the whole sentence without one
+    anchor: EntitySpan | _Range
+    quantity: EntitySpan | None = None
+    weight: EntitySpan | None = None
 
 
-def _interval_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
-    # token distance between two inclusive index ranges; 0 when they touch
-    if a[1] < b[0]:
-        return b[0] - a[1]
-    if b[1] < a[0]:
-        return a[0] - b[1]
-    return 0
+def _apart(a: EntitySpan | _Range, b: EntitySpan | _Range) -> int:
+    """Token distance between two token ranges; 0 when they overlap."""
+    return max(0, b.first_token - a.last_token, a.first_token - b.last_token)
+
+
+def _ends_before(anchor: EntitySpan | None) -> Callable[[EntitySpan], int | None]:
+    """Distance to ``anchor`` of a span that ends before it; otherwise, or with no anchor, None."""
+    return lambda span: (
+        _apart(span, anchor) if anchor and span.last_token < anchor.first_token else None
+    )
+
+
+def _nearest(
+    items: Iterable[_T],
+    distance: Callable[[_T], int | None],
+    window: int | None = None,
+) -> _T | None:
+    """The first item at the least distance, or None.
+
+    An item whose ``distance`` is None, or above ``window``, is never chosen.
+    """
+    best, best_distance = None, None
+    for item in items:
+        d = distance(item)
+        if d is None or (window is not None and d > window):
+            continue
+        if best_distance is None or d < best_distance:
+            best, best_distance = item, d
+    return best
 
 
 def assemble(
@@ -190,93 +213,60 @@ def assemble(
             if not animals and not products and not has_arrest_lexeme(sentence):
                 continue
 
-            shells = _build_shells(animals, products, config.pair_window)
+            shells = []
+            for product in products:
+                # rule 1: the nearest animal ending before the product
+                animal = _nearest(animals, _ends_before(product), config.pair_window)
+                anchor = _Range(animal.first_token, product.last_token) if animal else product
+                shells.append(_Shell(animal, product, anchor))
+            paired = {shell.species for shell in shells}
+            shells += [_Shell(animal, None, animal) for animal in animals if animal not in paired]
+            # stable: shells anchored at the same token keep their order
+            shells.sort(key=lambda shell: shell.anchor.first_token)
             if not shells:
-                shells = [_Shell()]
+                shells = [_Shell(None, None, _Range(0, len(sentence.tokens) - 1))]
 
-            unconsumed = _attach_quantities(shells, cardinals, config.quantity_window)
-            _attach_weights(shells, weights)
-            _attach_countries(shells, countries)
+            countable = [c for c in cardinals if int(c.canonical) >= 1]
+            for shell in shells:
+                # rule 2: the product's cardinal, else the species' cardinal
+                shell.quantity = _nearest(
+                    countable, _ends_before(shell.product), config.quantity_window
+                ) or _nearest(countable, _ends_before(shell.species), config.quantity_window)
+                if shell.quantity:
+                    countable.remove(shell.quantity)
+
+            for weight in weights:
+                # rule 3: the nearest event without a weight
+                shell = _nearest(shells, lambda s: None if s.weight else _apart(weight, s.anchor))
+                if shell:
+                    shell.weight = weight
 
             arrest = detect_arrest_count(
                 sentence,
-                unconsumed,
+                # the cardinals no event took: the zeros and those still countable
+                [c for c in cardinals if int(c.canonical) < 1] + countable,
                 window=config.arrest_window,
                 default=config.arrest_default,
             )
 
-            fallback = None if countries else paragraph_country
             for shell in shells:
+                # rule 5: the nearest country in the sentence, else the paragraph's
+                country = _nearest(countries, lambda c: _apart(c, shell.anchor))
                 events.append(
                     TraffickingEvent(
                         report_id=doc.report_id,
                         year=doc.year,
                         month=doc.month,
-                        country=shell.country or fallback,
-                        species=shell.species_span.canonical if shell.species_span else None,
-                        product=shell.product_span.canonical if shell.product_span else None,
-                        quantity=shell.quantity,
-                        weight_kg=shell.weight_kg,
+                        country=country.canonical if country else paragraph_country,
+                        species=shell.species.canonical if shell.species else None,
+                        product=shell.product.canonical if shell.product else None,
+                        quantity=int(shell.quantity.canonical) if shell.quantity else None,
+                        weight_kg=float(shell.weight.canonical) if shell.weight else None,
                         arrest_count=arrest,
                         sentence_index=si,
                     )
                 )
     return events
-
-
-def _build_shells(
-    animals: list[EntitySpan],
-    products: list[EntitySpan],
-    pair_window: int,
-) -> list[_Shell]:
-    shells: list[_Shell] = []
-    modifier_animals: set[EntitySpan] = set()
-    for product in products:
-        p_first = product.first_token
-        best: EntitySpan | None = None
-        best_last = -1
-        for animal in animals:
-            a_last = animal.last_token
-            if a_last < p_first and p_first - a_last <= pair_window and a_last > best_last:
-                best = animal
-                best_last = a_last
-        if best is not None:
-            modifier_animals.add(best)
-        shells.append(_Shell(species_span=best, product_span=product))
-    for animal in animals:
-        if animal not in modifier_animals:
-            shells.append(_Shell(species_span=animal))
-    # stable: shells anchored at the same token keep their order
-    shells.sort(key=lambda shell: shell.anchor[0])
-    return shells
-
-
-def _attach_quantities(
-    shells: list[_Shell],
-    cardinals: list[EntitySpan],
-    quantity_window: int,
-) -> list[EntitySpan]:
-    """Attach item counts; returns the cardinals not consumed as quantities."""
-    used: set[EntitySpan] = set()
-    for shell in shells:
-        best: EntitySpan | None = None
-        best_last = -1
-        for anchor in (shell.species_span, shell.product_span):
-            if anchor is None:
-                continue
-            a_first = anchor.first_token
-            for cardinal in cardinals:
-                if cardinal in used or int(cardinal.canonical) < 1:
-                    continue
-                c_last = cardinal.last_token
-                gap = a_first - c_last
-                if 1 <= gap <= quantity_window and c_last > best_last:
-                    best = cardinal
-                    best_last = c_last
-        if best is not None:
-            shell.quantity = int(best.canonical)
-            used.add(best)
-    return [c for c in cardinals if c not in used]
 
 
 def has_arrest_lexeme(sentence: SentenceSpan) -> bool:
@@ -296,50 +286,16 @@ def detect_arrest_count(
     The count is the value of the cardinal nearest to an arrest lexeme
     within ``window`` tokens, ties going to the leftmost; a lexeme with no
     cardinal in range yields ``default``.  ``cardinals`` are CARDINAL spans
-    of ``sentence``.
+    of ``sentence``, in any order.
     """
-    lexemes = [(i, i) for i, tok in enumerate(sentence.tokens) if tok.lower in ARREST_LEXEMES]
+    tokens = sentence.tokens
+    lexemes = [_Range(i, i) for i, tok in enumerate(tokens) if tok.lower in ARREST_LEXEMES]
     if not lexemes:
         return None
-    in_range = []
-    for cardinal in cardinals:
-        span = (cardinal.first_token, cardinal.last_token)
-        distance = min(_interval_distance(span, lexeme) for lexeme in lexemes)
-        if distance <= window:
-            in_range.append((distance, cardinal.first_token, int(cardinal.canonical)))
-    return min(in_range)[2] if in_range else default
-
-
-def _attach_weights(shells: list[_Shell], weights: list[EntitySpan]) -> None:
-    for weight in weights:
-        w_range = (weight.first_token, weight.last_token)
-        best: _Shell | None = None
-        best_distance: int | None = None
-        for shell in shells:
-            if shell.weight_kg is not None:
-                continue
-            anchor = shell.anchor
-            distance = 0 if anchor is None else _interval_distance(w_range, anchor)
-            if best_distance is None or distance < best_distance:
-                best = shell
-                best_distance = distance
-        if best is not None:
-            best.weight_kg = float(weight.canonical)
-
-
-def _attach_countries(shells: list[_Shell], countries: list[EntitySpan]) -> None:
-    if not countries:
-        return
-    for shell in shells:
-        anchor = shell.anchor
-        if anchor is None:
-            shell.country = countries[0].canonical
-            continue
-        best = min(
-            countries,
-            key=lambda c: (
-                _interval_distance((c.first_token, c.last_token), anchor),
-                c.first_token,
-            ),
-        )
-        shell.country = best.canonical
+    # rule 4: the nearest cardinal to any lexeme; sorted, so ties go to the leftmost
+    cardinal = _nearest(
+        sorted(cardinals, key=lambda c: c.first_token),
+        lambda c: min(_apart(c, lexeme) for lexeme in lexemes),
+        window,
+    )
+    return int(cardinal.canonical) if cardinal else default

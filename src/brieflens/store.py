@@ -32,6 +32,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -560,7 +561,8 @@ def import_csv(source: str | Path | TextIO) -> list[TraffickingEvent]:
     the header must match exactly.  Empty cells become absent fields.  Events
     read this way have no sentence provenance, so sentence_index is 0.  Text
     that is not UTF-8 or not in this format raises :class:`CsvFormatError`,
-    which names the file when ``source`` is a path.
+    which names the file when ``source`` is a path; so does a weight that is
+    not finite, not positive, or that the export would write as 0.
     """
     with open_lines(source, CsvFormatError) as lines:
         try:
@@ -600,7 +602,12 @@ def _parse_csv(lines: Iterable[str]) -> Iterator[tuple]:
                 weight_value = float(weight)
             except ValueError as exc:
                 raise CsvFormatError(f"row {i}: weight_kg {weight!r} is not a number") from exc
+            # as for the extractor, a weight is one the export writes back
+            if not math.isfinite(weight_value):
+                raise CsvFormatError(f"row {i}: weight_kg {weight!r} is not finite")
             if weight_value <= 0:
                 raise CsvFormatError(f"row {i}: weight_kg must be positive")
+            if format_weight(weight_value) == "0":
+                raise CsvFormatError(f"row {i}: weight_kg {weight!r} would export as 0")
         yield (report_id, _parse_int(year, "year", i), month_value, country or None,
                species or None, product or None, quantity_value, weight_value, arrest_value, 0)

@@ -12,10 +12,11 @@ every predicted event against every gold event with a pairwise predicate,
 the corpus evaluator groups both whole sides by report before matching,
 and the number speller is a plain lookup-table composition.  Keep these
 naive; their value is that they share no code with the implementations
-they check.  The one exception is ``reference_numeric_spans`` and
-``reference_parse_weights``: frozen copies of an earlier number reader,
-kept so that a rewrite of ``measures`` is checked against the exact
-output it replaced.
+they check.  The two exceptions are frozen copies of earlier code, kept
+so that a rewrite is checked against the exact output it replaced:
+``reference_numeric_spans`` and ``reference_parse_weights``, the number
+reader that ``measures`` replaced, and ``reference_assemble``, the
+assembler of one search loop per rule that ``assembler`` replaced.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from brieflens.assembler import TraffickingEvent
+from brieflens.assembler import ARREST_LEXEMES, HeuristicConfig, TraffickingEvent
 from brieflens.corpus import ReportDocument, SentenceSpan, Token, tokenize
 from brieflens.evaluation import (
     COMPARED_FIELDS,
@@ -41,8 +42,11 @@ from brieflens.evaluation import (
     pair_score,
 )
 from brieflens.lexicon import (
+    ANIMAL,
+    COUNTRY,
     LEXICON_HEADER,
     LEXICON_LABELS,
+    PRODUCT,
     Lexicon,
     LexiconError,
     pluralize,
@@ -721,6 +725,191 @@ def reference_numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
         _ref_cardinal(tokens, m) if unit is None else _ref_weight(tokens, m, unit)
         for m, unit in _ref_iter_numbers(tokens, texts)
     ]
+
+
+class _RefShell:
+    __slots__ = ("species_span", "product_span", "anchor", "quantity", "weight_kg", "country")
+
+    def __init__(
+        self,
+        species_span: EntitySpan | None = None,
+        product_span: EntitySpan | None = None,
+    ) -> None:
+        self.species_span = species_span
+        self.product_span = product_span
+        spans = [s for s in (species_span, product_span) if s]
+        self.anchor: tuple[int, int] | None = None
+        if spans:
+            self.anchor = (min(s.first_token for s in spans), max(s.last_token for s in spans))
+        self.quantity: int | None = None
+        self.weight_kg: float | None = None
+        self.country: str | None = None
+
+
+def _ref_interval_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
+    if a[1] < b[0]:
+        return b[0] - a[1]
+    if b[1] < a[0]:
+        return a[0] - b[1]
+    return 0
+
+
+def _ref_build_shells(
+    animals: list[EntitySpan], products: list[EntitySpan], pair_window: int
+) -> list[_RefShell]:
+    shells: list[_RefShell] = []
+    modifier_animals: set[EntitySpan] = set()
+    for product in products:
+        p_first = product.first_token
+        best: EntitySpan | None = None
+        best_last = -1
+        for animal in animals:
+            a_last = animal.last_token
+            if a_last < p_first and p_first - a_last <= pair_window and a_last > best_last:
+                best = animal
+                best_last = a_last
+        if best is not None:
+            modifier_animals.add(best)
+        shells.append(_RefShell(species_span=best, product_span=product))
+    for animal in animals:
+        if animal not in modifier_animals:
+            shells.append(_RefShell(species_span=animal))
+    shells.sort(key=lambda shell: shell.anchor[0])
+    return shells
+
+
+def _ref_attach_quantities(
+    shells: list[_RefShell], cardinals: list[EntitySpan], quantity_window: int
+) -> list[EntitySpan]:
+    used: set[EntitySpan] = set()
+    for shell in shells:
+        best: EntitySpan | None = None
+        best_last = -1
+        for anchor in (shell.species_span, shell.product_span):
+            if anchor is None:
+                continue
+            a_first = anchor.first_token
+            for cardinal in cardinals:
+                if cardinal in used or int(cardinal.canonical) < 1:
+                    continue
+                c_last = cardinal.last_token
+                gap = a_first - c_last
+                if 1 <= gap <= quantity_window and c_last > best_last:
+                    best = cardinal
+                    best_last = c_last
+        if best is not None:
+            shell.quantity = int(best.canonical)
+            used.add(best)
+    return [c for c in cardinals if c not in used]
+
+
+def _ref_arrest_count(
+    sentence: SentenceSpan, cardinals: Iterable[EntitySpan], window: int, default: int
+) -> int | None:
+    lexemes = [(i, i) for i, tok in enumerate(sentence.tokens) if tok.lower in ARREST_LEXEMES]
+    if not lexemes:
+        return None
+    in_range = []
+    for cardinal in cardinals:
+        span = (cardinal.first_token, cardinal.last_token)
+        distance = min(_ref_interval_distance(span, lexeme) for lexeme in lexemes)
+        if distance <= window:
+            in_range.append((distance, cardinal.first_token, int(cardinal.canonical)))
+    return min(in_range)[2] if in_range else default
+
+
+def _ref_attach_weights(shells: list[_RefShell], weights: list[EntitySpan]) -> None:
+    for weight in weights:
+        w_range = (weight.first_token, weight.last_token)
+        best: _RefShell | None = None
+        best_distance: int | None = None
+        for shell in shells:
+            if shell.weight_kg is not None:
+                continue
+            anchor = shell.anchor
+            distance = 0 if anchor is None else _ref_interval_distance(w_range, anchor)
+            if best_distance is None or distance < best_distance:
+                best = shell
+                best_distance = distance
+        if best is not None:
+            best.weight_kg = float(weight.canonical)
+
+
+def _ref_attach_countries(shells: list[_RefShell], countries: list[EntitySpan]) -> None:
+    if not countries:
+        return
+    for shell in shells:
+        anchor = shell.anchor
+        if anchor is None:
+            shell.country = countries[0].canonical
+            continue
+        best = min(
+            countries,
+            key=lambda c: (
+                _ref_interval_distance((c.first_token, c.last_token), anchor),
+                c.first_token,
+            ),
+        )
+        shell.country = best.canonical
+
+
+def reference_assemble(
+    doc: ReportDocument, spans: Iterable[EntitySpan], config: HeuristicConfig
+) -> list[TraffickingEvent]:
+    """``assembler.assemble`` as it was before the one-chooser rewrite."""
+    by_sentence: list[list[EntitySpan]] = [[] for _ in doc.sentences]
+    si = 0
+    for span in spans:
+        while doc.sentences[si].end_char <= span.start_char:
+            si += 1
+        by_sentence[si].append(span)
+
+    events: list[TraffickingEvent] = []
+    for first, end in doc.paragraphs:
+        paragraph_country = next(
+            (s.canonical for group in by_sentence[first:end] for s in group if s.label == COUNTRY),
+            None,
+        )
+        for si in range(first, end):
+            sentence, sentence_spans = doc.sentences[si], by_sentence[si]
+            animals = [s for s in sentence_spans if s.label == ANIMAL]
+            products = [s for s in sentence_spans if s.label == PRODUCT]
+            cardinals = [s for s in sentence_spans if s.label == CARDINAL]
+            weights = [s for s in sentence_spans if s.label == WEIGHT]
+            countries = [s for s in sentence_spans if s.label == COUNTRY]
+
+            has_lexeme = any(tok.lower in ARREST_LEXEMES for tok in sentence.tokens)
+            if not animals and not products and not has_lexeme:
+                continue
+
+            shells = _ref_build_shells(animals, products, config.pair_window)
+            if not shells:
+                shells = [_RefShell()]
+
+            unconsumed = _ref_attach_quantities(shells, cardinals, config.quantity_window)
+            _ref_attach_weights(shells, weights)
+            _ref_attach_countries(shells, countries)
+            arrest = _ref_arrest_count(
+                sentence, unconsumed, config.arrest_window, config.arrest_default
+            )
+
+            fallback = None if countries else paragraph_country
+            for shell in shells:
+                events.append(
+                    TraffickingEvent(
+                        report_id=doc.report_id,
+                        year=doc.year,
+                        month=doc.month,
+                        country=shell.country or fallback,
+                        species=shell.species_span.canonical if shell.species_span else None,
+                        product=shell.product_span.canonical if shell.product_span else None,
+                        quantity=shell.quantity,
+                        weight_kg=shell.weight_kg,
+                        arrest_count=arrest,
+                        sentence_index=si,
+                    )
+                )
+    return events
 
 
 def _both_equal(a: object, b: object) -> bool:

@@ -6,23 +6,24 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brieflens.assembler import (
     ARREST_LEXEMES,
     HeuristicConfig,
+    assemble,
     detect_arrest_count,
     has_arrest_lexeme,
     load_heuristics,
 )
-from brieflens.corpus import document_from_text
+from brieflens.corpus import DEFAULT_ABBREVIATIONS, document_from_text
 from brieflens.lexicon import COUNTRY, Lexicon
-from brieflens.matcher import CARDINAL, compile_lexicon
+from brieflens.matcher import CARDINAL, compile_lexicon, find_entities, merge_spans
 from brieflens.measures import MAX_NUMBER, numeric_spans
 from brieflens.pipeline import extract_document
 from brieflens.resources import DATA_DIR
 
-from oracles import naive_arrest_count, spell_number
+from oracles import naive_arrest_count, reference_assemble, spell_number
 
 
 CONFIG = HeuristicConfig()
@@ -119,6 +120,11 @@ class TestAssembly:
         )
         assert events[0].quantity is None
 
+    def test_product_cardinal_before_species_cardinal(self, make_doc, shipped_matcher):
+        # both cardinals sit one token before their span: the product's wins
+        events = events_for(make_doc, shipped_matcher, "Officers seized 2 elephant 3 tusks.")
+        assert [core(e) for e in events] == [(None, "elephant", "tusk", 3, None, None)]
+
     def test_each_cardinal_feeds_one_event(self, make_doc, shipped_matcher):
         events = events_for(
             make_doc, shipped_matcher, "Two pangolins slept while three tusks moved."
@@ -178,6 +184,15 @@ class TestAssembly:
             ("ivory", "gabon"),
             ("pangolin", "gabon"),  # tie on distance: earlier span wins
         ]
+
+    def test_arrest_only_event_takes_first_country(self, make_doc, shipped_matcher):
+        # the event stands for its whole sentence, so "Togo", though nearer
+        # the lexeme, does not win
+        events = events_for(
+            make_doc, shipped_matcher,
+            "In Gabon, rangers and officers from Togo arrested 3 suspects.",
+        )
+        assert [core(e) for e in events] == [("gabon", None, None, None, None, 3)]
 
     def test_country_paragraph_fallback(self, make_doc, shipped_matcher):
         events = events_for(
@@ -332,7 +347,8 @@ class TestArrestDetection:
             cardinals = cardinals_of(sentence)
             keep = data.draw(st.lists(st.booleans(), min_size=len(cardinals),
                                       max_size=len(cardinals)))
-            kept = [c for c, k in zip(cardinals, keep) if k]
+            # in any order: ties go to the leftmost cardinal, not the first passed
+            kept = data.draw(st.permutations([c for c, k in zip(cardinals, keep) if k]))
             excluded = [c for c, k in zip(cardinals, keep) if not k]
             assert detect_arrest_count(
                 sentence, kept, window=window, default=default
@@ -347,8 +363,6 @@ class TestEventCountFormula:
     )
 
     def test_random_sentences(self, make_doc, shipped_matcher):
-        from brieflens.matcher import find_entities
-
         rng = random.Random(4209)
         config = HeuristicConfig()
         for _ in range(300):
@@ -391,9 +405,6 @@ class TestCountryRemovalProperty:
     )
 
     def test_only_country_field_changes(self, make_doc, shipped_matcher):
-        from brieflens.assembler import assemble
-        from brieflens.matcher import find_entities, merge_spans
-
         for text in self.TEXTS:
             doc = make_doc(text)
             numeric = [s for sent in doc.sentences for s in numeric_spans(sent)]
@@ -404,6 +415,40 @@ class TestCountryRemovalProperty:
             for a, b in zip(with_countries, without):
                 assert b.country is None
                 assert replace(a, country=None) == replace(b, country=None)
+
+
+class TestAgainstTheEarlierAssembler:
+    """The one-chooser ``assemble`` gives the events of the assembler it replaced."""
+
+    WORDS = (
+        "elephant", "pangolins", "African elephant", "leopard",
+        "tusks", "ivory", "skins", "scales", "horn",
+        "0", "1", "2", "12", "1,200", "zero", "one", "three",
+        "5kg", "12.5kg", "2.5", "kg", "tons",
+        "Gabon", "Togo", "Central African Republic",
+        "arrested", "detained", ",",
+        "and", "of", "the", "with", "were", "seized",
+    )
+    SENTENCE = st.lists(st.sampled_from(WORDS), min_size=1, max_size=12).map(
+        lambda words: " ".join(words) + "."
+    )
+    PARAGRAPH = st.lists(SENTENCE, min_size=1, max_size=3).map(" ".join)
+    WINDOW = st.integers(0, 6)
+
+    @given(
+        paragraphs=st.lists(PARAGRAPH, min_size=1, max_size=3),
+        config=st.builds(HeuristicConfig, WINDOW, WINDOW, WINDOW, st.integers(0, 3)),
+    )
+    @example(["Officers seized 2 elephant 3 tusks."], HeuristicConfig())
+    @example(["In Gabon, rangers and officers from Togo arrested 3 suspects."], HeuristicConfig())
+    @settings(max_examples=300, deadline=None)
+    def test_same_events(self, shipped_matcher, paragraphs, config):
+        doc = document_from_text(
+            "m-2021-01", 2021, 1, "\n\n".join(paragraphs), DEFAULT_ABBREVIATIONS
+        )
+        numeric = [s for sentence in doc.sentences for s in numeric_spans(sentence)]
+        spans = merge_spans(find_entities(doc, shipped_matcher), numeric)
+        assert assemble(doc, spans, config) == reference_assemble(doc, spans, config)
 
 
 class TestHeuristicsFile:

@@ -426,6 +426,11 @@ class TestCsvImport:
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,0,,\n", "at least 1"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,-2,\n", "must be positive"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,heavy,\n", "not a number"),
+            (CSV_HEADER + "\na-2021-01,2021,1,,x,,,nan,\n", "row 2: weight_kg 'nan' is not finite"),
+            (CSV_HEADER + "\na-2021-01,2021,1,,x,,,inf,\n", "'inf' is not finite"),
+            (CSV_HEADER + "\na-2021-01,2021,1,,x,,,Infinity,\n", "'Infinity' is not finite"),
+            (CSV_HEADER + "\na-2021-01,2021,1,,x,,,1e400,\n", "'1e400' is not finite"),
+            (CSV_HEADER + "\na-2021-01,2021,1,,x,,,0.0000001,\n", "would export as 0"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,,-1\n", "not be negative"),
             (CSV_HEADER + "\na-2021-01,20x1,1,,x,,,,\n", "not an integer"),
             pytest.param(
