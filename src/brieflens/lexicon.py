@@ -7,11 +7,10 @@ left empty to default to the lowercased surface.  Loading auto-generates a
 plural surface for every entry so that "tusk" and "tusks" both resolve to
 the canonical "tusk".
 
-``load_lexicon`` reads a file in one pass: each row goes straight from the
-CSV reader into the surface table, through the same private builder that
-``Lexicon.from_rows`` uses, with no record per row.  A label or conflict
-error is raised once the whole file has been read, so a row the reader
-rejects is reported first, wherever it is.
+``load_lexicon`` reads a file's rows into a list, then builds the surface
+table from them through the same private builder that ``Lexicon.from_rows``
+uses.  A row the reader rejects is reported first, wherever it is; then
+the first label or conflict error in file order.
 
 Inflection is a deliberately small rule cascade rather than a general
 English morphology engine.  The irregulars table carries three kinds of
@@ -180,23 +179,19 @@ def _build_table(
     """The one table builder behind ``from_rows`` and ``load_lexicon``.
 
     ``rows`` yields ``(surface, label, canonical, line)``; a nonzero ``line``
-    is the row's line in the file ``origin`` and is named in errors.  Every
-    row is read before a label or conflict error is raised, so a row the
-    reader rejects further down the file is the error reported.
+    is the row's line in the file ``origin`` and is named in errors.  The
+    rows are all read before any is checked, so a row the reader rejects
+    is reported first, wherever it is.
     """
+    rows = list(rows)
     explicit: dict[str, tuple[str, str]] = {}
     line_of: dict[str, int] = {}
-    error: LexiconError | None = None
-    n_rows = 0
-    for n_rows, (surface, label, canonical, line) in enumerate(rows, start=1):
-        if error is not None:
-            continue
+    for surface, label, canonical, line in rows:
         if label not in LEXICON_LABELS:
-            error = LexiconError(
+            raise LexiconError(
                 f"unknown label {label!r} for surface {surface!r}"
                 + (f" at {origin}:{line}" if line else "")
             )
-            continue
         key = surface.casefold()
         pair = (label, canonical.casefold() if canonical else key)
         known = explicit.setdefault(key, pair)
@@ -204,12 +199,10 @@ def _build_table(
             line_of[key] = line
         elif known != pair:
             earlier = f"{origin}:{line_of[key]}" if line_of[key] else "earlier row"
-            error = LexiconError(
+            raise LexiconError(
                 f"surface {surface!r} maps to both {known} (from {earlier}) and {pair}"
                 + (f" (from {origin}:{line})" if line else "")
             )
-    if error is not None:
-        raise error
 
     table = dict(explicit)
     for key, pair in explicit.items():
@@ -223,7 +216,7 @@ def _build_table(
     if not version:
         digest = hashlib.sha256(repr(sorted(table.items())).encode("utf-8"))
         version = digest.hexdigest()[:16]
-    return Lexicon(entries=table, version=version, n_rows=n_rows)
+    return Lexicon(entries=table, version=version, n_rows=len(rows))
 
 
 def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, int]]:

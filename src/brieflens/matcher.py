@@ -13,9 +13,9 @@ that start no phrase cost one dictionary lookup.  At a few hundred surfaces
 this index is enough, and an Aho-Corasick automaton is not needed.
 
 Surfaces that tokenize alike, such as "sea turtle" and "sea  turtle", are
-one phrase, and the surface that sorts first keeps it.
-``phrase_collisions`` lists the others whose (label, canonical) differs;
-``lexicon-validate`` rejects a lexicon that has any.
+one phrase.  They must carry one (label, canonical) pair, or
+``compile_lexicon`` rejects the lexicon, so ``extract`` and
+``lexicon-validate`` accept exactly the same lexicons.
 
 Every span records both its character offsets and the token range it
 covers, so later stages measure token distances without re-scanning the
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import TOKEN_RE, ReportDocument
-from .lexicon import Lexicon
+from .lexicon import Lexicon, LexiconError
 
 __all__ = [
     "CARDINAL",
@@ -38,7 +38,6 @@ __all__ = [
     "compile_lexicon",
     "find_entities",
     "merge_spans",
-    "phrase_collisions",
 ]
 
 # Numeric span labels; lexical labels live in the lexicon module.
@@ -93,17 +92,24 @@ def _phrase_key(surface: str) -> tuple[str, ...]:
 
 
 def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
-    """Compile every lexicon surface into the phrase table and its first-token index."""
+    """Compile every lexicon surface into the phrase table and its first-token index.
+
+    Raises :class:`LexiconError` when two surfaces are one phrase with
+    different (label, canonical) pairs, naming the first two in sorted order.
+    """
     phrases: dict[tuple[str, ...], tuple[str, str]] = {}
     lengths: dict[str, tuple[int, ...]] = {}
     entries = lexicon.entries
-    # sorted iteration keeps compilation deterministic if two distinct
-    # surfaces collapse to the same token sequence: the first one wins
     for surface in sorted(entries):
         key = _phrase_key(surface)
-        if not key or key in phrases:
+        if not key:
             continue
-        phrases[key] = entries[surface]
+        pair = phrases.setdefault(key, entries[surface])
+        if pair != entries[surface]:
+            kept = next(s for s in sorted(entries) if _phrase_key(s) == key)
+            raise LexiconError(
+                f"surfaces {kept!r} {pair} and {surface!r} {entries[surface]} are one phrase"
+            )
         first, n = key[0], len(key)
         known = lengths.get(first)
         if known is None:
@@ -113,27 +119,6 @@ def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
     return CompiledMatcher(
         phrases=phrases, first_token_lengths=lengths, lexicon_version=lexicon.version
     )
-
-
-def phrase_collisions(
-    lexicon: Lexicon,
-) -> list[tuple[str, tuple[str, str], str, tuple[str, str]]]:
-    """Surfaces that compile to the phrase of an earlier surface with another pair.
-
-    Each item is ``(kept, kept_pair, dropped, dropped_pair)``: ``compile_lexicon``
-    keeps the surface that sorts first, so ``dropped`` can never match.
-    """
-    first: dict[tuple[str, ...], str] = {}
-    collisions = []
-    for surface in sorted(lexicon.entries):
-        key = _phrase_key(surface)
-        if not key:
-            continue
-        kept = first.setdefault(key, surface)
-        pair, kept_pair = lexicon.entries[surface], lexicon.entries[kept]
-        if pair != kept_pair:
-            collisions.append((kept, kept_pair, surface, pair))
-    return collisions
 
 
 def find_entities(doc: ReportDocument, matcher: CompiledMatcher) -> list[EntitySpan]:

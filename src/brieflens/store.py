@@ -185,13 +185,14 @@ class EventStore:
     def _sqlite_errors(self, violation: str = "", action: str = "read") -> Iterator[None]:
         """Raise the block's SQLite errors as the store's own.
 
-        A constraint violation becomes a :class:`SchemaError` whose message
-        follows ``violation``; any other error, a :class:`StoreError` that
-        names the store and what could not be done to it.
+        A constraint violation, or an integer SQLite cannot hold, becomes a
+        :class:`SchemaError` whose message follows ``violation``; any other
+        error, a :class:`StoreError` that names the store and what could not
+        be done to it.
         """
         try:
             yield
-        except sqlite3.IntegrityError as exc:
+        except (sqlite3.IntegrityError, OverflowError) as exc:
             raise SchemaError(f"{violation}{exc}") from exc
         except sqlite3.Error as exc:
             raise StoreError(f"cannot {action} event store at {self.path}: {exc}") from exc
@@ -549,9 +550,13 @@ def _csv_text(rows: Iterable[tuple]) -> str:
 
 def _parse_int(value: str, column: str, row: int) -> int:
     try:
-        return int(value)
+        number = int(value)
     except ValueError as exc:
         raise CsvFormatError(f"row {row}: {column} {value!r} is not an integer") from exc
+    # the store keeps signed 64-bit integers
+    if not -(2**63) <= number < 2**63:
+        raise CsvFormatError(f"row {row}: {column} {value!r} is outside the 64-bit range")
+    return number
 
 
 def import_csv(source: str | Path | TextIO) -> list[TraffickingEvent]:

@@ -442,11 +442,43 @@ class TestLexiconValidate:
         )
         assert code == 1 and "no conflicts" not in out
         assert err.splitlines() == [
-            "phrases: INVALID: surfaces 'sea  turtle' ('PRODUCT', 'turtle shell') and"
+            "merge: INVALID: surfaces 'sea  turtle' ('PRODUCT', 'turtle shell') and"
             " 'sea turtle' ('ANIMAL', 'sea turtle') are one phrase",
-            "phrases: INVALID: surfaces 'sea  turtles' ('PRODUCT', 'turtle shell') and"
-            " 'sea turtles' ('ANIMAL', 'sea turtle') are one phrase",
         ]
+
+    @pytest.mark.parametrize(
+        "files,invalid",
+        [
+            ({"--animals": "sea turtle,ANIMAL,\nsea  turtle,ANIMAL,sea turtle\n"}, False),
+            ({"--animals": b"name,label\nhippo,ANIMAL\n"}, True),
+            ({"--animals": "hippo,MAMMAL,\n"}, True),
+            ({"--animals": "hippo,ANIMAL,hippopotamus\nhippo,ANIMAL,hippo\n"}, True),
+            ({"--animals": "tusk,ANIMAL,\n", "--products": "tusk,PRODUCT,\n"}, True),
+            ({"--products": "bus,PRODUCT,\nbuse,PRODUCT,\n"}, True),
+            ({"--countries": "c\xf4te,COUNTRY,\n".encode("latin-1")}, True),
+            ({"--animals": "sea turtle,ANIMAL,\nsea  turtle,ANIMAL,turtle\n"}, True),
+            ({"--animals": "sea turtle,ANIMAL,\n",
+              "--products": "sea  turtle,PRODUCT,turtle shell\n"}, True),
+        ],
+        ids=["valid", "bad header", "unknown label", "conflict within a file",
+             "conflict across files", "ambiguous plural", "not UTF-8",
+             "one phrase in one file", "one phrase across files"],
+    )
+    def test_extract_accepts_what_validate_accepts(self, files, invalid, tmp_path, capsys):
+        flags = []
+        for flag, content in files.items():
+            path = tmp_path / f"{flag[2:]}.csv"
+            if isinstance(content, str):
+                content = ("surface,label,canonical\n" + content).encode("utf-8")
+            path.write_bytes(content)
+            flags += [flag, path]
+        empty, store = tmp_path / "briefs", tmp_path / "e.db"
+        empty.mkdir()
+        validated, _, _ = run(capsys, "lexicon-validate", *flags)
+        extracted, _, err = run(capsys, "extract", empty, "--store", store, *flags)
+        assert validated == (1 if invalid else 0)
+        assert (extracted, err.startswith("error:")) == (validated, invalid)
+        assert not store.exists()
 
 
 class TestUsage:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from brieflens.assembler import TraffickingEvent
 from brieflens.evaluation import (
@@ -283,6 +283,88 @@ class TestEvaluateCorpus:
         assert partial.detected_gold == 1
         assert full.detected_gold == 2
         assert full.detection_rate > partial.detection_rate
+
+
+# Events that always have an identity key, from pools that never hold
+# "planted", "nowhere" or 99, the values the edits below write.
+PLANTED_EVENTS = st.builds(
+    ev,
+    report_id=st.sampled_from(("a-2021-01", "b-2021-01")),
+    species=st.sampled_from((None, "elephant", "pangolin")),
+    product=st.sampled_from((None, "ivory", "scale")),
+    arrest_count=st.sampled_from((None, 0, 2)),
+    country=st.sampled_from((None, "gabon", "togo")),
+    quantity=st.sampled_from((None, 2)),
+    weight_kg=st.sampled_from((None, 12.5)),
+).filter(lambda e: e.species is not None or e.product is not None or e.arrest_count is not None)
+
+
+def only_identity_field(event: TraffickingEvent) -> str | None:
+    """The field of the event's one identity key, or None if it has two."""
+    if event.species is not None and event.product is not None:
+        return None
+    if event.species is not None:
+        return "species"
+    return "product" if event.product is not None else "arrest_count"
+
+
+def plant_disagreement(
+    events: list[TraffickingEvent], kind: str, index: int
+) -> tuple[list[TraffickingEvent], dict[str, int]]:
+    """Gold equal to ``events`` but for one edit of event ``index``, and its effect.
+
+    The effect maps report counts, and ``agree_<field>`` counts, to how much
+    the edit moves them from the all-fully-correct report of ``events``
+    scored against themselves.  ``"country"`` moves the country to one no
+    event has, which leaves a partial match; ``"delete"`` drops the event,
+    so its prediction is unrelated; ``"identity"`` moves the event's only
+    identity key to a value no event has, so no prediction is eligible for
+    it.
+    """
+    gold = list(events)
+    every_field = {f"agree_{name}": -1 for name in COMPARED_FIELDS}
+    if kind == "country":
+        gold[index] = replace(gold[index], country="nowhere")
+        return gold, {"fully_correct": -1, "partially_correct": 1, "agree_country": -1}
+    if kind == "delete":
+        del gold[index]
+        return gold, {"fully_correct": -1, "unrelated": 1, "total_gold": -1, **every_field}
+    field = only_identity_field(gold[index])
+    gold[index] = replace(gold[index], **{field: 99 if field == "arrest_count" else "planted"})
+    return gold, {"fully_correct": -1, "unrelated": 1, "undetected": 1, **every_field}
+
+
+def report_counts(report: EvalReport) -> dict[str, int]:
+    counts = asdict(report)
+    counts.update((f"agree_{name}", n) for name, n in counts.pop("field_agreement").items())
+    return counts
+
+
+class TestPlantedDisagreements:
+    @seed(20220406)
+    @settings(max_examples=150)
+    @given(
+        events=st.lists(PLANTED_EVENTS, min_size=1, max_size=12),
+        kind=st.sampled_from(("country", "delete", "identity")),
+        data=st.data(),
+    )
+    def test_one_edit_moves_the_report_as_planned(self, events, kind, data):
+        # evaluate_corpus takes each report's predictions together
+        events.sort(key=lambda e: e.report_id)
+        targets = [
+            i for i, e in enumerate(events)
+            if kind != "identity" or only_identity_field(e) is not None
+        ]
+        assume(targets)
+        index = data.draw(st.sampled_from(targets))
+        n = len(events)
+        expected = report_counts(EvalReport(n, 0, 0, 0, n, dict.fromkeys(COMPARED_FIELDS, n)))
+        assert report_counts(compute_report(evaluate_corpus(events, events))) == expected
+
+        gold, effect = plant_disagreement(events, kind, index)
+        for name, delta in effect.items():
+            expected[name] += delta
+        assert report_counts(compute_report(evaluate_corpus(events, gold))) == expected
 
 
 class TestEvalReport:

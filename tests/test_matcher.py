@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 
+import pytest
 from hypothesis import given, strategies as st
 
 from brieflens.corpus import document_from_text, tokenize
-from brieflens.lexicon import Lexicon
+from brieflens.lexicon import Lexicon, LexiconError
 from brieflens.matcher import (
     CARDINAL,
     CompiledMatcher,
@@ -15,7 +17,6 @@ from brieflens.matcher import (
     compile_lexicon,
     find_entities,
     merge_spans,
-    phrase_collisions,
 )
 from brieflens.measures import numeric_spans
 
@@ -61,8 +62,14 @@ class TestCompile:
         )
     )
     def test_random_table_matches_tokenize(self, surfaces):
-        lexicon = Lexicon(entries={s: ("ANIMAL", s) for s in surfaces}, version="")
+        # one pair per phrase, so surfaces that tokenize alike agree
+        lexicon = Lexicon(entries={s: ("ANIMAL", phrase_of(s)) for s in surfaces}, version="")
         assert_table_matches_tokenize(lexicon, compile_lexicon(lexicon))
+
+
+def phrase_of(surface: str) -> str:
+    """The phrase ``surface`` tokenizes to, written with single spaces."""
+    return " ".join(tok.lower for tok in tokenize(surface))
 
 
 def assert_table_matches_tokenize(lexicon: Lexicon, matcher: CompiledMatcher) -> None:
@@ -96,7 +103,15 @@ _SPACES = st.sampled_from([" ", "  ", ". ", ", ", "\n", "-"])
     st.data(),
 )
 def test_first_token_index_matches_the_oracle(labels, data):
-    lexicon = Lexicon(entries={s: (label, s) for s, label in labels.items()}, version="")
+    # the first label drawn for a phrase is every one of its surfaces' label
+    label_of: dict[str, str] = {}
+    lexicon = Lexicon(
+        entries={
+            s: (label_of.setdefault(phrase_of(s), label), phrase_of(s))
+            for s, label in labels.items()
+        },
+        version="",
+    )
     matcher = compile_lexicon(lexicon)
     assert_table_matches_tokenize(lexicon, matcher)
     pieces = st.one_of(st.sampled_from(sorted(labels)), _FIRST_WORDS, _LATER_WORDS)
@@ -110,23 +125,29 @@ class TestPhraseCollisions:
         lexicon = Lexicon.from_rows(
             [("sea turtle", "ANIMAL", ""), ("sea  turtle", "PRODUCT", "turtle shell")]
         )
-        animal, product = ("ANIMAL", "sea turtle"), ("PRODUCT", "turtle shell")
-        assert phrase_collisions(lexicon) == [
-            ("sea  turtle", product, "sea turtle", animal),
-            ("sea  turtles", product, "sea turtles", animal),
-        ]
-        # extract keeps the surface that sorts first
-        spans = find_entities(doc_of("a sea turtle"), compile_lexicon(lexicon))
-        assert [(s.label, s.canonical) for s in spans] == [product]
+        # the first two surfaces of the phrase in sorted order are named
+        with pytest.raises(LexiconError) as exc:
+            compile_lexicon(lexicon)
+        assert str(exc.value) == (
+            "surfaces 'sea  turtle' ('PRODUCT', 'turtle shell') and"
+            " 'sea turtle' ('ANIMAL', 'sea turtle') are one phrase"
+        )
 
     def test_agreeing_surfaces_do_not_collide(self):
         lexicon = Lexicon.from_rows(
             [("côte d'ivoire", "COUNTRY", ""), ("côte  d'ivoire", "COUNTRY", "côte d'ivoire")]
         )
-        assert phrase_collisions(lexicon) == []
+        matcher = compile_lexicon(lexicon)
+        # the four surfaces, singular and plural, compile to two phrases
+        assert sorted(matcher.phrases) == [
+            ("côte", "d", "'", "ivoire"), ("côte", "d", "'", "ivoires")
+        ]
+        for text in ("in côte d'ivoire", "in Côte  d'Ivoire"):
+            spans = find_entities(doc_of(text), matcher)
+            assert [(s.label, s.canonical) for s in spans] == [("COUNTRY", "côte d'ivoire")]
 
     def test_shipped_lists_have_none(self, shipped_lexicon):
-        assert phrase_collisions(shipped_lexicon) == []
+        assert compile_lexicon(shipped_lexicon).phrases == tokenized_phrase_table(shipped_lexicon)
 
     @given(
         st.dictionaries(
@@ -137,13 +158,18 @@ class TestPhraseCollisions:
     )
     def test_reported_exactly_when_compile_drops_them(self, entries):
         lexicon = Lexicon(entries=entries, version="")
-        phrases = compile_lexicon(lexicon).phrases
-        # a surface is dropped when the phrase it tokenizes to carries another pair
-        dropped = {
+        # the oracle keeps the first surface of each phrase in sorted order
+        kept = tokenized_phrase_table(lexicon)
+        dropped = sorted(
             surface for surface, pair in entries.items()
-            if (key := tuple(t.lower for t in tokenize(surface))) and phrases[key] != pair
-        }
-        assert {dropped for _, _, dropped, _ in phrase_collisions(lexicon)} == dropped
+            if (key := tuple(t.lower for t in tokenize(surface))) and kept[key] != pair
+        )
+        if not dropped:
+            assert compile_lexicon(lexicon).phrases == kept
+            return
+        with pytest.raises(LexiconError, match=f" and {re.escape(repr(dropped[0]))} ") as exc:
+            compile_lexicon(lexicon)
+        assert str(exc.value).endswith(" are one phrase")
 
 
 class TestFindEntities:

@@ -114,6 +114,24 @@ class TestIngest:
             store.ingest(bad)
         assert store.content_hash() == before
 
+    @pytest.mark.parametrize(
+        "write,message",
+        [
+            (lambda s: s.ingest([ev(species="leopard"), ev(quantity=10**20)]),
+             "event batch violates store constraints: Python int too large"),
+            (lambda s: s.register_report("c-2021-03", 10**20, 3),
+             "cannot register report 'c-2021-03': Python int too large"),
+        ],
+        ids=["ingest", "register_report"],
+    )
+    def test_integer_sqlite_cannot_hold_rejected(self, store, write, message):
+        store.ingest(SAMPLE)
+        before = (store.content_hash(), store.summarize(), store.events())
+        with pytest.raises(SchemaError, match=message):
+            write(store)
+        assert (store.content_hash(), store.summarize(), store.events()) == before
+        assert not store.has_report("c-2021-03")
+
     def test_register_report_keeps_its_date(self, store):
         store.ingest(SAMPLE)
         before = (store.content_hash(), store.summarize(), store.events())
@@ -433,6 +451,12 @@ class TestCsvImport:
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,0.0000001,\n", "would export as 0"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,,-1\n", "not be negative"),
             (CSV_HEADER + "\na-2021-01,20x1,1,,x,,,,\n", "not an integer"),
+            (CSV_HEADER + f"\na-2021-01,{10**20},1,,x,,,,\n",
+             f"row 2: year '{10**20}' is outside the 64-bit range"),
+            (CSV_HEADER + f"\na-2021-01,{-2**63 - 1},1,,x,,,,\n", "year .* outside the 64-bit"),
+            (CSV_HEADER + f"\na-2021-01,2021,1,,x,,{2**63},,\n", "quantity .* outside the 64-bit"),
+            (CSV_HEADER + f"\na-2021-01,2021,1,,x,,,,{10**20}\n",
+             "arrest_count .* outside the 64-bit"),
             pytest.param(
                 CSV_HEADER + "\n" + "x" * 200_000 + ",2021,1,,e,,,,\n",
                 "^field larger than field limit",
