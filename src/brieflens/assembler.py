@@ -153,6 +153,8 @@ def _apart(a: EntitySpan | _Range, b: EntitySpan | _Range) -> int:
 
 def _ends_before(anchor: EntitySpan | None) -> Callable[[EntitySpan], int | None]:
     """Distance to ``anchor`` of a span that ends before it; otherwise, or with no anchor, None."""
+    # ``anchor`` and ``span`` are two merged spans of one sentence, which are
+    # disjoint, so ``<`` and ``<=`` decide alike here
     return lambda span: (
         _apart(span, anchor) if anchor and span.last_token < anchor.first_token else None
     )
@@ -191,6 +193,8 @@ def assemble(
     by_sentence: list[list[EntitySpan]] = [[] for _ in doc.sentences]
     si = 0
     for span in spans:
+        # a span lies inside its sentence and sentences are cut at whitespace, so
+        # no span starts at a sentence's end_char: ``<=`` and ``<`` walk alike here
         while doc.sentences[si].end_char <= span.start_char:
             si += 1
         by_sentence[si].append(span)

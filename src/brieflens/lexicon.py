@@ -152,17 +152,17 @@ class Lexicon:
         return len(self.entries)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[tuple], version: str = "") -> "Lexicon":
+    def from_rows(cls, rows: Iterable[tuple]) -> "Lexicon":
         """Build a lexicon from ``(surface, label[, canonical])`` rows and their plurals.
 
         Explicit rows conflict when the same case-folded surface maps to two
         different (label, canonical) pairs.  Auto-generated plural surfaces
         never override an explicit row; two auto plurals that disagree are a
-        conflict as well.  An empty ``version`` becomes a digest of the table.
+        conflict as well.  The version is always a digest of the table.
         A row with fewer than two cells or an empty surface is rejected, as
         the file loader rejects it, with the row's 1-based position.
         """
-        return _build_table(_given_rows(rows), "", version)
+        return _build_table(_given_rows(rows), "", "")
 
 
 def _given_rows(rows: Iterable[tuple]) -> Iterator[tuple[str, str, str, int]]:
@@ -181,7 +181,8 @@ def _build_table(
     ``rows`` yields ``(surface, label, canonical, line)``; a nonzero ``line``
     is the row's line in the file ``origin`` and is named in errors.  The
     rows are all read before any is checked, so a row the reader rejects
-    is reported first, wherever it is.
+    is reported first, wherever it is.  An empty ``version`` becomes a
+    digest of the table.
     """
     rows = list(rows)
     explicit: dict[str, tuple[str, str]] = {}

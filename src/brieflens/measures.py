@@ -61,16 +61,26 @@ _TENS = {
     "twenty": 20, "thirty": 30, "forty": 40, "fifty": 50,
     "sixty": 60, "seventy": 70, "eighty": 80, "ninety": 90,
 }
-_SMALL = {"zero": 0, **_UNITS, **_TEENS}
-
-# unit token -> kilograms per unit
-_KG_UNITS = frozenset({"kg", "kilogram", "kilograms", "kilo", "kilos"})
-_TON_UNITS = frozenset({"t", "ton", "tons", "tonne", "tonnes"})
-_GRAM_UNITS = frozenset({"g", "gram", "grams"})
-_POUND_UNITS = frozenset({"lb", "lbs", "pound", "pounds"})
-WEIGHT_UNIT_TOKENS = _KG_UNITS | _TON_UNITS | _GRAM_UNITS | _POUND_UNITS
+# every word that begins a number: the words below 100, "twenty-five" included
+_BELOW_HUNDRED = {
+    "zero": 0, **_UNITS, **_TEENS, **_TENS,
+    **{f"{tens}-{unit}": _TENS[tens] + _UNITS[unit] for tens in _TENS for unit in _UNITS},
+}
 
 _POUND_KG = 0.45359237
+# unit token -> its conversion to kilograms, exact arithmetic rounded once,
+# so 1.1 tonnes is 1100.0 kg
+_TO_KG = {
+    unit: convert
+    for units, convert in [
+        (("kg", "kilogram", "kilograms", "kilo", "kilos"), lambda value: float(value)),
+        (("t", "ton", "tons", "tonne", "tonnes"), lambda value: float(value * 1000)),
+        (("g", "gram", "grams"), lambda value: float(value / 1000)),
+        (("lb", "lbs", "pound", "pounds"), lambda value: float(value) * _POUND_KG),
+    ]
+    for unit in units
+}
+WEIGHT_UNIT_TOKENS = frozenset(_TO_KG)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,56 +177,43 @@ def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> Numb
     return NumberMatch(value=value, start=i, length=length)
 
 
+def _word(texts: Sequence[str], j: int) -> str:
+    """Token ``j``, or "" past the sentence's end, which no rule reads as a number."""
+    return texts[j] if j < len(texts) else ""
+
+
 def _parse_below_hundred(texts: Sequence[str], i: int) -> tuple[int, int] | None:
-    tok = texts[i]
-    if tok in _SMALL:
-        return _SMALL[tok], 1
-    if tok in _TENS:
-        if i + 1 < len(texts) and texts[i + 1] in _UNITS:
-            return _TENS[tok] + _UNITS[texts[i + 1]], 2
-        return _TENS[tok], 1
-    if "-" in tok:
-        tens, _, unit = tok.partition("-")
-        if tens in _TENS and unit in _UNITS:
-            return _TENS[tens] + _UNITS[unit], 1
-    return None
+    """The number below 100 written in words at ``i``, and the index after it."""
+    tok = _word(texts, i)
+    if tok not in _BELOW_HUNDRED:
+        return None
+    if tok in _TENS and _word(texts, i + 1) in _UNITS:
+        return _TENS[tok] + _UNITS[texts[i + 1]], i + 2
+    return _BELOW_HUNDRED[tok], i + 1
 
 
 def _parse_below_thousand(texts: Sequence[str], i: int) -> tuple[int, int] | None:
-    tok = texts[i]
-    if tok in _UNITS and i + 1 < len(texts) and texts[i + 1] == "hundred":
-        value = _UNITS[tok] * 100
-        length = 2
-        j = i + 2
-        if j < len(texts) and texts[j] == "and":
-            rest = _parse_below_hundred(texts, j + 1) if j + 1 < len(texts) else None
-            if rest is not None:
-                return value + rest[0], length + 1 + rest[1]
-            return value, length
-        rest = _parse_below_hundred(texts, j) if j < len(texts) else None
-        if rest is not None:
-            return value + rest[0], length + rest[1]
-        return value, length
-    return _parse_below_hundred(texts, i)
+    """The number below 1000 written in words at ``i``, and the index after it."""
+    if _word(texts, i) not in _UNITS or _word(texts, i + 1) != "hundred":
+        return _parse_below_hundred(texts, i)
+    hundreds, j = _UNITS[texts[i]] * 100, i + 2
+    # "and" joins only a number below 100 that follows it
+    rest = _parse_below_hundred(texts, j + (_word(texts, j) == "and"))
+    return (hundreds + rest[0], rest[1]) if rest else (hundreds, j)
 
 
 def _parse_words(texts: Sequence[str], i: int) -> NumberMatch | None:
-    below = _parse_below_thousand(texts, i)
-    if below is None:
+    # one lookup, as this runs at every word token; a token that passes it
+    # begins a number, so the reader below finds one
+    if texts[i] not in _BELOW_HUNDRED:
         return None
-    value, length = below
-    j = i + length
-    if j < len(texts) and texts[j] == "thousand" and value > 0:
-        value *= 1000
-        length += 1
-        j += 1
-        rest = _parse_below_thousand(texts, j) if j < len(texts) else None
-        if rest is not None:
-            value += rest[0]
-            length += rest[1]
-    if value > MAX_NUMBER:
-        return None
-    return NumberMatch(value=value, start=i, length=length)
+    value, j = _parse_below_thousand(texts, i)
+    if value and _word(texts, j) == "thousand":
+        rest = _parse_below_thousand(texts, j + 1)
+        value, j = (value * 1000 + rest[0], rest[1]) if rest else (value * 1000, j + 1)
+    # the largest, "nine hundred and ninety-nine thousand nine hundred and
+    # ninety-nine", is MAX_NUMBER: a number in words never overflows
+    return NumberMatch(value=value, start=i, length=j - i)
 
 
 def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
@@ -257,7 +254,7 @@ def _read_number(
         return value, last, ""
     if fraction:
         value = Decimal(f"{value}.{fraction[0]}")
-    if format_weight(_to_kg(value, unit)) == "0":
+    if format_weight(_TO_KG[unit](value)) == "0":
         return None, tail, ""
     return value, tail, unit
 
@@ -290,19 +287,6 @@ def _join_text(tokens: Sequence[Token], start: int, end: int) -> str:
     return text
 
 
-def _to_kg(value: int | Decimal, unit: str) -> float:
-    # exact arithmetic rounded once, so 1.1 tonnes is 1100.0 kg
-    if unit in _KG_UNITS:
-        return float(value)
-    if unit in _TON_UNITS:
-        return float(value * 1000)
-    if unit in _GRAM_UNITS:
-        return float(value / 1000)
-    if unit in _POUND_UNITS:
-        return float(value) * _POUND_KG
-    raise ValueError(f"unknown weight unit {unit!r}")
-
-
 def _span(tokens: Sequence[Token], number: tuple[int | Decimal, int, int, str]) -> EntitySpan:
     """The span of a number from ``_iter_numbers``: a WEIGHT if it has a unit, else a CARDINAL."""
     value, start, last, unit = number
@@ -311,7 +295,7 @@ def _span(tokens: Sequence[Token], number: tuple[int | Decimal, int, int, str]) 
         end_char=tokens[last].end_char,
         text=_join_text(tokens, start, last + 1),
         label=WEIGHT if unit else CARDINAL,
-        canonical=repr(_to_kg(value, unit)) if unit else str(value),
+        canonical=repr(_TO_KG[unit](value)) if unit else str(value),
         first_token=start,
         last_token=last,
     )
@@ -333,7 +317,7 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
             # digits never change under casefolding, so the unit starts at the
             # same position in the token's text as in its casefolded form
             original_unit = tokens[last].text[len(texts[last]) - len(unit) :]
-            weight = Weight(_to_kg(value, unit), float(value), original_unit)
+            weight = Weight(_TO_KG[unit](value), float(value), original_unit)
             weights.append((_span(tokens, number), weight))
     return weights
 

@@ -65,6 +65,14 @@ def _counter(metric: str, label: str, value: int) -> str:
     )
 
 
+def _svg(cls: str, width: int, height: int | str, parts: list[str]) -> str:
+    """One chart: ``parts`` framed in an inline ``<svg>`` of the given size."""
+    return (
+        f'<svg class="{cls}" viewBox="0 0 {width} {height}" '
+        f'width="{width}" height="{height}" role="img">' + "".join(parts) + "</svg>"
+    )
+
+
 def _bubble_chart(stats: SummaryStats) -> str:
     species = stats.top_species
     if not species:
@@ -88,10 +96,7 @@ def _bubble_chart(stats: SummaryStats) -> str:
         x += cell
         row_height = max(row_height, 2 * radius)
     height = row_top + row_height + label_space
-    parts = [
-        f'<svg class="bubbles" viewBox="0 0 {_CANVAS_WIDTH} {height:.1f}" '
-        f'width="{_CANVAS_WIDTH}" height="{height:.1f}" role="img">'
-    ]
+    parts = []
     for cx, cy, radius, name, count in placed:
         safe = html.escape(name, quote=True)
         parts.append(
@@ -102,8 +107,7 @@ def _bubble_chart(stats: SummaryStats) -> str:
             f'<text x="{cx:.3f}" y="{cy + radius + 14:.3f}" class="bubble-label" '
             f'text-anchor="middle">{safe} ({count})</text>'
         )
-    parts.append("</svg>")
-    return "".join(parts)
+    return _svg("bubbles", _CANVAS_WIDTH, f"{height:.1f}", parts)
 
 
 def _country_bars(stats: SummaryStats) -> str:
@@ -116,10 +120,7 @@ def _country_bars(stats: SummaryStats) -> str:
     label_width = 170
     bar_area = 420
     height = len(ordered) * (bar_height + gap)
-    parts = [
-        f'<svg class="bars" viewBox="0 0 {label_width + bar_area + 60} {height}" '
-        f'width="{label_width + bar_area + 60}" height="{height}" role="img">'
-    ]
+    parts = []
     for i, (name, count) in enumerate(ordered):
         y = i * (bar_height + gap)
         width = bar_area * count / max_count
@@ -136,8 +137,7 @@ def _country_bars(stats: SummaryStats) -> str:
             f'<text x="{label_width + width + 6:.2f}" y="{y + bar_height - 6}" '
             f'class="bar-count">{count}</text>'
         )
-    parts.append("</svg>")
-    return "".join(parts)
+    return _svg("bars", label_width + bar_area + 60, height, parts)
 
 
 def _month_series(stats: SummaryStats) -> str:
@@ -149,10 +149,7 @@ def _month_series(stats: SummaryStats) -> str:
     chart_height = 150
     height = chart_height + 40
     width = len(ordered) * column
-    parts = [
-        f'<svg class="months" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" role="img">'
-    ]
+    parts = []
     for i, (key, count) in enumerate(ordered):
         bar = chart_height * count / max_count
         x = i * column + 6
@@ -169,8 +166,7 @@ def _month_series(stats: SummaryStats) -> str:
             f'<text x="{x + (column - 12) / 2}" y="{chart_height + 16}" '
             f'text-anchor="middle" class="month-label">{key}</text>'
         )
-    parts.append("</svg>")
-    return "".join(parts)
+    return _svg("months", width, height, parts)
 
 
 _STYLE = """

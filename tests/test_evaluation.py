@@ -46,6 +46,8 @@ class TestFieldAgree:
             (513.0, 513.1, False),
             (513.0, 500.0, False),
             (2, 2.0, True),
+            (2, 2.0000005, True),   # an int weight compares within the tolerance too
+            (1e-6, 2e-6, True),     # a difference of exactly the tolerance agrees
         ],
     )
     def test_pairs(self, a, b, expected):

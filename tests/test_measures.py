@@ -102,6 +102,24 @@ class TestParseNumber:
         m = parse_number(tokenize("twelve thousand three hundred and four"))
         assert (m.value, m.length) == (12304, 6)
 
+    @pytest.mark.parametrize(
+        ("text", "value", "length"),
+        [
+            # "and" joins only a following number below 100
+            ("two hundred and men", 200, 2),
+            ("two hundred and", 200, 2),
+            ("one thousand and five", 1000, 2),
+            # "hundred" follows only a unit, "thousand" only a number above 0
+            ("eleven hundred", 11, 1),
+            ("zero thousand", 0, 1),
+            # the largest number in words is MAX_NUMBER
+            ("nine hundred and ninety-nine thousand nine hundred and ninety-nine", MAX_NUMBER, 9),
+        ],
+    )
+    def test_word_number_edges(self, text, value, length):
+        m = parse_number(tokenize(text))
+        assert (m.value, m.length) == (value, length)
+
     def test_cap(self):
         assert parse_number(tokenize("1000000")) is None
         assert parse_number(tokenize("999999")).value == MAX_NUMBER
@@ -364,6 +382,15 @@ class TestAgainstTheEarlierReader:
     @example([("12.5kg", " "), ("and", " "), ("0.0", " "), ("KG", "")])
     @example([("In", " "), ("7", ""), (".", ""), ("25T", "")])
     @example([("3", ""), (",", ""), ("200", ""), (".", ""), ("5", " "), ("Lbs", "")])
+    @example([("two", " "), ("hundred", " "), ("and", " "), ("men", "")])
+    @example([("two", " "), ("hundred", " "), ("and", "")])
+    @example([("one", " "), ("thousand", " "), ("and", " "), ("five", "")])
+    @example([("eleven", " "), ("hundred", "")])
+    @example([("zero", " "), ("thousand", "")])
+    @example(
+        [(word, " ") for word in "nine hundred and ninety-nine thousand nine hundred and".split()]
+        + [("ninety-nine", "")]
+    )
     @settings(max_examples=400, deadline=None)
     def test_same_spans_and_weights(self, pieces):
         text = "".join(piece + space for piece, space in pieces)

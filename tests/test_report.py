@@ -141,6 +141,27 @@ class TestDashboard:
         for r, _, count in got:
             assert abs(r / r_max - math.sqrt(count / c_max)) < 0.01
 
+    def test_bubble_rows_wrap_inside_the_canvas(self):
+        stats = SummaryStats(
+            0, 0, 12, top_species=[(f"species-{i}", 20 - i) for i in range(12)]
+        )
+        page = emit_html(stats)
+        height = float(re.search(r'<svg class="bubbles"[^>]* height="([0-9.]+)"', page)[1])
+        bubbles = [
+            tuple(map(float, found))
+            for found in re.findall(r'<circle cx="([0-9.]+)" cy="([0-9.]+)" r="([0-9.]+)"', page)
+        ]
+        label_ys = [float(y) for y in re.findall(r'y="([0-9.]+)" class="bubble-label"', page)]
+        assert len(bubbles) == len(label_ys) == 12
+        assert all(cx + r <= brieflens.report._CANVAS_WIDTH for cx, _, r in bubbles)
+        # each row starts at the left edge, and the second lies below the whole first
+        row_starts = [i for i, (cx, _, r) in enumerate(bubbles) if math.isclose(cx, r)]
+        assert row_starts[0] == 0 and len(row_starts) > 1
+        first_row_bottom = max(cy + r for _, cy, r in bubbles[: row_starts[1]])
+        _, cy, r = bubbles[row_starts[1]]
+        assert cy - r > first_row_bottom
+        assert max(label_ys) <= height
+
     def test_country_bars_sorted_by_count_then_name(self):
         stats = SummaryStats(
             9, 0, 0, per_country={"gabon": 2, "togo": 5, "benin": 2}
