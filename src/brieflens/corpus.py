@@ -11,8 +11,9 @@ is a whole line, as ``str.splitlines`` counts lines, holding only whitespace.
 Abbreviations are matched against the whole text, so an entry that holds a
 line break can reach back across one.
 
-Offsets are always relative to the raw document text, so any span produced
-downstream can be sliced back out of ``raw_text`` unchanged.
+Offsets are always relative to the raw document text.  A sentence carries
+its source slice of that text, and every span produced downstream is cut
+from it, so any span can be sliced back out of ``raw_text`` unchanged.
 
 Tokens, sentences and documents are frozen, slotted dataclasses: they hold
 no ``__dict__``, compare and hash by value, and change only through
@@ -84,10 +85,11 @@ class Token:
 
 @dataclass(frozen=True, slots=True)
 class SentenceSpan:
-    """A sentence as a half-open [start_char, end_char) slice plus its tokens."""
+    """A sentence: a half-open [start_char, end_char) slice, that slice's text, its tokens."""
 
     start_char: int
     end_char: int
+    text: str
     tokens: tuple[Token, ...]
 
 
@@ -183,10 +185,11 @@ def segment_sentences(
         cuts.append(i + 1)
     if cuts[-1] < len(tokens):
         cuts.append(len(tokens))
-    return [
-        SentenceSpan(tokens[a].start_char, tokens[b - 1].end_char, tuple(tokens[a:b]))
-        for a, b in zip(cuts, cuts[1:])
-    ]
+    sentences = []
+    for a, b in zip(cuts, cuts[1:]):
+        start, end = tokens[a].start_char, tokens[b - 1].end_char
+        sentences.append(SentenceSpan(start, end, text[start:end], tuple(tokens[a:b])))
+    return sentences
 
 
 def document_from_text(

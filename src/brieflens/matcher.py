@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import TOKEN_RE, ReportDocument
+from .corpus import TOKEN_RE, ReportDocument, SentenceSpan
 from .lexicon import Lexicon, LexiconError
 
 __all__ = [
@@ -50,6 +50,8 @@ class EntitySpan:
     """A labeled span of one sentence, in characters and in tokens.
 
     ``start_char`` and ``end_char`` are document-relative character offsets.
+    ``text`` is the source slice ``raw_text[start_char:end_char]``: every
+    span, lexical or numeric, is built by :meth:`cut`.
     ``first_token`` and ``last_token`` are the inclusive range of the tokens
     it covers, as indices into its sentence's ``tokens``: the span starts
     where token ``first_token`` starts and ends where token ``last_token``
@@ -63,6 +65,15 @@ class EntitySpan:
     canonical: str
     first_token: int
     last_token: int
+
+    @classmethod
+    def cut(
+        cls, sentence: SentenceSpan, first: int, last: int, label: str, canonical: str
+    ) -> EntitySpan:
+        """The span of ``sentence``'s tokens ``first`` to ``last``, cut from ``sentence.text``."""
+        start, end = sentence.tokens[first].start_char, sentence.tokens[last].end_char
+        text = sentence.text[start - sentence.start_char : end - sentence.start_char]
+        return cls(start, end, text, label, canonical, first, last)
 
 
 @dataclass(frozen=True)
@@ -147,21 +158,8 @@ def find_entities(doc: ReportDocument, matcher: CompiledMatcher) -> list[EntityS
                         break
             else:
                 continue
-            label, canonical = pair
             last = i + length - 1
-            start = tokens[i].start_char
-            end = tokens[last].end_char
-            spans.append(
-                EntitySpan(
-                    start_char=start,
-                    end_char=end,
-                    text=doc.raw_text[start:end],
-                    label=label,
-                    canonical=canonical,
-                    first_token=i,
-                    last_token=last,
-                )
-            )
+            spans.append(EntitySpan.cut(sentence, i, last, *pair))
             resume = last + 1
     return spans
 

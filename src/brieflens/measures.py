@@ -275,38 +275,20 @@ def _iter_numbers(
         i = last + 1
 
 
-def _join_text(tokens: Sequence[Token], start: int, end: int) -> str:
-    """The tokens' text as written, with one space where the source has whitespace.
-
-    Every character between two tokens is whitespace, so for single-spaced
-    text this is the source slice.
-    """
-    text = tokens[start].text
-    for prev, tok in zip(tokens[start : end - 1], tokens[start + 1 : end]):
-        text += " " + tok.text if tok.start_char > prev.end_char else tok.text
-    return text
-
-
-def _span(tokens: Sequence[Token], number: tuple[int | Decimal, int, int, str]) -> EntitySpan:
+def _span(sentence: SentenceSpan, number: tuple[int | Decimal, int, int, str]) -> EntitySpan:
     """The span of a number from ``_iter_numbers``: a WEIGHT if it has a unit, else a CARDINAL."""
     value, start, last, unit = number
-    return EntitySpan(
-        start_char=tokens[start].start_char,
-        end_char=tokens[last].end_char,
-        text=_join_text(tokens, start, last + 1),
-        label=WEIGHT if unit else CARDINAL,
-        canonical=repr(_TO_KG[unit](value)) if unit else str(value),
-        first_token=start,
-        last_token=last,
-    )
+    label, canonical = (WEIGHT, repr(_TO_KG[unit](value))) if unit else (CARDINAL, str(value))
+    return EntitySpan.cut(sentence, start, last, label, canonical)
 
 
 def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     """Find every ``<number> <unit>`` weight in the sentence.
 
     The span covers the number tokens plus the unit token, or ends at the
-    token the unit is glued to; the canonical is the exact kilogram value
-    via ``repr`` so it survives a string round trip without loss.
+    token the unit is glued to, and its text is their source slice, spaces
+    as written; the canonical is the exact kilogram value via ``repr`` so
+    it survives a string round trip without loss.
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
@@ -318,12 +300,12 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
             # same position in the token's text as in its casefolded form
             original_unit = tokens[last].text[len(texts[last]) - len(unit) :]
             weight = Weight(_TO_KG[unit](value), float(value), original_unit)
-            weights.append((_span(tokens, number), weight))
+            weights.append((_span(sentence, number), weight))
     return weights
 
 
 def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
-    """All numeric spans of a sentence, sorted: weights and cardinals.
+    """All numeric spans of a sentence, sorted: weights and cardinals, cut from its text.
 
     A number followed by a unit is a WEIGHT and never doubles as a
     CARDINAL; neither do the pieces of a decimal weight.  No unit token
@@ -332,4 +314,4 @@ def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
-    return [_span(tokens, number) for number in _iter_numbers(tokens, texts)]
+    return [_span(sentence, number) for number in _iter_numbers(tokens, texts)]

@@ -116,7 +116,7 @@ def naive_segment_sentences(text: str, abbreviations: Iterable[str]) -> list[Sen
         pos += len(line)
     if start is not None:
         bounds.append((start, last))
-    return [SentenceSpan(a, b, _shifted(tokenize(text[a:b]), a)) for a, b in bounds]
+    return [SentenceSpan(a, b, text[a:b], _shifted(tokenize(text[a:b]), a)) for a, b in bounds]
 
 
 def _shifted(tokens: Iterable[Token], offset: int) -> tuple[Token, ...]:
@@ -162,7 +162,9 @@ def paragraph_document_from_text(
     for start, end in _find_paragraphs(text):
         first = len(sentences)
         sentences.extend(
-            SentenceSpan(s.start_char + start, s.end_char + start, _shifted(s.tokens, start))
+            SentenceSpan(
+                s.start_char + start, s.end_char + start, s.text, _shifted(s.tokens, start)
+            )
             for s in naive_segment_sentences(text[start:end], abbreviations)
         )
         paragraphs.append((first, len(sentences)))

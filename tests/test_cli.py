@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
 import sqlite3
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -412,6 +415,36 @@ class TestExportAndReport:
         assert 'data-metric="total_events" data-value="7"' in page
 
 
+def test_second_writer_fails_while_readers_read(extracted, tmp_path, capsys, shipped_matcher):
+    # the store has one writer: a second waits sqlite3's 5 s busy timeout,
+    # then fails loudly, while readers see the last committed state at once
+    late = tmp_path / "late"
+    late.mkdir()
+    shutil.copy(BRIEFS_DIR / "demo-2021-06.txt", late / "late-2021-07.txt")
+    held = document_from_text("held-2021-08", 2021, 8, "In Gabon, two tusks were seized.")
+    held_events = extract_document(held, shipped_matcher)
+    assert held_events
+    with EventStore(extracted) as writer, writer.batch():
+        writer.register_report(held.report_id, held.year, held.month)
+        writer.ingest(held_events)
+        code, out, err = run(capsys, "extract", late, "--store", extracted)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write event store at {extracted}: database is locked\n"
+        export = tmp_path / "events.csv"
+        code, out, _ = run(capsys, "export", export, "--store", extracted)
+        assert (code, out) == (0, f"wrote 7 events to {export}\n")
+        code, _, _ = run(capsys, "report", "--store", extracted, "--out", tmp_path / "site")
+        page = (tmp_path / "site" / "dashboard.html").read_text(encoding="utf-8")
+        assert code == 0 and 'data-metric="total_events" data-value="7"' in page
+        code, out, _ = run(
+            capsys, "eval", "--gold", GOLD_CSV, "--store", extracted, "--out", tmp_path / "ev"
+        )
+        assert code == 0 and out.startswith("fully=7 partial=0 unrelated=0 undetected=0")
+    with EventStore(extracted) as store:
+        assert store.report_date("held-2021-08") == (2021, 8)
+        assert store.report_date("late-2021-07") is None
+
+
 class TestLexiconValidate:
     def test_shipped_lists_are_clean(self, capsys, shipped_lexicon):
         code, out, err = run(capsys, "lexicon-validate")
@@ -421,6 +454,16 @@ class TestLexiconValidate:
         assert lines[1].startswith("products: ")
         assert lines[2].startswith("countries: ")
         assert lines[3] == f"merged: {len(shipped_lexicon)} surfaces, no conflicts"
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "brieflens.cli", "lexicon-validate"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "merged: 330 surfaces, no conflicts"
 
     def test_conflicting_file_flagged(self, tmp_path, capsys):
         bad = tmp_path / "animals.csv"

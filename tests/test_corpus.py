@@ -78,8 +78,9 @@ class TestTokenize:
 _TOKEN = Token(4, 9, "Ivory", "ivory")
 _RECORDS = [
     (_TOKEN, "start_char", 5),
-    (SentenceSpan(4, 9, (_TOKEN,)), "end_char", 10),
-    (ReportDocument("a-2021-01", 2021, 1, "The Ivory", (SentenceSpan(4, 9, (_TOKEN,)),), ((0, 1),)),
+    (SentenceSpan(4, 9, "Ivory", (_TOKEN,)), "end_char", 10),
+    (ReportDocument("a-2021-01", 2021, 1, "The Ivory",
+                    (SentenceSpan(4, 9, "Ivory", (_TOKEN,)),), ((0, 1),)),
      "month", 2),
     (EntitySpan(4, 9, "Ivory", "PRODUCT", "ivory", 0, 0), "label", "ANIMAL"),
     (NumberMatch(Decimal("1.5"), 2, 3), "length", 1),

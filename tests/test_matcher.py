@@ -295,3 +295,24 @@ def test_spans_carry_their_token_range(parts):
         assert sentence.tokens[span.last_token].end_char == span.end_char
     assert all(left.end_char <= right.start_char for left, right in zip(merged, merged[1:]))
     assert merged == naive_merge_spans(lexical, numeric)
+
+
+# Lexicon words, digit and word numbers and units, joined by any whitespace,
+# not only one space: every span's text must still be its source slice.
+_SLICE_PIECES = st.sampled_from(
+    [
+        "Elephant", "sea", "turtle", "ivory", "kg", "bag", "seized.", "Gabon.", "1,200",
+        "12.5", "3", "0", "two", "hundred", "and", "twenty-five", "thousand", "tons", "lbs",
+    ]
+)
+_WHITESPACE = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u202f"])
+
+
+@given(st.lists(st.tuples(_SLICE_PIECES, _WHITESPACE), max_size=30))
+def test_every_span_is_a_source_slice(parts):
+    doc = doc_of("".join(piece + separator for piece, separator in parts))
+    for sentence in doc.sentences:
+        assert sentence.text == doc.raw_text[sentence.start_char : sentence.end_char]
+    numeric = [span for sentence in doc.sentences for span in numeric_spans(sentence)]
+    for span in find_entities(doc, _FUZZ_MATCHER) + numeric:
+        assert span.text == doc.raw_text[span.start_char : span.end_char]

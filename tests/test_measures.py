@@ -346,6 +346,9 @@ class TestNumericSpans:
             "They found 1,200kg and 3 tons.",
             "Rangers held three hundred and six men.",
             "Twenty-five tusks and forty two skins.",
+            "They held 12.5  kg today.",
+            "They held 1,200\n kg today.",
+            "Rangers found 12\tkg of ivory.",
         ],
     )
     def test_text_is_the_source_slice(self, text):
@@ -394,6 +397,6 @@ class TestAgainstTheEarlierReader:
     @settings(max_examples=400, deadline=None)
     def test_same_spans_and_weights(self, pieces):
         text = "".join(piece + space for piece, space in pieces)
-        sentence = SentenceSpan(0, len(text), tuple(tokenize(text)))
+        sentence = SentenceSpan(0, len(text), text, tuple(tokenize(text)))
         assert numeric_spans(sentence) == reference_numeric_spans(sentence)
         assert parse_weights(sentence) == reference_parse_weights(sentence)
