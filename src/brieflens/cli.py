@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extract, store, evaluate and summarize trafficking events"
         " from plain-text enforcement briefs.",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="more logging (repeatable)")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_extract = sub.add_parser("extract", help="extract events from briefs into the store")
@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # set on every call, so one call's -v does not carry over to the next
-        LOGGER.setLevel((logging.NOTSET, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+        LOGGER.setLevel(logging.INFO if args.verbose else logging.NOTSET)
         if args.verbose:
             logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)

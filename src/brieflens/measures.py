@@ -24,11 +24,14 @@ One reader takes each number of a sentence, in this order:
    it is zero ("0 kg", "0kg", "zero kg", "0.0 kg") or too small to carry
    ("0.0000001 kg"), so none of its pieces becomes a quantity or an
    arrest count.
+
+Each reader takes the index of a number's first token and returns its
+value with the index after its last token, where the next read resumes;
+only ``parse_number`` makes a ``NumberMatch`` of them.
 """
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator, Sequence
@@ -85,10 +88,7 @@ WEIGHT_UNIT_TOKENS = frozenset(_TO_KG)
 
 @dataclass(frozen=True, slots=True)
 class NumberMatch:
-    """A parsed number and the token span it consumed.
-
-    ``parse_number`` always gives an int value.
-    """
+    """What ``parse_number`` returns: an int and the token span it consumed."""
 
     value: int | Decimal
     start: int
@@ -139,8 +139,8 @@ def _touches(tokens: Sequence[Token], i: int) -> bool:
     )
 
 
-def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> NumberMatch | None:
-    """The number written in digits at ``i``, with its thousands groups.
+def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> tuple[int, int] | None:
+    """The number written in digits at ``i``, with its thousands groups, and the index after it.
 
     Its value may exceed MAX_NUMBER; callers then skip the number.
     """
@@ -154,27 +154,23 @@ def _parse_digits(tokens: Sequence[Token], texts: Sequence[str], i: int) -> Numb
     # int() refuses strings of more than 4,300 digits, so a token with more
     # significant digits than MAX_NUMBER overflows without converting; the
     # leading zeros may come from any script
-    if len(digits) > _MAX_DIGITS and any(
-        unicodedata.decimal(ch) for ch in digits[:-_MAX_DIGITS]
-    ):
+    if len(digits) > _MAX_DIGITS and any(int(ch) for ch in digits[:-_MAX_DIGITS]):
         value = MAX_NUMBER + 1
     else:
         value = int(digits[-_MAX_DIGITS:])
-    length = 1
+    j = i + 1
     if not unit and len(digits) <= 3:
-        j = i + 1
         while j + 1 < len(texts) and texts[j] == "," and _touches(tokens, j):
             group = _split_unit(texts[j + 1])
             if group is None or len(group[0]) != 3:
                 break
             # capped, so that a long overflowing run costs no big-integer arithmetic
             value = min(value * 1000 + int(group[0]), MAX_NUMBER + 1)
-            length += 2
             j += 2
             unit = group[1]
             if unit:
                 break
-    return NumberMatch(value=value, start=i, length=length)
+    return value, j
 
 
 def _word(texts: Sequence[str], j: int) -> str:
@@ -202,7 +198,8 @@ def _parse_below_thousand(texts: Sequence[str], i: int) -> tuple[int, int] | Non
     return (hundreds + rest[0], rest[1]) if rest else (hundreds, j)
 
 
-def _parse_words(texts: Sequence[str], i: int) -> NumberMatch | None:
+def _parse_words(texts: Sequence[str], i: int) -> tuple[int, int] | None:
+    """The number written in words at ``i``, and the index after it."""
     # one lookup, as this runs at every word token; a token that passes it
     # begins a number, so the reader below finds one
     if texts[i] not in _BELOW_HUNDRED:
@@ -213,7 +210,7 @@ def _parse_words(texts: Sequence[str], i: int) -> NumberMatch | None:
         value, j = (value * 1000 + rest[0], rest[1]) if rest else (value * 1000, j + 1)
     # the largest, "nine hundred and ninety-nine thousand nine hundred and
     # ninety-nine", is MAX_NUMBER: a number in words never overflows
-    return NumberMatch(value=value, start=i, length=j - i)
+    return value, j
 
 
 def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
@@ -221,37 +218,39 @@ def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
     texts = _texts(tokens)
     if not 0 <= start < len(texts):
         return None
-    m = _parse_digits(tokens, texts, start) or _parse_words(texts, start)
-    return m if m is None or m.value <= MAX_NUMBER else None
+    read = _parse_digits(tokens, texts, start) or _parse_words(texts, start)
+    if read is None or read[0] > MAX_NUMBER:
+        return None
+    value, end = read
+    return NumberMatch(value=value, start=start, length=end - start)
 
 
 def _read_number(
-    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
+    tokens: Sequence[Token], texts: Sequence[str], value: int, end: int
 ) -> tuple[int | Decimal | None, int, str]:
-    """``m`` read on over its fraction and its unit, in the module's order.
+    """``value``, read up to ``end``, read on over its fraction and unit in the module's order.
 
-    Returns the value, the index of the last token read (a weight's unit
-    token) and the unit, "" for a cardinal.  The value is None when the
-    number is skipped through that token.
+    Returns the value, the index after the last token read (a weight's
+    unit token) and the unit, "" for a cardinal.  The value is None when
+    the number is skipped up to that index.
     """
-    last = m.end - 1
-    value, unit, fraction = m.value, "", None
-    if texts[last].isdecimal():
-        if last + 2 < len(texts) and texts[last + 1] == "." and _touches(tokens, last + 1):
-            fraction = _split_unit(texts[last + 2])
-    elif (glued := _split_unit(texts[last])) is not None:  # None for a number word
+    unit, fraction = "", None
+    if texts[end - 1].isdecimal():
+        if end + 1 < len(texts) and texts[end] == "." and _touches(tokens, end):
+            fraction = _split_unit(texts[end + 1])
+    elif (glued := _split_unit(texts[end - 1])) is not None:  # None for a number word
         unit = glued[1]
-    tail = last + 2 if fraction else last  # the token of the last digits read
+    tail = end + 2 if fraction else end  # the index after the last digits read
     if value > MAX_NUMBER:
         return None, tail, ""
     if fraction:
         unit = fraction[1]
-    if not unit and tail + 1 < len(texts) and texts[tail + 1] in WEIGHT_UNIT_TOKENS:
-        tail += 1
+    if not unit and tail < len(texts) and texts[tail] in WEIGHT_UNIT_TOKENS:
         unit = texts[tail]
+        tail += 1
     if not unit:
         # a fraction is read only for a weight: "12.5 tusks" is 12, then 5
-        return value, last, ""
+        return value, end, ""
     if fraction:
         value = Decimal(f"{value}.{fraction[0]}")
     if format_weight(_TO_KG[unit](value)) == "0":
@@ -262,24 +261,24 @@ def _read_number(
 def _iter_numbers(
     tokens: Sequence[Token], texts: Sequence[str]
 ) -> Iterator[tuple[int | Decimal, int, int, str]]:
-    """Each number of the sentence: its value, first and last token, and unit ("" for none)."""
+    """Each number of the sentence: value, first token, index after it, and unit ("" for none)."""
     i = 0
     while i < len(texts):
-        m = _parse_digits(tokens, texts, i) or _parse_words(texts, i)
-        if m is None:
+        read = _parse_digits(tokens, texts, i) or _parse_words(texts, i)
+        if read is None:
             i += 1
             continue
-        value, last, unit = _read_number(tokens, texts, m)
+        value, end, unit = _read_number(tokens, texts, *read)
         if value is not None:
-            yield value, i, last, unit
-        i = last + 1
+            yield value, i, end, unit
+        i = end
 
 
 def _span(sentence: SentenceSpan, number: tuple[int | Decimal, int, int, str]) -> EntitySpan:
     """The span of a number from ``_iter_numbers``: a WEIGHT if it has a unit, else a CARDINAL."""
-    value, start, last, unit = number
+    value, start, end, unit = number
     label, canonical = (WEIGHT, repr(_TO_KG[unit](value))) if unit else (CARDINAL, str(value))
-    return EntitySpan.cut(sentence, start, last, label, canonical)
+    return EntitySpan.cut(sentence, start, end - 1, label, canonical)
 
 
 def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
@@ -294,11 +293,11 @@ def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
     texts = _texts(tokens)
     weights = []
     for number in _iter_numbers(tokens, texts):
-        value, _, last, unit = number
+        value, _, end, unit = number
         if unit:
             # digits never change under casefolding, so the unit starts at the
             # same position in the token's text as in its casefolded form
-            original_unit = tokens[last].text[len(texts[last]) - len(unit) :]
+            original_unit = tokens[end - 1].text[len(texts[end - 1]) - len(unit) :]
             weight = Weight(_TO_KG[unit](value), float(value), original_unit)
             weights.append((_span(sentence, number), weight))
     return weights

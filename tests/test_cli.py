@@ -445,6 +445,76 @@ def test_second_writer_fails_while_readers_read(extracted, tmp_path, capsys, shi
         assert store.report_date("late-2021-07") is None
 
 
+# a child that runs `report` and exits 3 at the Nth os.replace, as a killed
+# process would: no cleanup code runs
+STOP_AT_REPLACE = """
+import os, sys
+from brieflens.cli import main
+stop_at, replace = int(sys.argv[1]), os.replace
+calls = 0
+def stopping_replace(*args, **kwargs):
+    global calls
+    calls += 1
+    if calls == stop_at:
+        os._exit(3)
+    return replace(*args, **kwargs)
+os.replace = stopping_replace
+main(["report", "--store", sys.argv[2], "--out", sys.argv[3]])
+"""
+
+
+class TestStoppedReport:
+    """A `report` stopped between its writes never truncates an output."""
+
+    OUTPUTS = ("summary.json", "dashboard.html")
+
+    def stop_report(self, stop_at, extracted, tmp_path, capsys, shipped_matcher):
+        """The outputs before, the outputs a whole run gives, and the stopped run's directory."""
+        site, fresh = tmp_path / "site", tmp_path / "fresh"
+        assert run(capsys, "report", "--store", extracted, "--out", site)[0] == 0
+        before = {name: (site / name).read_bytes() for name in self.OUTPUTS}
+        late = document_from_text("late-2021-09", 2021, 9, "In Gabon, two tusks were seized.")
+        with EventStore(extracted) as store, store.batch():
+            store.register_report(late.report_id, late.year, late.month)
+            store.ingest(extract_document(late, shipped_matcher))
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", STOP_AT_REPLACE, str(stop_at), str(extracted), str(site)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        assert run(capsys, "report", "--store", extracted, "--out", fresh)[0] == 0
+        after = {name: (fresh / name).read_bytes() for name in self.OUTPUTS}
+        assert all(before[name] != after[name] for name in self.OUTPUTS)
+        return before, after, site
+
+    def left_behind(self, site):
+        """The one temporary file the stopped run left, by the output it was to replace."""
+        (partial,) = site.glob("*.tmp")
+        dest, pid, _ = partial.name.rsplit(".", 2)
+        assert pid.isdecimal()
+        return dest, partial
+
+    def test_stopped_at_the_first_rename(self, extracted, tmp_path, capsys, shipped_matcher):
+        before, after, site = self.stop_report(1, extracted, tmp_path, capsys, shipped_matcher)
+        assert {name: (site / name).read_bytes() for name in self.OUTPUTS} == before
+        dest, partial = self.left_behind(site)
+        assert dest == "summary.json" and partial.read_bytes() == after["summary.json"]
+        # no later run sweeps it
+        assert run(capsys, "report", "--store", extracted, "--out", site)[0] == 0
+        assert partial.exists()
+
+    def test_stopped_between_the_renames(self, extracted, tmp_path, capsys, shipped_matcher):
+        # a new summary beside an old dashboard, and nothing in the two
+        # files tells them apart
+        before, after, site = self.stop_report(2, extracted, tmp_path, capsys, shipped_matcher)
+        assert (site / "summary.json").read_bytes() == after["summary.json"]
+        assert (site / "dashboard.html").read_bytes() == before["dashboard.html"]
+        dest, partial = self.left_behind(site)
+        assert dest == "dashboard.html" and partial.read_bytes() == after["dashboard.html"]
+
+
 class TestLexiconValidate:
     def test_shipped_lists_are_clean(self, capsys, shipped_lexicon):
         code, out, err = run(capsys, "lexicon-validate")
@@ -535,6 +605,11 @@ class TestUsage:
         brief = BRIEFS_DIR / "demo-2021-02.txt"
         assert run(capsys, "-v", "extract", brief, "--store", tmp_path / "first.db")[0] == 0
         assert [r.getMessage() for r in caplog.records] == ["extracted 1 reports, 0 failures"]
+        verbose = [(r.levelno, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        # -v is a flag: repeating it logs nothing more
+        assert run(capsys, "-vv", "extract", brief, "--store", tmp_path / "first.db")[0] == 0
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == verbose
         caplog.clear()
         assert run(capsys, "extract", brief)[0] == 0
         assert caplog.records == []
