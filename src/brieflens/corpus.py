@@ -133,11 +133,9 @@ def _matches_abbreviation(text: str, period_index: int, abbreviations: Iterable[
     # abbreviation preceded by a word boundary.
     end = period_index + 1
     for abbr in abbreviations:
+        if not text.endswith(abbr, 0, end):
+            continue
         start = end - len(abbr)
-        if start < 0:
-            continue
-        if text[start:end] != abbr:
-            continue
         if start == 0 or not text[start - 1].isalnum():
             return True
     return False

@@ -32,6 +32,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import logging
 import math
 import sqlite3
 from dataclasses import dataclass, field
@@ -53,6 +54,8 @@ __all__ = [
     "format_weight",
     "import_csv",
 ]
+
+_LOGGER = logging.getLogger("brieflens")
 
 CSV_HEADER = "report_id,year,month,country,species,product,quantity,weight_kg,arrest_count"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
@@ -201,9 +204,12 @@ class EventStore:
         """Replay an older store into the current schema.
 
         Its report rows, then its event rows, are copied into fresh tables,
-        as they are: foreign keys are off.  The insert trigger recounts the
-        tallies, every report's CSV cache is rewritten from its events, and
-        the old tables' pages are vacuumed away, so the file does not grow.
+        as they are: foreign keys are off.  An event whose report is not
+        registered has no date, so no count could place it: it is dropped,
+        and the number dropped is logged as a warning.  The insert trigger
+        recounts the tallies, every report's CSV cache is rewritten from its
+        events, and the old tables' pages are vacuumed away, so the file
+        does not grow.
         """
         conn = self._conn
         # the pragma is a no-op inside a transaction
@@ -227,12 +233,21 @@ class EventStore:
             for statement in _SCHEMA:
                 conn.execute(statement)
             # the tallies are not copied: the insert trigger recounts them
+            # an event of an unregistered report has no date: it is not copied
+            orphan = "report_id NOT IN (SELECT report_id FROM reports)"
             for name in ("reports", "events"):
                 if name in old:
                     kept = {row[1] for row in conn.execute(f"PRAGMA table_info(old_{name})")}
                     columns = [row[1] for row in conn.execute(f"PRAGMA table_info({name})")]
                     shared = ", ".join(c for c in columns if c in kept)
-                    conn.execute(f"INSERT INTO {name} ({shared}) SELECT {shared} FROM old_{name}")
+                    where = f" WHERE NOT {orphan}" if name == "events" else ""
+                    conn.execute(
+                        f"INSERT INTO {name} ({shared}) SELECT {shared} FROM old_{name}{where}"
+                    )
+            dropped = 0
+            if "events" in old:
+                query = f"SELECT COUNT(*) FROM old_events WHERE {orphan}"
+                (dropped,) = conn.execute(query).fetchone()
             for name in old:
                 conn.execute(f"DROP TABLE old_{name}")
             self._refresh_csv_rows(
@@ -240,6 +255,8 @@ class EventStore:
             )
             conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
         conn.execute("PRAGMA legacy_alter_table = OFF")
+        if dropped:
+            _LOGGER.warning("%s: dropped %d event(s) of unregistered reports", self.path, dropped)
         if old:
             # frees the old tables' pages; it cannot run inside a transaction
             conn.execute("VACUUM")

@@ -12,11 +12,7 @@ every predicted event against every gold event with a pairwise predicate,
 the corpus evaluator groups both whole sides by report before matching,
 and the number speller is a plain lookup-table composition.  Keep these
 naive; their value is that they share no code with the implementations
-they check.  The two exceptions are frozen copies of earlier code, kept
-so that a rewrite is checked against the exact output it replaced:
-``reference_numeric_spans`` and ``reference_parse_weights``, the number
-reader that ``measures`` replaced, and ``reference_assemble``, the
-assembler of one search loop per rule that ``assembler`` replaced.
+they check.
 """
 
 from __future__ import annotations
@@ -26,13 +22,12 @@ import hashlib
 import io
 import random
 import re
-import unicodedata
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from brieflens.assembler import ARREST_LEXEMES, HeuristicConfig, TraffickingEvent
+from brieflens.assembler import TraffickingEvent
 from brieflens.corpus import ReportDocument, SentenceSpan, Token, tokenize
 from brieflens.evaluation import (
     COMPARED_FIELDS,
@@ -42,21 +37,16 @@ from brieflens.evaluation import (
     pair_score,
 )
 from brieflens.lexicon import (
-    ANIMAL,
-    COUNTRY,
     LEXICON_HEADER,
     LEXICON_LABELS,
-    PRODUCT,
     Lexicon,
     LexiconError,
     pluralize,
 )
-from brieflens.matcher import CARDINAL, WEIGHT, EntitySpan
+from brieflens.matcher import EntitySpan
 from brieflens.measures import (
     MAX_NUMBER,
     WEIGHT_UNIT_TOKENS,
-    NumberMatch,
-    Weight,
     format_weight,
     parse_number,
     parse_weights,
@@ -469,449 +459,6 @@ def naive_arrest_count(
                     best = (distance, m.start, m.value)
         i = m.end
     return default if best is None else best[2]
-
-
-# Reference copies of the number reader that `measures` used before its
-# fraction, unit and skip rules were folded into one reader: a sentence
-# must give the same spans and weights through both.  They keep that
-# reader's shape (two fraction helpers, three unit helpers, two span
-# builders) on purpose and share no private code with `measures`.
-
-_REF_UNITS = {
-    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
-    "six": 6, "seven": 7, "eight": 8, "nine": 9,
-}
-_REF_TEENS = {
-    "ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13, "fourteen": 14,
-    "fifteen": 15, "sixteen": 16, "seventeen": 17, "eighteen": 18, "nineteen": 19,
-}
-_REF_TENS = {
-    "twenty": 20, "thirty": 30, "forty": 40, "fifty": 50,
-    "sixty": 60, "seventy": 70, "eighty": 80, "ninety": 90,
-}
-_REF_SMALL = {"zero": 0, **_REF_UNITS, **_REF_TEENS}
-_REF_KG_UNITS = frozenset({"kg", "kilogram", "kilograms", "kilo", "kilos"})
-_REF_TON_UNITS = frozenset({"t", "ton", "tons", "tonne", "tonnes"})
-_REF_GRAM_UNITS = frozenset({"g", "gram", "grams"})
-_REF_POUND_UNITS = frozenset({"lb", "lbs", "pound", "pounds"})
-_REF_WEIGHT_UNITS = _REF_KG_UNITS | _REF_TON_UNITS | _REF_GRAM_UNITS | _REF_POUND_UNITS
-_REF_MAX_DIGITS = len(str(MAX_NUMBER))
-
-
-def _ref_split_unit(tok: str) -> tuple[str, str] | None:
-    if tok.isdecimal():
-        return tok, ""
-    if not tok[:1].isdecimal():
-        return None
-    end = 1
-    while tok[end].isdecimal():
-        end += 1
-    return (tok[:end], tok[end:]) if tok[end:] in _REF_WEIGHT_UNITS else None
-
-
-def _ref_touches(tokens: Sequence[Token], i: int) -> bool:
-    return (
-        tokens[i - 1].end_char == tokens[i].start_char
-        and tokens[i].end_char == tokens[i + 1].start_char
-    )
-
-
-def _ref_parse_digits(
-    tokens: Sequence[Token], texts: Sequence[str], i: int
-) -> NumberMatch | None:
-    tok = texts[i]
-    if not tok[:1].isdecimal():
-        return None
-    split = _ref_split_unit(tok)
-    if split is None:
-        return None
-    digits, unit = split
-    if len(digits) > _REF_MAX_DIGITS and any(
-        unicodedata.decimal(ch) for ch in digits[:-_REF_MAX_DIGITS]
-    ):
-        value = MAX_NUMBER + 1
-    else:
-        value = int(digits[-_REF_MAX_DIGITS:])
-    length = 1
-    if not unit and len(digits) <= 3:
-        j = i + 1
-        while j + 1 < len(texts) and texts[j] == "," and _ref_touches(tokens, j):
-            group = _ref_split_unit(texts[j + 1])
-            if group is None or len(group[0]) != 3:
-                break
-            value = min(value * 1000 + int(group[0]), MAX_NUMBER + 1)
-            length += 2
-            j += 2
-            unit = group[1]
-            if unit:
-                break
-    return NumberMatch(value=value, start=i, length=length)
-
-
-def _ref_below_hundred(texts: Sequence[str], i: int) -> tuple[int, int] | None:
-    tok = texts[i]
-    if tok in _REF_SMALL:
-        return _REF_SMALL[tok], 1
-    if tok in _REF_TENS:
-        if i + 1 < len(texts) and texts[i + 1] in _REF_UNITS:
-            return _REF_TENS[tok] + _REF_UNITS[texts[i + 1]], 2
-        return _REF_TENS[tok], 1
-    if "-" in tok:
-        tens, _, unit = tok.partition("-")
-        if tens in _REF_TENS and unit in _REF_UNITS:
-            return _REF_TENS[tens] + _REF_UNITS[unit], 1
-    return None
-
-
-def _ref_below_thousand(texts: Sequence[str], i: int) -> tuple[int, int] | None:
-    tok = texts[i]
-    if tok in _REF_UNITS and i + 1 < len(texts) and texts[i + 1] == "hundred":
-        value = _REF_UNITS[tok] * 100
-        length = 2
-        j = i + 2
-        if j < len(texts) and texts[j] == "and":
-            rest = _ref_below_hundred(texts, j + 1) if j + 1 < len(texts) else None
-            if rest is not None:
-                return value + rest[0], length + 1 + rest[1]
-            return value, length
-        rest = _ref_below_hundred(texts, j) if j < len(texts) else None
-        if rest is not None:
-            return value + rest[0], length + rest[1]
-        return value, length
-    return _ref_below_hundred(texts, i)
-
-
-def _ref_parse_words(texts: Sequence[str], i: int) -> NumberMatch | None:
-    below = _ref_below_thousand(texts, i)
-    if below is None:
-        return None
-    value, length = below
-    j = i + length
-    if j < len(texts) and texts[j] == "thousand" and value > 0:
-        value *= 1000
-        length += 1
-        j += 1
-        rest = _ref_below_thousand(texts, j) if j < len(texts) else None
-        if rest is not None:
-            value += rest[0]
-            length += rest[1]
-    if value > MAX_NUMBER:
-        return None
-    return NumberMatch(value=value, start=i, length=length)
-
-
-def _ref_fraction(
-    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
-) -> tuple[str, str] | None:
-    dot = m.end
-    if not (
-        dot + 1 < len(texts)
-        and texts[dot] == "."
-        and texts[dot - 1].isdecimal()
-        and _ref_touches(tokens, dot)
-    ):
-        return None
-    return _ref_split_unit(texts[dot + 1])
-
-
-def _ref_decimal_weight(
-    tokens: Sequence[Token], texts: Sequence[str], m: NumberMatch
-) -> NumberMatch | None:
-    fraction = _ref_fraction(tokens, texts, m)
-    if fraction is None:
-        return None
-    digits, unit = fraction
-    dot = m.end
-    if not unit and not (dot + 2 < len(texts) and texts[dot + 2] in _REF_WEIGHT_UNITS):
-        return None
-    value = Decimal(f"{m.value}.{digits}")
-    return NumberMatch(value=value, start=m.start, length=m.length + 2)
-
-
-def _ref_to_kg(value: int | Decimal, unit: str) -> float:
-    if unit in _REF_KG_UNITS:
-        return float(value)
-    if unit in _REF_TON_UNITS:
-        return float(value * 1000)
-    if unit in _REF_GRAM_UNITS:
-        return float(value / 1000)
-    if unit in _REF_POUND_UNITS:
-        return float(value) * 0.45359237
-    raise ValueError(f"unknown weight unit {unit!r}")
-
-
-def _ref_weight_unit(texts: Sequence[str], m: NumberMatch) -> tuple[int, str] | None:
-    last = texts[m.end - 1]
-    if not last.isdecimal() and (glued := _ref_split_unit(last)) is not None:
-        return m.end - 1, glued[1]
-    if m.end < len(texts) and texts[m.end] in _REF_WEIGHT_UNITS:
-        return m.end, texts[m.end]
-    return None
-
-
-def _ref_iter_numbers(
-    tokens: Sequence[Token], texts: Sequence[str]
-) -> list[tuple[NumberMatch, tuple[int, str] | None]]:
-    numbers: list[tuple[NumberMatch, tuple[int, str] | None]] = []
-    i = 0
-    while i < len(texts):
-        m = _ref_parse_digits(tokens, texts, i)
-        if m is None:
-            m = _ref_parse_words(texts, i)
-            if m is None:
-                i += 1
-                continue
-        elif m.value > MAX_NUMBER:
-            i = m.end + 2 if _ref_fraction(tokens, texts, m) else m.end
-            continue
-        else:
-            m = _ref_decimal_weight(tokens, texts, m) or m
-        unit = _ref_weight_unit(texts, m)
-        if unit is None or format_weight(_ref_to_kg(m.value, unit[1])) != "0":
-            numbers.append((m, unit))
-        i = m.end
-    return numbers
-
-
-def _ref_join_text(tokens: Sequence[Token], start: int, end: int) -> str:
-    text = tokens[start].text
-    for prev, tok in zip(tokens[start : end - 1], tokens[start + 1 : end]):
-        text += " " + tok.text if tok.start_char > prev.end_char else tok.text
-    return text
-
-
-def _ref_weight(tokens: Sequence[Token], m: NumberMatch, unit: tuple[int, str]) -> EntitySpan:
-    unit_index, unit_text = unit
-    return EntitySpan(
-        start_char=tokens[m.start].start_char,
-        end_char=tokens[unit_index].end_char,
-        text=_ref_join_text(tokens, m.start, unit_index + 1),
-        label=WEIGHT,
-        canonical=repr(_ref_to_kg(m.value, unit_text)),
-        first_token=m.start,
-        last_token=unit_index,
-    )
-
-
-def _ref_cardinal(tokens: Sequence[Token], m: NumberMatch) -> EntitySpan:
-    return EntitySpan(
-        start_char=tokens[m.start].start_char,
-        end_char=tokens[m.end - 1].end_char,
-        text=_ref_join_text(tokens, m.start, m.end),
-        label=CARDINAL,
-        canonical=str(m.value),
-        first_token=m.start,
-        last_token=m.end - 1,
-    )
-
-
-def reference_parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
-    """``measures.parse_weights`` as it was before the one-reader rewrite."""
-    tokens = sentence.tokens
-    texts = [t.lower for t in tokens]
-    weights = []
-    for m, unit in _ref_iter_numbers(tokens, texts):
-        if unit is not None:
-            unit_index, unit_text = unit
-            original_unit = tokens[unit_index].text[len(texts[unit_index]) - len(unit_text) :]
-            weight = Weight(_ref_to_kg(m.value, unit_text), float(m.value), original_unit)
-            weights.append((_ref_weight(tokens, m, unit), weight))
-    return weights
-
-
-def reference_numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
-    """``measures.numeric_spans`` as it was before the one-reader rewrite."""
-    tokens = sentence.tokens
-    texts = [t.lower for t in tokens]
-    return [
-        _ref_cardinal(tokens, m) if unit is None else _ref_weight(tokens, m, unit)
-        for m, unit in _ref_iter_numbers(tokens, texts)
-    ]
-
-
-class _RefShell:
-    __slots__ = ("species_span", "product_span", "anchor", "quantity", "weight_kg", "country")
-
-    def __init__(
-        self,
-        species_span: EntitySpan | None = None,
-        product_span: EntitySpan | None = None,
-    ) -> None:
-        self.species_span = species_span
-        self.product_span = product_span
-        spans = [s for s in (species_span, product_span) if s]
-        self.anchor: tuple[int, int] | None = None
-        if spans:
-            self.anchor = (min(s.first_token for s in spans), max(s.last_token for s in spans))
-        self.quantity: int | None = None
-        self.weight_kg: float | None = None
-        self.country: str | None = None
-
-
-def _ref_interval_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
-    if a[1] < b[0]:
-        return b[0] - a[1]
-    if b[1] < a[0]:
-        return a[0] - b[1]
-    return 0
-
-
-def _ref_build_shells(
-    animals: list[EntitySpan], products: list[EntitySpan], pair_window: int
-) -> list[_RefShell]:
-    shells: list[_RefShell] = []
-    modifier_animals: set[EntitySpan] = set()
-    for product in products:
-        p_first = product.first_token
-        best: EntitySpan | None = None
-        best_last = -1
-        for animal in animals:
-            a_last = animal.last_token
-            if a_last < p_first and p_first - a_last <= pair_window and a_last > best_last:
-                best = animal
-                best_last = a_last
-        if best is not None:
-            modifier_animals.add(best)
-        shells.append(_RefShell(species_span=best, product_span=product))
-    for animal in animals:
-        if animal not in modifier_animals:
-            shells.append(_RefShell(species_span=animal))
-    shells.sort(key=lambda shell: shell.anchor[0])
-    return shells
-
-
-def _ref_attach_quantities(
-    shells: list[_RefShell], cardinals: list[EntitySpan], quantity_window: int
-) -> list[EntitySpan]:
-    used: set[EntitySpan] = set()
-    for shell in shells:
-        best: EntitySpan | None = None
-        best_last = -1
-        for anchor in (shell.species_span, shell.product_span):
-            if anchor is None:
-                continue
-            a_first = anchor.first_token
-            for cardinal in cardinals:
-                if cardinal in used or int(cardinal.canonical) < 1:
-                    continue
-                c_last = cardinal.last_token
-                gap = a_first - c_last
-                if 1 <= gap <= quantity_window and c_last > best_last:
-                    best = cardinal
-                    best_last = c_last
-        if best is not None:
-            shell.quantity = int(best.canonical)
-            used.add(best)
-    return [c for c in cardinals if c not in used]
-
-
-def _ref_arrest_count(
-    sentence: SentenceSpan, cardinals: Iterable[EntitySpan], window: int, default: int
-) -> int | None:
-    lexemes = [(i, i) for i, tok in enumerate(sentence.tokens) if tok.lower in ARREST_LEXEMES]
-    if not lexemes:
-        return None
-    in_range = []
-    for cardinal in cardinals:
-        span = (cardinal.first_token, cardinal.last_token)
-        distance = min(_ref_interval_distance(span, lexeme) for lexeme in lexemes)
-        if distance <= window:
-            in_range.append((distance, cardinal.first_token, int(cardinal.canonical)))
-    return min(in_range)[2] if in_range else default
-
-
-def _ref_attach_weights(shells: list[_RefShell], weights: list[EntitySpan]) -> None:
-    for weight in weights:
-        w_range = (weight.first_token, weight.last_token)
-        best: _RefShell | None = None
-        best_distance: int | None = None
-        for shell in shells:
-            if shell.weight_kg is not None:
-                continue
-            anchor = shell.anchor
-            distance = 0 if anchor is None else _ref_interval_distance(w_range, anchor)
-            if best_distance is None or distance < best_distance:
-                best = shell
-                best_distance = distance
-        if best is not None:
-            best.weight_kg = float(weight.canonical)
-
-
-def _ref_attach_countries(shells: list[_RefShell], countries: list[EntitySpan]) -> None:
-    if not countries:
-        return
-    for shell in shells:
-        anchor = shell.anchor
-        if anchor is None:
-            shell.country = countries[0].canonical
-            continue
-        best = min(
-            countries,
-            key=lambda c: (
-                _ref_interval_distance((c.first_token, c.last_token), anchor),
-                c.first_token,
-            ),
-        )
-        shell.country = best.canonical
-
-
-def reference_assemble(
-    doc: ReportDocument, spans: Iterable[EntitySpan], config: HeuristicConfig
-) -> list[TraffickingEvent]:
-    """``assembler.assemble`` as it was before the one-chooser rewrite."""
-    by_sentence: list[list[EntitySpan]] = [[] for _ in doc.sentences]
-    si = 0
-    for span in spans:
-        while doc.sentences[si].end_char <= span.start_char:
-            si += 1
-        by_sentence[si].append(span)
-
-    events: list[TraffickingEvent] = []
-    for first, end in doc.paragraphs:
-        paragraph_country = next(
-            (s.canonical for group in by_sentence[first:end] for s in group if s.label == COUNTRY),
-            None,
-        )
-        for si in range(first, end):
-            sentence, sentence_spans = doc.sentences[si], by_sentence[si]
-            animals = [s for s in sentence_spans if s.label == ANIMAL]
-            products = [s for s in sentence_spans if s.label == PRODUCT]
-            cardinals = [s for s in sentence_spans if s.label == CARDINAL]
-            weights = [s for s in sentence_spans if s.label == WEIGHT]
-            countries = [s for s in sentence_spans if s.label == COUNTRY]
-
-            has_lexeme = any(tok.lower in ARREST_LEXEMES for tok in sentence.tokens)
-            if not animals and not products and not has_lexeme:
-                continue
-
-            shells = _ref_build_shells(animals, products, config.pair_window)
-            if not shells:
-                shells = [_RefShell()]
-
-            unconsumed = _ref_attach_quantities(shells, cardinals, config.quantity_window)
-            _ref_attach_weights(shells, weights)
-            _ref_attach_countries(shells, countries)
-            arrest = _ref_arrest_count(
-                sentence, unconsumed, config.arrest_window, config.arrest_default
-            )
-
-            fallback = None if countries else paragraph_country
-            for shell in shells:
-                events.append(
-                    TraffickingEvent(
-                        report_id=doc.report_id,
-                        year=doc.year,
-                        month=doc.month,
-                        country=shell.country or fallback,
-                        species=shell.species_span.canonical if shell.species_span else None,
-                        product=shell.product_span.canonical if shell.product_span else None,
-                        quantity=shell.quantity,
-                        weight_kg=shell.weight_kg,
-                        arrest_count=arrest,
-                        sentence_index=si,
-                    )
-                )
-    return events
 
 
 def _both_equal(a: object, b: object) -> bool:

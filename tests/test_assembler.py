@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from brieflens.assembler import (
     ARREST_LEXEMES,
@@ -16,14 +16,14 @@ from brieflens.assembler import (
     has_arrest_lexeme,
     load_heuristics,
 )
-from brieflens.corpus import DEFAULT_ABBREVIATIONS, document_from_text
+from brieflens.corpus import document_from_text
 from brieflens.lexicon import COUNTRY, Lexicon
 from brieflens.matcher import CARDINAL, compile_lexicon, find_entities, merge_spans
 from brieflens.measures import MAX_NUMBER, numeric_spans
 from brieflens.pipeline import extract_document
 from brieflens.resources import DATA_DIR
 
-from oracles import naive_arrest_count, reference_assemble, spell_number
+from oracles import naive_arrest_count, spell_number
 
 
 CONFIG = HeuristicConfig()
@@ -415,40 +415,6 @@ class TestCountryRemovalProperty:
             for a, b in zip(with_countries, without):
                 assert b.country is None
                 assert replace(a, country=None) == replace(b, country=None)
-
-
-class TestAgainstTheEarlierAssembler:
-    """The one-chooser ``assemble`` gives the events of the assembler it replaced."""
-
-    WORDS = (
-        "elephant", "pangolins", "African elephant", "leopard",
-        "tusks", "ivory", "skins", "scales", "horn",
-        "0", "1", "2", "12", "1,200", "zero", "one", "three",
-        "5kg", "12.5kg", "2.5", "kg", "tons",
-        "Gabon", "Togo", "Central African Republic",
-        "arrested", "detained", ",",
-        "and", "of", "the", "with", "were", "seized",
-    )
-    SENTENCE = st.lists(st.sampled_from(WORDS), min_size=1, max_size=12).map(
-        lambda words: " ".join(words) + "."
-    )
-    PARAGRAPH = st.lists(SENTENCE, min_size=1, max_size=3).map(" ".join)
-    WINDOW = st.integers(0, 6)
-
-    @given(
-        paragraphs=st.lists(PARAGRAPH, min_size=1, max_size=3),
-        config=st.builds(HeuristicConfig, WINDOW, WINDOW, WINDOW, st.integers(0, 3)),
-    )
-    @example(["Officers seized 2 elephant 3 tusks."], HeuristicConfig())
-    @example(["In Gabon, rangers and officers from Togo arrested 3 suspects."], HeuristicConfig())
-    @settings(max_examples=300, deadline=None)
-    def test_same_events(self, shipped_matcher, paragraphs, config):
-        doc = document_from_text(
-            "m-2021-01", 2021, 1, "\n\n".join(paragraphs), DEFAULT_ABBREVIATIONS
-        )
-        numeric = [s for sentence in doc.sentences for s in numeric_spans(sentence)]
-        spans = merge_spans(find_entities(doc, shipped_matcher), numeric)
-        assert assemble(doc, spans, config) == reference_assemble(doc, spans, config)
 
 
 class TestHeuristicsFile:

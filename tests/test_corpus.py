@@ -11,6 +11,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
+from brieflens.cli import main
 from brieflens.corpus import (
     DEFAULT_ABBREVIATIONS,
     ReportDocument,
@@ -130,6 +131,9 @@ class TestSegmentation:
         # "kg." after a space is the abbreviation; inside "Akg." it is not
         assert len(segment_sentences("Weighed 5 kg. Next item came.")) == 1
         assert len(segment_sentences("Saw the Akg. Next item came.")) == 2
+        # at the start of the text, and one letter after it
+        assert len(segment_sentences("Mr. Smith")) == 1
+        assert len(segment_sentences("Akg. Next item came.")) == 2
 
     def test_lowercase_after_period_does_not_split(self):
         spans = segment_sentences("Seized at 3. 45 kg followed.")
@@ -236,6 +240,16 @@ class TestLoadReport:
         assert doc.report_id == "west-africa-2020-11"
         assert (doc.year, doc.month) == (2020, 11)
 
+    def test_december(self, tmp_path):
+        path = tmp_path / "x-2021-12.txt"
+        path.write_text("In Gabon, two elephant tusks were seized.\n", encoding="utf-8")
+        doc = load_report(path)
+        assert (doc.year, doc.month) == (2021, 12)
+        assert main(["extract", str(path), "--store", str(tmp_path / "e.db")]) == 0
+        with EventStore(tmp_path / "e.db") as store:
+            assert store.report_date("x-2021-12") == (2021, 12)
+            assert [(e.year, e.month) for e in store.events()] == [(2021, 12)]
+
     def test_bad_filename(self, tmp_path):
         path = tmp_path / "nodate.txt"
         path.write_text("x\n", encoding="utf-8")
@@ -243,10 +257,11 @@ class TestLoadReport:
             load_report(path)
 
     def test_month_out_of_range(self, tmp_path):
-        path = tmp_path / "demo-2021-13.txt"
-        path.write_text("x\n", encoding="utf-8")
-        with pytest.raises(ReportNamingError):
-            load_report(path)
+        for month in ("00", "13"):
+            path = tmp_path / f"demo-2021-{month}.txt"
+            path.write_text("x\n", encoding="utf-8")
+            with pytest.raises(ReportNamingError):
+                load_report(path)
 
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "demo-2021-01.txt"

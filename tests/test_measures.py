@@ -5,14 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from brieflens.assembler import HeuristicConfig, detect_arrest_count
-from brieflens.corpus import SentenceSpan, document_from_text, tokenize
+from brieflens.corpus import document_from_text, tokenize
 from brieflens.matcher import CARDINAL, WEIGHT
 from brieflens.measures import (
     MAX_NUMBER,
-    WEIGHT_UNIT_TOKENS,
     NumberMatch,
     format_weight,
     numeric_spans,
@@ -20,12 +18,7 @@ from brieflens.measures import (
     parse_weights,
 )
 
-from oracles import (
-    naive_arrest_count,
-    reference_numeric_spans,
-    reference_parse_weights,
-    spell_number,
-)
+from oracles import naive_arrest_count, spell_number
 
 
 CONFIG = HeuristicConfig()
@@ -64,6 +57,18 @@ class TestParseNumber:
             ("45, 120 and 300 were seen.", ["45", "120", "300"]),
         ]:
             assert [s.canonical for s in numeric_spans(sentence_of(text))] == values
+
+    @pytest.mark.parametrize(
+        "text, spans",
+        [
+            # only a run of at most three digits takes groups
+            ("They held 1234,567 tusks.", [(CARDINAL, "1234"), (CARDINAL, "567")]),
+            # and a group after a glued unit starts a number of its own
+            ("They held 12kg,500 tusks.", [(WEIGHT, "12.0"), (CARDINAL, "500")]),
+        ],
+    )
+    def test_comma_groups_follow_only_short_unitless_digits(self, text, spans):
+        assert [(s.label, s.canonical) for s in numeric_spans(sentence_of(text))] == spans
 
     def test_overflowing_grouped_run_is_no_number(self):
         # no token of the run reads as a number of its own, not even a group
@@ -127,6 +132,9 @@ class TestParseNumber:
     def test_no_match(self):
         assert parse_number(tokenize("elephant")) is None
         assert parse_number([]) is None
+        # a start outside the tokens is no number, not one counted from the end
+        assert parse_number(tokenize("tusks 7"), -1) is None
+        assert parse_number(tokenize("tusks 7"), 2) is None
 
     def test_non_decimal_digits_are_not_numbers(self):
         # str.isdigit accepts superscripts, which int() rejects
@@ -360,43 +368,3 @@ class TestNumericSpans:
         spans = numeric_spans(sentence_of("five tusks and 2 tons of meat"))
         starts = [s.start_char for s in spans]
         assert starts == sorted(starts)
-
-
-_DIGITS = st.text(alphabet="0123456789٣", min_size=1, max_size=7)
-_UNIT_WORDS = st.sampled_from(sorted(WEIGHT_UNIT_TOKENS)).flatmap(
-    lambda unit: st.tuples(*(st.sampled_from([c, c.upper()]) for c in unit)).map("".join)
-)
-_PIECES = st.one_of(
-    _DIGITS,
-    st.text(alphabet="0123456789", min_size=3, max_size=3),
-    st.sampled_from([",", "."]),
-    st.builds(str.__add__, _DIGITS, st.sampled_from(["kg", "KG", "lbs", "t", "kgs"])),
-    _UNIT_WORDS,
-    st.sampled_from(["zero", "five", "twenty", "twenty-five", "hundred", "and", "thousand"]),
-    st.sampled_from(["tusks", "of", "ivory", "were", "seized", "Gabon"]),
-)
-
-
-class TestAgainstTheEarlierReader:
-    """The one-reader ``measures`` gives the spans and weights of the reader it replaced."""
-
-    @given(st.lists(st.tuples(_PIECES, st.sampled_from(["", " "])), max_size=14))
-    @example([("1,000,000.5", " "), ("kg", "")])
-    @example([("12.5kg", " "), ("and", " "), ("0.0", " "), ("KG", "")])
-    @example([("In", " "), ("7", ""), (".", ""), ("25T", "")])
-    @example([("3", ""), (",", ""), ("200", ""), (".", ""), ("5", " "), ("Lbs", "")])
-    @example([("two", " "), ("hundred", " "), ("and", " "), ("men", "")])
-    @example([("two", " "), ("hundred", " "), ("and", "")])
-    @example([("one", " "), ("thousand", " "), ("and", " "), ("five", "")])
-    @example([("eleven", " "), ("hundred", "")])
-    @example([("zero", " "), ("thousand", "")])
-    @example(
-        [(word, " ") for word in "nine hundred and ninety-nine thousand nine hundred and".split()]
-        + [("ninety-nine", "")]
-    )
-    @settings(max_examples=400, deadline=None)
-    def test_same_spans_and_weights(self, pieces):
-        text = "".join(piece + space for piece, space in pieces)
-        sentence = SentenceSpan(0, len(text), text, tuple(tokenize(text)))
-        assert numeric_spans(sentence) == reference_numeric_spans(sentence)
-        assert parse_weights(sentence) == reference_parse_weights(sentence)

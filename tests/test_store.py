@@ -6,6 +6,7 @@ import csv
 import gc
 import hashlib
 import io
+import logging
 import random
 import re
 import shutil
@@ -443,6 +444,7 @@ class TestCsvImport:
             (CSV_HEADER + "\na-2021-01,2021,13,,x,,,,\n", "outside 1..12"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,0,,\n", "at least 1"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,-2,\n", "must be positive"),
+            (CSV_HEADER + "\na-2021-01,2021,1,,x,,,0,\n", "row 2: weight_kg must be positive"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,heavy,\n", "not a number"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,nan,\n", "row 2: weight_kg 'nan' is not finite"),
             (CSV_HEADER + "\na-2021-01,2021,1,,x,,,inf,\n", "'inf' is not finite"),
@@ -467,6 +469,11 @@ class TestCsvImport:
     def test_malformed_input_rejected(self, content, message):
         with pytest.raises(CsvFormatError, match=message):
             import_csv(io.StringIO(content))
+
+    def test_64_bit_bounds_accepted(self):
+        row = f"a-2021-01,{-2**63},1,,x,,{2**63 - 1},,"
+        (event,) = import_csv(io.StringIO(f"{CSV_HEADER}\n{row}\n"))
+        assert (event.year, event.quantity) == (-(2**63), 2**63 - 1)
 
     def test_file_errors_name_the_file(self, tmp_path):
         path = tmp_path / "pred.csv"
@@ -1076,13 +1083,20 @@ INSERT INTO notes (report_id, body) VALUES ('a-2021-01', 'checked'), (NULL, 'to 
         conn.close()
         assert_current(path)
 
-    def test_orphan_event_copied(self, tmp_path):
+    def test_orphan_event_dropped(self, tmp_path, caplog):
         path = raw_store(tmp_path / "orphan.db", SEED_SCHEMA + """
 INSERT INTO events (report_id, species) VALUES ('zz-2021-05', 'leopard');
 """)
-        with EventStore(path) as s:
+        with caplog.at_level(logging.WARNING, logger="brieflens"), EventStore(path) as s:
             assert s.content_hash() == text_hash(GOLDEN_CSV)
-            assert s.export_csv(io.StringIO()) == 4
+            assert s.export_csv(io.StringIO()) == 3
+            stats = s.summarize()
+            assert stats.total_events == sum(stats.per_month.values()) == 3
+            assert "leopard" not in dict(stats.top_species)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: dropped 1 event(s) of unregistered reports"
+        ]
         conn = sqlite3.connect(path)
-        assert conn.execute("SELECT COUNT(*) FROM events").fetchone()[0] == 4
+        assert conn.execute("SELECT COUNT(*) FROM events").fetchone()[0] == 3
         conn.close()
+        assert_current(path)
