@@ -187,12 +187,12 @@ def _lines(source: bytes, first: int, last: int) -> str:
     return " ".join(b" ".join(source.splitlines()[first - 1 : last]).decode().split())
 
 
-def mutants(modules=MODULES, root: Path = ROOT) -> list[Mutant]:
-    """Every mutant of ``modules`` under ``root``'s ``src/brieflens``, in module and site order."""
+def mutants(modules=MODULES) -> list[Mutant]:
+    """Every mutant of ``modules`` of ``src/brieflens``, in module and site order."""
     found: list[Mutant] = []
     for module in modules:
         name = f"{module}.py"
-        source = (root / "src" / "brieflens" / name).read_bytes()
+        source = (ROOT / "src" / "brieflens" / name).read_bytes()
         sites = _Sites(source)
         sites.visit(ast.parse(source))
         seen: dict[str, int] = {}
@@ -245,18 +245,18 @@ def _test_files(work: Path, module: str) -> list[str]:
     return first + [f for f in rest if f not in first and f != "tests/test_mutate.py"]
 
 
-def probe(chosen: list[Mutant], root: Path) -> dict[str, str]:
-    """Run each mutant on a copy of ``root``: its key -> "killed", "timeout" or "survived"."""
+def probe(chosen: list[Mutant]) -> dict[str, str]:
+    """Run each mutant on a copy of this checkout: its key -> "killed", "timeout" or "survived"."""
     outcome: dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for name in ("src", "tests"):
-            shutil.copytree(root / name, work / name, ignore=ignore)
-        shutil.copy2(root / "pyproject.toml", work)
+            shutil.copytree(ROOT / name, work / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", work)
         passed, seconds = _pytest(work, ["tests"], None)
         if not passed:
-            sys.exit(f"Tier-1 fails on the unmutated copy of {root}; no mutant was run")
+            sys.exit(f"Tier-1 fails on the unmutated copy of {ROOT}; no mutant was run")
         # a mutant that only slows the suite down is killed too
         timeout = 1.5 * seconds + 10
         print(f"unmutated Tier-1: {seconds:.1f} s; timeout per mutant {timeout:.0f} s", flush=True)
@@ -279,8 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*", metavar="MODULE",
                         help=f"modules to mutate (default: {' '.join(MODULES)})")
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="checkout whose src/ and tests/ are used (default: this one)")
     parser.add_argument("--only", type=Path,
                         help="file of mutant keys, one a line: run only those")
     parser.add_argument("--list", action="store_true", help="print the mutants and run none")
@@ -288,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     if set(args.modules) - set(MODULES):
         parser.error(f"modules are among {', '.join(MODULES)}")
 
-    chosen = mutants(args.modules or MODULES, args.root)
+    chosen = mutants(args.modules or MODULES)
     if args.only:
         wanted = set(args.only.read_text(encoding="utf-8").splitlines()) - {""}
         unknown = wanted - {m.key for m in chosen}
@@ -300,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{mutant.module}.py:{mutant.line}  {mutant.key}")
         return 0
 
-    outcome = probe(chosen, args.root)
+    outcome = probe(chosen)
     print()
     for module in dict.fromkeys(m.module for m in chosen):
         statuses = [outcome[m.key] for m in chosen if m.module == module]

@@ -4,10 +4,13 @@ It is taken over a text rendering of the events of every fixture brief,
 of ``numeric_spans`` and ``parse_weights`` on seeded random sentences of
 digits, thousands groups, decimal points, units, number words and filler
 words, and of ``assemble`` on seeded random briefs under random windows,
-each corpus led by a few hand-picked edge inputs.  A change to what the
-number reader or the assembler outputs on them changes the digest.  A
-change meant to change extraction re-records it (the failing assertion
-prints the new digest) and says so in CHANGES.md.  ``random.Random``
+each corpus led by a few hand-picked edge inputs.  The rendering runs
+sentence segmentation, matching against the shipped lexicon, the number
+reader and the assembler, so a change to what any of them outputs on
+these inputs changes the digest.  A change meant to change extraction
+re-records it (the failing assertion prints the new digest) and says so
+in CHANGES.md; to see what changed first, diff ``rendering(matcher)`` at
+the parent commit against the change.  ``random.Random``
 draws alike on every supported Python.
 """
 
