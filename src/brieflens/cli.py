@@ -227,9 +227,8 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
     if failed:
         return EXIT_USAGE
     try:
-        # the merge and the compile that extract runs, so both accept one set of lexicons
+        # the merge that extract runs, so both accept one set of lexicons
         merged = merge_lexicons(lexicons)
-        compile_lexicon(merged)
     except LexiconError as exc:
         print(f"merge: INVALID: {exc}", file=sys.stderr)
         return EXIT_USAGE

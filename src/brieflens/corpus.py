@@ -42,6 +42,7 @@ __all__ = [
     "document_from_text",
     "load_abbreviations",
     "load_report",
+    "match_key",
     "segment_sentences",
     "tokenize",
 ]
@@ -109,9 +110,19 @@ class ReportDocument:
     paragraphs: tuple[tuple[int, int], ...]
 
 
+# A token's text as the matcher compares it: the one fold behind every match key.
+_fold = str.casefold
+
+
+def match_key(text: str) -> tuple[str, ...]:
+    """The phrase ``text`` matches as: the folded texts of its tokens."""
+    return tuple(map(_fold, TOKEN_RE.findall(text)))
+
+
 def tokenize(text: str) -> list[Token]:
     """Split ``text`` into offset-stable tokens.
 
+    A token's ``lower`` is its text folded as :func:`match_key` folds it.
     Tokens with equal text share one ``(text, lower)`` pair of strings.
     """
     tokens: list[Token] = []
@@ -121,7 +132,7 @@ def tokenize(text: str) -> list[Token]:
         piece = m.group()
         pair = pairs.get(piece)
         if pair is None:
-            lower = piece.casefold()
+            lower = _fold(piece)
             pair = pairs[piece] = (piece, piece if lower == piece else lower)
         start, end = m.span()
         tokens.append(Token(start, end, pair[0], pair[1]))

@@ -1,16 +1,20 @@
 """Gazetteer lexicons for animals, products and countries.
 
-A lexicon maps case-folded surface forms to a ``(label, canonical)`` pair,
-where the canonical form is always lowercase and singular.  Files are plain
-CSV with a ``surface,label,canonical`` header; the canonical column may be
-left empty to default to the lowercased surface.  Loading auto-generates a
-plural surface for every entry so that "tusk" and "tusks" both resolve to
+A lexicon maps each surface's ``corpus.match_key``, the casefolded texts
+of its tokens, to a ``(label, canonical)`` pair, where the canonical form
+is always lowercase and singular; "Sea  Turtle" has the key ``("sea",
+"turtle")``.  Files are plain CSV with a ``surface,label,canonical``
+header; the canonical column may be left empty to default to the
+casefolded surface.  Loading auto-generates a plural for every key, with
+its last token pluralized, so that "tusk" and "tusks" both resolve to
 the canonical "tusk".
 
-``load_lexicon`` reads a file's rows into a list, then builds the surface
-table from them through the same private builder that ``Lexicon.from_rows``
+``load_lexicon`` reads a file's rows into a list, then builds the table
+from them through the same private builder that ``Lexicon.from_rows``
 uses.  A row the reader rejects is reported first, wherever it is; then
-the first label or conflict error in file order.
+the first label, tokenless-surface or conflict error in row order.  Two
+surfaces with one key, even if they differ in case or spacing, conflict
+when their pairs differ.
 
 Inflection is a deliberately small rule cascade rather than a general
 English morphology engine.  The irregulars table carries three kinds of
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from .corpus import match_key
 from .resources import decode_text
 
 __all__ = [
@@ -142,9 +147,9 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Immutable surface table: case-folded surface -> (label, canonical)."""
+    """Immutable phrase table: ``match_key(surface)`` -> (label, canonical)."""
 
-    entries: Mapping[str, tuple[str, str]]
+    entries: Mapping[tuple[str, ...], tuple[str, str]]
     version: str
     n_rows: int = 0
 
@@ -155,64 +160,63 @@ class Lexicon:
     def from_rows(cls, rows: Iterable[tuple]) -> "Lexicon":
         """Build a lexicon from ``(surface, label[, canonical])`` rows and their plurals.
 
-        Explicit rows conflict when the same case-folded surface maps to two
-        different (label, canonical) pairs.  Auto-generated plural surfaces
-        never override an explicit row; two auto plurals that disagree are a
-        conflict as well.  The version is always a digest of the table.
-        A row with fewer than two cells or an empty surface is rejected, as
-        the file loader rejects it, with the row's 1-based position.
+        Explicit rows conflict when two surfaces with one match key map to
+        different (label, canonical) pairs.  Auto-generated plurals never
+        override an explicit row; two auto plurals that disagree are a
+        conflict as well.  The version is always a digest of the table,
+        keys included.  A row with fewer than two cells, an empty surface
+        or a surface with no tokens is rejected, with its 1-based position.
         """
-        return _build_table(_given_rows(rows), "", "")
+        return _build_table(_given_rows(rows), "")
 
 
-def _given_rows(rows: Iterable[tuple]) -> Iterator[tuple[str, str, str, int]]:
+def _given_rows(rows: Iterable[tuple]) -> Iterator[tuple[str, str, str, str]]:
     """Yield ``from_rows``'s rows as the table builder reads them."""
     for position, row in enumerate(rows, start=1):
         if len(row) < 2 or not row[0]:
             raise LexiconError(f"row {position}: need at least surface and label")
-        yield row[0], row[1], row[2] if len(row) > 2 else "", 0
+        yield row[0], row[1], row[2] if len(row) > 2 else "", f"row {position}"
 
 
-def _build_table(
-    rows: Iterable[tuple[str, str, str | None, int]], origin: str, version: str
-) -> Lexicon:
+def _build_table(rows: Iterable[tuple[str, str, str, str]], version: str) -> Lexicon:
     """The one table builder behind ``from_rows`` and ``load_lexicon``.
 
-    ``rows`` yields ``(surface, label, canonical, line)``; a nonzero ``line``
-    is the row's line in the file ``origin`` and is named in errors.  The
-    rows are all read before any is checked, so a row the reader rejects
-    is reported first, wherever it is.  An empty ``version`` becomes a
-    digest of the table.
+    ``rows`` yields ``(surface, label, canonical, where)``, where ``where``
+    names the row in errors.  The rows are all read before any is checked,
+    so a row the reader rejects is reported first, wherever it is.  An
+    empty ``version`` becomes a digest of the table.
     """
     rows = list(rows)
-    explicit: dict[str, tuple[str, str]] = {}
-    line_of: dict[str, int] = {}
-    for surface, label, canonical, line in rows:
+    explicit: dict[tuple[str, ...], tuple[str, str]] = {}
+    first_row: dict[tuple[str, ...], tuple[str, str]] = {}  # key -> (surface, where)
+    for surface, label, canonical, where in rows:
         if label not in LEXICON_LABELS:
-            raise LexiconError(
-                f"unknown label {label!r} for surface {surface!r}"
-                + (f" at {origin}:{line}" if line else "")
-            )
-        key = surface.casefold()
-        pair = (label, canonical.casefold() if canonical else key)
+            raise LexiconError(f"unknown label {label!r} for surface {surface!r} at {where}")
+        key = match_key(surface)
+        if not key:
+            raise LexiconError(f"{where}: surface {surface!r} has no tokens")
+        pair = (label, (canonical or surface).casefold())
         known = explicit.setdefault(key, pair)
         if known is pair:
-            line_of[key] = line
+            first_row[key] = (surface, where)
         elif known != pair:
-            earlier = f"{origin}:{line_of[key]}" if line_of[key] else "earlier row"
+            first, first_where = first_row[key]
             raise LexiconError(
-                f"surface {surface!r} maps to both {known} (from {earlier}) and {pair}"
-                + (f" (from {origin}:{line})" if line else "")
+                f"surface {surface!r} maps to both {known} (from {first_where}"
+                + ("" if first == surface else f", as {first!r}")
+                + f") and {pair} (from {where})"
             )
 
     table = dict(explicit)
     for key, pair in explicit.items():
-        plural = pluralize(key)
+        plural = (*key[:-1], pluralize(key[-1]))
         if plural == key or plural in explicit:
             continue
         known = table.setdefault(plural, pair)
         if known != pair:
-            raise LexiconError(f"auto-generated plural {plural!r} is ambiguous: {known} vs {pair}")
+            raise LexiconError(
+                f"auto-generated plural {' '.join(plural)!r} is ambiguous: {known} vs {pair}"
+            )
 
     if not version:
         digest = hashlib.sha256(repr(sorted(table.items())).encode("utf-8"))
@@ -220,8 +224,8 @@ def _build_table(
     return Lexicon(entries=table, version=version, n_rows=len(rows))
 
 
-def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, int]]:
-    """Yield each data row of a lexicon file with its line number.
+def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, str]]:
+    """Yield each data row of a lexicon file with its ``origin:line``.
 
     Blank and ``#`` comment lines are skipped, and cells are stripped.  The
     first other line must be the header.  A file with no content at all is
@@ -242,7 +246,7 @@ def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, int]]:
             continue
         if len(cells) < 2 or not cells[0]:
             raise LexiconError(f"{origin}:{line}: need at least surface and label")
-        yield cells[0], cells[1], cells[2] if len(cells) > 2 else "", line
+        yield cells[0], cells[1], cells[2] if len(cells) > 2 else "", f"{origin}:{line}"
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -252,24 +256,24 @@ def load_lexicon(path: str | Path) -> Lexicon:
     version = hashlib.sha256(data).hexdigest()[:16]
     rows = _file_rows(decode_text(data, path, LexiconError), path.name)
     try:
-        return _build_table(rows, path.name, version)
+        return _build_table(rows, version)
     except csv.Error as exc:  # an overlong field
         raise LexiconError(f"{path.name}: {exc}") from exc
 
 
 def merge_lexicons(lexicons: Iterable[Lexicon]) -> Lexicon:
-    """Merge lexicons into one surface table; cross-file conflicts are errors."""
-    merged: dict[str, tuple[str, str]] = {}
+    """Merge lexicons into one phrase table; cross-file conflicts are errors."""
+    merged: dict[tuple[str, ...], tuple[str, str]] = {}
     versions: list[str] = []
     n_rows = 0
     for lex in lexicons:
         versions.append(lex.version)
         n_rows += lex.n_rows
         for key, pair in lex.entries.items():
-            if key in merged and merged[key] != pair:
+            known = merged.setdefault(key, pair)
+            if known != pair:
                 raise LexiconError(
-                    f"surface {key!r} maps to both {merged[key]} and {pair} across lexicons"
+                    f"phrase {' '.join(key)!r} maps to both {known} and {pair} across lexicons"
                 )
-            merged[key] = pair
     version = hashlib.sha256("+".join(versions).encode("utf-8")).hexdigest()[:16]
     return Lexicon(entries=merged, version=version, n_rows=n_rows)

@@ -1,21 +1,18 @@
 """Token-aligned phrase matching over lexicon surfaces.
 
-Surfaces are compiled to case-folded token sequences, so "scales" never
-fires inside "escalates" and multi-word surfaces such as "sea turtle" are
-matched as phrases.  Overlaps are resolved leftmost-longest: the candidate
-starting earliest wins, and among candidates sharing a start the longest
-wins.  The result is always a sorted, non-overlapping list of spans.
+The lexicon is keyed by phrases, ``corpus.match_key(surface)``: the
+casefolded texts of a surface's tokens, folded as each document token's
+``lower`` is.  So "scales" never fires inside "escalates", and multi-word
+surfaces such as "sea turtle" are matched as phrases.  Overlaps are
+resolved leftmost-longest: the candidate starting earliest wins, and
+among candidates sharing a start the longest wins.  The result is always
+a sorted, non-overlapping list of spans.
 
 The phrase table is indexed by first token: each token that starts a
 phrase maps to the lengths of the phrases starting with it, longest first.
 The scan looks each token up once and tries only those lengths, so tokens
 that start no phrase cost one dictionary lookup.  At a few hundred surfaces
 this index is enough, and an Aho-Corasick automaton is not needed.
-
-Surfaces that tokenize alike, such as "sea turtle" and "sea  turtle", are
-one phrase.  They must carry one (label, canonical) pair, or
-``compile_lexicon`` rejects the lexicon, so ``extract`` and
-``lexicon-validate`` accept exactly the same lexicons.
 
 Every span records both its character offsets and the token range it
 covers, so later stages measure token distances without re-scanning the
@@ -27,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import TOKEN_RE, ReportDocument, SentenceSpan
-from .lexicon import Lexicon, LexiconError
+from .corpus import ReportDocument, SentenceSpan
+from .lexicon import Lexicon
 
 __all__ = [
     "CARDINAL",
@@ -78,14 +75,16 @@ class EntitySpan:
 
 @dataclass(frozen=True)
 class CompiledMatcher:
-    """Phrase table keyed by case-folded token tuples, indexed by first token.
+    """The lexicon's phrase table, indexed by first token.
 
-    ``first_token_lengths`` maps each token that starts a phrase to the
-    lengths of the phrases starting with it, longest first, so the scan
-    tries only those lengths at that token and skips every other token
-    after one lookup.  Matching behaviour is a pure function of the lexicon
-    the matcher was compiled from; ``lexicon_version`` records which one
-    that was.
+    ``phrases`` is the lexicon's ``entries``: match keys, the casefolded
+    token tuples that ``find_entities`` compares with a sentence's token
+    ``lower`` values.  ``first_token_lengths`` maps each token that starts
+    a phrase to the lengths of the phrases starting with it, longest
+    first, so the scan tries only those lengths at that token and skips
+    every other token after one lookup.  Matching behaviour is a pure
+    function of the lexicon the matcher was compiled from;
+    ``lexicon_version`` records which one that was.
     """
 
     phrases: Mapping[tuple[str, ...], tuple[str, str]]
@@ -93,42 +92,17 @@ class CompiledMatcher:
     lexicon_version: str
 
 
-def _phrase_key(surface: str) -> tuple[str, ...]:
-    """The phrase ``surface`` compiles to: the case-folded texts of its tokens."""
-    # str.isalnum accepts exactly the characters of TOKEN_RE's [^\W_], so an
-    # alphanumeric surface is one token and needs no regex
-    if surface.isalnum():
-        return (surface.casefold(),)
-    return tuple(piece.casefold() for piece in TOKEN_RE.findall(surface))
-
-
 def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
-    """Compile every lexicon surface into the phrase table and its first-token index.
-
-    Raises :class:`LexiconError` when two surfaces are one phrase with
-    different (label, canonical) pairs, naming the first two in sorted order.
-    """
-    phrases: dict[tuple[str, ...], tuple[str, str]] = {}
-    lengths: dict[str, tuple[int, ...]] = {}
-    entries = lexicon.entries
-    for surface in sorted(entries):
-        key = _phrase_key(surface)
-        if not key:
-            continue
-        pair = phrases.setdefault(key, entries[surface])
-        if pair != entries[surface]:
-            kept = next(s for s in sorted(entries) if _phrase_key(s) == key)
-            raise LexiconError(
-                f"surfaces {kept!r} {pair} and {surface!r} {entries[surface]} are one phrase"
-            )
-        first, n = key[0], len(key)
-        known = lengths.get(first)
-        if known is None:
-            lengths[first] = (n,)
-        elif n not in known:
-            lengths[first] = tuple(sorted((*known, n), reverse=True))
+    """Index the lexicon's phrases by first token."""
+    lengths: dict[str, set[int]] = {}
+    for key in lexicon.entries:
+        lengths.setdefault(key[0], set()).add(len(key))
     return CompiledMatcher(
-        phrases=phrases, first_token_lengths=lengths, lexicon_version=lexicon.version
+        phrases=lexicon.entries,
+        first_token_lengths={
+            first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()
+        },
+        lexicon_version=lexicon.version,
     )
 
 

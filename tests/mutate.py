@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("assembler", "measures", "matcher", "corpus", "evaluation", "store")
+MODULES = ("assembler", "measures", "matcher", "lexicon", "corpus", "evaluation", "store")
 
 _SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 _BOOL_SWAPS = {ast.And: ("and", "or"), ast.Or: ("or", "and")}

@@ -166,7 +166,7 @@ class _LexiconRow:
     surface: str
     label: str
     canonical: str
-    origin: str = ""
+    origin: str
 
 
 def _naive_lexicon_rows(text: str, origin: str) -> list[_LexiconRow]:
@@ -195,35 +195,44 @@ def _naive_lexicon_rows(text: str, origin: str) -> list[_LexiconRow]:
     return rows
 
 
+def _tokenized_key(surface: str) -> tuple[str, ...]:
+    # the documented match key: the lowers of the tokens a document holding
+    # the surface would have
+    return tuple(tok.lower for tok in tokenize(surface))
+
+
 def _naive_lexicon_table(rows: list[_LexiconRow], version: str) -> Lexicon:
-    explicit: dict[str, tuple[str, str]] = {}
-    origin_of: dict[str, str] = {}
+    explicit: dict[tuple[str, ...], tuple[str, str]] = {}
+    first_of: dict[tuple[str, ...], _LexiconRow] = {}
     for entry in rows:
         if entry.label not in LEXICON_LABELS:
             raise LexiconError(
-                f"unknown label {entry.label!r} for surface {entry.surface!r}"
-                + (f" at {entry.origin}" if entry.origin else "")
+                f"unknown label {entry.label!r} for surface {entry.surface!r} at {entry.origin}"
             )
-        key = entry.surface.casefold()
+        key = _tokenized_key(entry.surface)
+        if key == ():
+            raise LexiconError(f"{entry.origin}: surface {entry.surface!r} has no tokens")
         canonical = (entry.canonical or entry.surface).casefold()
         pair = (entry.label, canonical)
         if key in explicit and explicit[key] != pair:
+            first = first_of[key]
+            named = "" if first.surface == entry.surface else f", as {first.surface!r}"
             raise LexiconError(
                 f"surface {entry.surface!r} maps to both {explicit[key]} "
-                f"(from {origin_of[key] or 'earlier row'}) and {pair}"
-                + (f" (from {entry.origin})" if entry.origin else "")
+                f"(from {first.origin}{named}) and {pair} (from {entry.origin})"
             )
         explicit[key] = pair
-        origin_of.setdefault(key, entry.origin)
+        first_of.setdefault(key, entry)
 
     table = dict(explicit)
     for key, pair in explicit.items():
-        plural = pluralize(key)
+        plural = key[:-1] + (pluralize(key[-1]),)
         if plural == key or plural in explicit:
             continue
         if plural in table and table[plural] != pair:
+            written = " ".join(plural)
             raise LexiconError(
-                f"auto-generated plural {plural!r} is ambiguous: {table[plural]} vs {pair}"
+                f"auto-generated plural {written!r} is ambiguous: {table[plural]} vs {pair}"
             )
         table[plural] = pair
     return Lexicon(entries=table, version=version, n_rows=len(rows))
@@ -243,14 +252,20 @@ def naive_load_lexicon(path: Path) -> Lexicon:
     return _naive_lexicon_table(rows, hashlib.sha256(data).hexdigest()[:16])
 
 
-def tokenized_phrase_table(lexicon: Lexicon) -> dict[tuple[str, ...], tuple[str, str]]:
-    """Each surface's ``tokenize`` lowers as a key; the first surface in sorted order wins."""
-    surface_keys: dict[tuple[str, ...], tuple[str, str]] = {}
-    for surface in sorted(lexicon.entries):
-        key = tuple(tok.lower for tok in tokenize(surface))
-        if key and key not in surface_keys:
-            surface_keys[key] = lexicon.entries[surface]
-    return surface_keys
+def tokenized_phrase_table(
+    rows: Iterable[tuple[str, str, str]],
+) -> dict[tuple[str, ...], tuple[str, str]]:
+    """The table ``Lexicon.from_rows`` documents for ``(surface, label, canonical)`` rows.
+
+    Each surface is keyed by its ``tokenize`` lowers, and each key with its
+    last token pluralized is a plural; errors are raised as the loader
+    oracle raises them, with each row named by its 1-based position.
+    """
+    entries = [
+        _LexiconRow(surface, label, canonical, origin=f"row {n}")
+        for n, (surface, label, canonical) in enumerate(rows, start=1)
+    ]
+    return dict(_naive_lexicon_table(entries, "").entries)
 
 
 def first_token_lengths(
@@ -265,7 +280,7 @@ def first_token_lengths(
 
 def naive_leftmost_longest(doc: ReportDocument, lexicon: Lexicon) -> list[EntitySpan]:
     """Brute-force matcher: all candidates, then a leftmost-longest sweep."""
-    surface_keys = tokenized_phrase_table(lexicon)
+    surface_keys = lexicon.entries
     chosen: list[EntitySpan] = []
     for sentence in doc.sentences:
         tokens = sentence.tokens

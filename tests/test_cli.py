@@ -555,8 +555,19 @@ class TestLexiconValidate:
         )
         assert code == 1 and "no conflicts" not in out
         assert err.splitlines() == [
-            "merge: INVALID: surfaces 'sea  turtle' ('PRODUCT', 'turtle shell') and"
-            " 'sea turtle' ('ANIMAL', 'sea turtle') are one phrase",
+            "merge: INVALID: phrase 'sea turtle' maps to both ('ANIMAL', 'sea turtle')"
+            " and ('PRODUCT', 'turtle shell') across lexicons",
+        ]
+        # within one file, loading names both rows
+        products.write_text(
+            "surface,label,canonical\nsea turtle,PRODUCT,\nSea  Turtle,PRODUCT,turtle shell\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "lexicon-validate", "--products", products)
+        assert code == 1
+        assert err.splitlines() == [
+            "products: INVALID: surface 'Sea  Turtle' maps to both ('PRODUCT', 'sea turtle')"
+            " (from p.csv:2, as 'sea turtle') and ('PRODUCT', 'turtle shell') (from p.csv:3)",
         ]
 
     @pytest.mark.parametrize(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from brieflens.corpus import match_key
 from brieflens.lexicon import (
     Lexicon,
     LexiconError,
@@ -40,6 +42,7 @@ from oracles import naive_load_lexicon
         ("fish", "fish"),
         ("sea turtle", "sea turtles"),
         ("monitor lizard", "monitor lizards"),
+        ("by", "bies"),  # the shortest word with a consonant before its "y"
     ],
 )
 def test_pluralize(singular, plural):
@@ -61,6 +64,8 @@ def test_pluralize(singular, plural):
         ("horses", "horse"),
         ("Tusks", "tusk"),  # case folded
         ("sea turtles", "sea turtle"),
+        ("bies", "by"),
+        ("ies", "ie"),  # the bare suffix is no plural of "y"
     ],
 )
 def test_singularize_without_lexicon(surface, singular):
@@ -73,10 +78,20 @@ class TestFromRows:
                                      ("Gabon", "COUNTRY", "")])
         # elephant/elephants, ivory (invariant), gabon/gabons
         assert len(lexicon) == 5
-        assert lexicon.entries.get("elephants") == ("ANIMAL", "elephant")
-        assert lexicon.entries.get("ivory") == ("PRODUCT", "ivory")
-        assert lexicon.entries.get("gabons") == ("COUNTRY", "gabon")
-        assert lexicon.entries.get("GABON".casefold()) == ("COUNTRY", "gabon")
+        assert lexicon.entries.get(("elephants",)) == ("ANIMAL", "elephant")
+        assert lexicon.entries.get(("ivory",)) == ("PRODUCT", "ivory")
+        assert lexicon.entries.get(("gabons",)) == ("COUNTRY", "gabon")
+        assert lexicon.entries.get(match_key("GABON")) == ("COUNTRY", "gabon")
+
+    def test_keys_are_match_keys(self):
+        lexicon = Lexicon.from_rows([("Sea  Turtle", "ANIMAL", ""), ("Côte d'Ivoire", "COUNTRY", "")])
+        # the canonical defaults to the casefolded surface, spacing kept
+        assert lexicon.entries == {
+            ("sea", "turtle"): ("ANIMAL", "sea  turtle"),
+            ("sea", "turtles"): ("ANIMAL", "sea  turtle"),
+            ("côte", "d", "'", "ivoire"): ("COUNTRY", "côte d'ivoire"),
+            ("côte", "d", "'", "ivoires"): ("COUNTRY", "côte d'ivoire"),
+        }
 
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(LexiconError):
@@ -93,19 +108,37 @@ class TestFromRows:
     def test_explicit_plural_row_wins_over_generated(self):
         rows = [("leaf", "PRODUCT", ""), ("leaves", "PRODUCT", "leaf")]
         lexicon = Lexicon.from_rows(rows)
-        assert lexicon.entries.get("leaves") == ("PRODUCT", "leaf")
+        assert lexicon.entries.get(("leaves",)) == ("PRODUCT", "leaf")
 
     def test_empty_rows_give_empty_lexicon(self):
         assert len(Lexicon.from_rows([])) == 0
+        assert Lexicon(entries={}, version="").n_rows == 0
+
+    def test_two_cell_row_takes_the_default_canonical(self):
+        lexicon = Lexicon.from_rows([("Tusk", "PRODUCT")])
+        assert lexicon.entries == {("tusk",): ("PRODUCT", "tusk"), ("tusks",): ("PRODUCT", "tusk")}
 
     @pytest.mark.parametrize("short", [("tusk",), (), ("", "ANIMAL", "")])
     def test_short_row_named_by_position(self, short):
         with pytest.raises(LexiconError, match=r"^row 2: need at least surface and label$"):
             Lexicon.from_rows([("ivory", "PRODUCT", ""), short, ("tusk", "THING", "")])
 
+    @pytest.mark.parametrize("surface", [" ", "\t\n", "\u00a0"])
+    def test_surface_with_no_tokens_named_by_position(self, surface):
+        # its plural would be the phrase ("s",), and every lone "s" a match
+        with pytest.raises(LexiconError, match=r"^row 2: surface .* has no tokens$"):
+            Lexicon.from_rows([("ivory", "PRODUCT", ""), (surface, "ANIMAL", "")])
+
     def test_version_is_stable(self):
         rows = [("tusk", "PRODUCT", "")]
         assert Lexicon.from_rows(rows).version == Lexicon.from_rows(rows).version
+
+    def test_version_digests_the_table(self):
+        plain = Lexicon.from_rows([("sea turtle", "ANIMAL", "")])
+        spaced = Lexicon.from_rows([("Sea  Turtle", "ANIMAL", "sea turtle")])
+        assert spaced.entries == plain.entries and spaced.version == plain.version
+        assert re.fullmatch(r"[0-9a-f]{16}", plain.version)
+        assert Lexicon.from_rows([("sea turtle", "ANIMAL", "turtle")]).version != plain.version
 
 
 class TestLoadLexicon:
@@ -117,8 +150,8 @@ class TestLoadLexicon:
             encoding="utf-8",
         )
         lexicon = load_lexicon(path)
-        assert lexicon.entries.get("hippo") == ("ANIMAL", "hippopotamus")
-        assert lexicon.entries.get("hippos") == ("ANIMAL", "hippopotamus")
+        assert lexicon.entries.get(("hippo",)) == ("ANIMAL", "hippopotamus")
+        assert lexicon.entries.get(("hippos",)) == ("ANIMAL", "hippopotamus")
         assert lexicon.n_rows == 2
 
     def test_missing_header_rejected(self, tmp_path):
@@ -186,6 +219,14 @@ class TestLoadLexicon:
             load_lexicon(path)
 
 
+def test_merge_counts_rows_and_digests_versions():
+    a = Lexicon.from_rows([("tusk", "PRODUCT", ""), ("ivory", "PRODUCT", "")])
+    b = Lexicon.from_rows([("gabon", "COUNTRY", "")])
+    merged = merge_lexicons([a, b])
+    assert (merged.n_rows, len(merged)) == (3, 5)
+    assert merged.version == hashlib.sha256(f"{a.version}+{b.version}".encode()).hexdigest()[:16]
+
+
 def test_merge_conflicts_across_files():
     a = Lexicon.from_rows([("tusk", "PRODUCT", "")])
     b = Lexicon.from_rows([("tusk", "ANIMAL", "")])
@@ -196,20 +237,20 @@ def test_merge_conflicts_across_files():
 def test_shipped_lists_round_trip(shipped_lexicon):
     """Every shipped canonical survives pluralize -> singularize intact."""
     failures = []
-    for surface, (_, canonical) in shipped_lexicon.entries.items():
+    for key, (_, canonical) in shipped_lexicon.entries.items():
         plural = pluralize(canonical)
-        hit = shipped_lexicon.entries.get(plural.casefold())
+        hit = shipped_lexicon.entries.get(match_key(plural))
         if hit is None or hit[1] != canonical:
-            failures.append((surface, canonical, plural))
-        if surface == canonical and singularize(plural) != canonical:
-            failures.append(("bare:" + surface, canonical, plural))
+            failures.append((key, canonical, plural))
+        if key == match_key(canonical) and singularize(plural) != canonical:
+            failures.append(("bare", key, canonical, plural))
     assert not failures
 
 
 def test_shipped_lists_cover_core_terms(shipped_lexicon):
     for name in ("cameroon", "congo", "gabon", "togo", "senegal", "benin",
                  "côte d'ivoire", "burkina faso", "uganda"):
-        hit = shipped_lexicon.entries.get(name.casefold())
+        hit = shipped_lexicon.entries.get(match_key(name))
         assert hit is not None and hit[0] == "COUNTRY"
     canonicals = {label: set() for label in ("ANIMAL", "PRODUCT", "COUNTRY")}
     for label, canonical in shipped_lexicon.entries.values():

@@ -6,23 +6,24 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from brieflens.corpus import document_from_text, tokenize
-from brieflens.lexicon import Lexicon, LexiconError
+from brieflens.corpus import ReportDocument, SentenceSpan, Token, document_from_text, tokenize
+from brieflens.lexicon import Lexicon, LexiconError, load_lexicon, merge_lexicons, pluralize
 from brieflens.matcher import (
     CARDINAL,
-    CompiledMatcher,
     EntitySpan,
     compile_lexicon,
     find_entities,
     merge_spans,
 )
 from brieflens.measures import numeric_spans
+from brieflens.resources import default_lexicon_paths
 
 from oracles import (
     first_token_lengths,
     naive_leftmost_longest,
+    naive_load_lexicon,
     naive_merge_spans,
     random_matcher_case,
     tokenized_phrase_table,
@@ -48,8 +49,13 @@ class TestCompile:
         lexicon = Lexicon.from_rows([("tusk", "PRODUCT", "")])
         assert compile_lexicon(lexicon).lexicon_version == lexicon.version
 
-    def test_shipped_table_matches_tokenize(self, shipped_lexicon, shipped_matcher):
-        assert_table_matches_tokenize(shipped_lexicon, shipped_matcher)
+    def test_shipped_table_matches_tokenize(self, shipped_matcher):
+        # the loader oracle keys each shipped surface by its tokenize lowers
+        expected = {}
+        for path in default_lexicon_paths().values():
+            expected.update(naive_load_lexicon(path).entries)
+        assert shipped_matcher.phrases == expected
+        assert shipped_matcher.first_token_lengths == first_token_lengths(expected)
 
     @given(
         st.lists(
@@ -63,8 +69,8 @@ class TestCompile:
     )
     def test_random_table_matches_tokenize(self, surfaces):
         # one pair per phrase, so surfaces that tokenize alike agree
-        lexicon = Lexicon(entries={s: ("ANIMAL", phrase_of(s)) for s in surfaces}, version="")
-        assert_table_matches_tokenize(lexicon, compile_lexicon(lexicon))
+        rows = [(s, "ANIMAL", phrase_of(s)) for s in surfaces if phrase_of(s)]
+        assert_table_matches_tokenize(rows)
 
 
 def phrase_of(surface: str) -> str:
@@ -72,12 +78,24 @@ def phrase_of(surface: str) -> str:
     return " ".join(tok.lower for tok in tokenize(surface))
 
 
-def assert_table_matches_tokenize(lexicon: Lexicon, matcher: CompiledMatcher) -> None:
-    # compile_lexicon reads the token regex directly; the keys must be what
-    # tokenize would give, so surfaces match exactly where document tokens do
-    expected = tokenized_phrase_table(lexicon)
+def assert_table_matches_tokenize(rows: list[tuple[str, str, str]]):
+    """Build ``rows`` and check the table against the oracle; the lexicon, or None if rejected.
+
+    ``from_rows`` keys each surface by ``match_key``, which must be what
+    ``tokenize`` gives, so surfaces match exactly where document tokens do.
+    """
+    try:
+        expected = tokenized_phrase_table(rows)
+    except LexiconError as exc:
+        with pytest.raises(LexiconError, match=f"^{re.escape(str(exc))}$"):
+            Lexicon.from_rows(rows)
+        return None
+    lexicon = Lexicon.from_rows(rows)
+    assert lexicon.entries == expected
+    matcher = compile_lexicon(lexicon)
     assert matcher.phrases == expected
     assert matcher.first_token_lengths == first_token_lengths(expected)
+    return lexicon
 
 
 # Phrases of 1-4 tokens that share first tokens, with punctuation, hyphens,
@@ -105,15 +123,14 @@ _SPACES = st.sampled_from([" ", "  ", ". ", ", ", "\n", "-"])
 def test_first_token_index_matches_the_oracle(labels, data):
     # the first label drawn for a phrase is every one of its surfaces' label
     label_of: dict[str, str] = {}
-    lexicon = Lexicon(
-        entries={
-            s: (label_of.setdefault(phrase_of(s), label), phrase_of(s))
-            for s, label in labels.items()
-        },
-        version="",
-    )
+    rows = [
+        (s, label_of.setdefault(phrase_of(s), label), phrase_of(s))
+        for s, label in labels.items()
+        if phrase_of(s)
+    ]
+    lexicon = assert_table_matches_tokenize(rows)
+    assume(lexicon is not None)  # two surfaces whose plurals are one phrase
     matcher = compile_lexicon(lexicon)
-    assert_table_matches_tokenize(lexicon, matcher)
     pieces = st.one_of(st.sampled_from(sorted(labels)), _FIRST_WORDS, _LATER_WORDS)
     parts = data.draw(st.lists(st.tuples(pieces, _SPACES), max_size=20))
     doc = doc_of("".join(piece + space for piece, space in parts))
@@ -121,55 +138,139 @@ def test_first_token_index_matches_the_oracle(labels, data):
 
 
 class TestPhraseCollisions:
+    """Surfaces with one match key are one phrase: load and merge reject them unless they agree."""
+
     def test_surfaces_differing_in_spacing_collide(self):
-        lexicon = Lexicon.from_rows(
-            [("sea turtle", "ANIMAL", ""), ("sea  turtle", "PRODUCT", "turtle shell")]
-        )
-        # the first two surfaces of the phrase in sorted order are named
         with pytest.raises(LexiconError) as exc:
-            compile_lexicon(lexicon)
+            Lexicon.from_rows(
+                [("sea turtle", "ANIMAL", ""), ("sea  turtle", "PRODUCT", "turtle shell")]
+            )
         assert str(exc.value) == (
-            "surfaces 'sea  turtle' ('PRODUCT', 'turtle shell') and"
-            " 'sea turtle' ('ANIMAL', 'sea turtle') are one phrase"
+            "surface 'sea  turtle' maps to both ('ANIMAL', 'sea turtle')"
+            " (from row 1, as 'sea turtle') and ('PRODUCT', 'turtle shell') (from row 2)"
+        )
+
+    def test_collision_in_a_file_named_by_line(self, tmp_path):
+        path = tmp_path / "lex.csv"
+        path.write_text(
+            "surface,label,canonical\nsea turtle,ANIMAL,\n"
+            "# a note\nSea  Turtle,PRODUCT,turtle shell\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(path)
+        assert str(exc.value) == (
+            "surface 'Sea  Turtle' maps to both ('ANIMAL', 'sea turtle')"
+            " (from lex.csv:2, as 'sea turtle') and ('PRODUCT', 'turtle shell') (from lex.csv:4)"
+        )
+
+    def test_collision_across_files(self):
+        animals = Lexicon.from_rows([("sea turtle", "ANIMAL", "")])
+        products = Lexicon.from_rows([("sea  turtle", "PRODUCT", "turtle shell")])
+        with pytest.raises(LexiconError) as exc:
+            merge_lexicons([animals, products])
+        assert str(exc.value) == (
+            "phrase 'sea turtle' maps to both ('ANIMAL', 'sea turtle')"
+            " and ('PRODUCT', 'turtle shell') across lexicons"
         )
 
     def test_agreeing_surfaces_do_not_collide(self):
-        lexicon = Lexicon.from_rows(
-            [("côte d'ivoire", "COUNTRY", ""), ("côte  d'ivoire", "COUNTRY", "côte d'ivoire")]
-        )
-        matcher = compile_lexicon(lexicon)
-        # the four surfaces, singular and plural, compile to two phrases
-        assert sorted(matcher.phrases) == [
+        rows = [("côte d'ivoire", "COUNTRY", ""), ("côte  d'ivoire", "COUNTRY", "côte d'ivoire")]
+        lexicon = Lexicon.from_rows(rows)
+        # the four surfaces, singular and plural, are two phrases
+        assert sorted(lexicon.entries) == [
             ("côte", "d", "'", "ivoire"), ("côte", "d", "'", "ivoires")
         ]
+        assert merge_lexicons([lexicon, Lexicon.from_rows(rows[::-1])]).entries == lexicon.entries
+        matcher = compile_lexicon(lexicon)
         for text in ("in côte d'ivoire", "in Côte  d'Ivoire"):
             spans = find_entities(doc_of(text), matcher)
             assert [(s.label, s.canonical) for s in spans] == [("COUNTRY", "côte d'ivoire")]
 
     def test_shipped_lists_have_none(self, shipped_lexicon):
-        assert compile_lexicon(shipped_lexicon).phrases == tokenized_phrase_table(shipped_lexicon)
+        # no phrase of the merged table has another pair in any shipped file
+        tables = [naive_load_lexicon(path).entries for path in default_lexicon_paths().values()]
+        for key, pair in shipped_lexicon.entries.items():
+            assert all(table.get(key, pair) == pair for table in tables)
 
     @given(
-        st.dictionaries(
-            st.one_of(_PHRASES, st.text(alphabet="aAßs -,.", max_size=6)),
-            st.tuples(st.sampled_from(["ANIMAL", "PRODUCT"]), st.sampled_from(["x", "y"])),
+        st.lists(
+            st.tuples(
+                st.one_of(_PHRASES, st.text(alphabet="aAßs -,.", min_size=1, max_size=6)),
+                st.sampled_from(["ANIMAL", "PRODUCT"]),
+                st.sampled_from(["x", "y", ""]),
+            ),
             max_size=10,
         )
     )
-    def test_reported_exactly_when_compile_drops_them(self, entries):
-        lexicon = Lexicon(entries=entries, version="")
-        # the oracle keeps the first surface of each phrase in sorted order
-        kept = tokenized_phrase_table(lexicon)
-        dropped = sorted(
-            surface for surface, pair in entries.items()
-            if (key := tuple(t.lower for t in tokenize(surface))) and kept[key] != pair
-        )
-        if not dropped:
-            assert compile_lexicon(lexicon).phrases == kept
+    def test_reported_exactly_when_two_rows_disagree(self, rows):
+        assert_table_matches_tokenize(rows)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["sea turtle", "Sea  turtle", "turtle", "sea turtles"]),
+                      st.sampled_from(["ANIMAL", "PRODUCT"])),
+            max_size=4,
+        ),
+        st.lists(
+            st.tuples(st.sampled_from(["sea  turtle", "turtles", "Turtle", "sea"]),
+                      st.sampled_from(["ANIMAL", "PRODUCT"])),
+            max_size=4,
+        ),
+    )
+    def test_merge_reports_the_first_phrase_two_files_disagree_on(self, first, second):
+        # canonicals given, so rows of one phrase differ only in their label
+        files = [[(s, label, phrase_of(s)) for s, label in rows] for rows in (first, second)]
+        try:
+            tables = [tokenized_phrase_table(rows) for rows in files]
+        except LexiconError:
+            return  # a file that is rejected alone
+        lexicons = [Lexicon.from_rows(rows) for rows in files]
+        clashes = [key for key, pair in tables[1].items() if tables[0].get(key, pair) != pair]
+        if not clashes:
+            assert merge_lexicons(lexicons).entries == {**tables[0], **tables[1]}
             return
-        with pytest.raises(LexiconError, match=f" and {re.escape(repr(dropped[0]))} ") as exc:
-            compile_lexicon(lexicon)
-        assert str(exc.value).endswith(" are one phrase")
+        key = clashes[0]
+        with pytest.raises(LexiconError) as exc:
+            merge_lexicons(lexicons)
+        assert str(exc.value) == (
+            f"phrase {' '.join(key)!r} maps to both {tables[0][key]} and {tables[1][key]}"
+            " across lexicons"
+        )
+
+
+# Letters, marks, digits and punctuation, with spaces between: every
+# surface of at least one token.
+_UNICODE_SURFACES = st.text(
+    st.one_of(st.characters(categories=("L", "M", "N", "P")), st.just(" ")),
+    min_size=1,
+    max_size=12,
+).filter(lambda surface: not surface.isspace())
+
+
+def _one_sentence(text: str, tokens: list[Token]) -> ReportDocument:
+    """A document of one sentence holding ``tokens``, built without segmenting."""
+    start, end = tokens[0].start_char, tokens[-1].end_char
+    sentence = SentenceSpan(start, end, text[start:end], tuple(tokens))
+    return ReportDocument("case-2021-01", 2021, 1, text, (sentence,), ((0, 1),))
+
+
+@seed(15)
+@settings(max_examples=300, deadline=None)
+@example("İzmir")  # its casefold adds a combining mark
+@given(_UNICODE_SURFACES)
+def test_any_surface_matches_its_own_tokens(surface):
+    matcher = compile_lexicon(Lexicon.from_rows([(surface, "COUNTRY", "")]))
+    tokens = tokenize(surface)
+    *head, last = tokens
+    # the generated plural is the surface with its last token pluralized
+    plural = pluralize(last.lower)
+    plural_tokens = [*head, Token(last.start_char, last.start_char + len(plural), plural, plural)]
+    for text, toks in ((surface, tokens), (surface[: last.start_char] + plural, plural_tokens)):
+        spans = find_entities(_one_sentence(text, toks), matcher)
+        assert [(s.first_token, s.last_token, s.label, s.canonical) for s in spans] == [
+            (0, len(toks) - 1, "COUNTRY", surface.casefold())
+        ]
 
 
 class TestFindEntities:
@@ -187,6 +288,14 @@ class TestFindEntities:
         assert [(s.text, s.label) for s in spans] == [
             ("elephant", "ANIMAL"),
             ("ivory", "PRODUCT"),
+        ]
+
+    def test_surface_whose_casefold_adds_a_mark(self):
+        # "İ" casefolds to "i" and a combining dot, which is no letter
+        matcher = compile_lexicon(Lexicon.from_rows([("İzmir", "COUNTRY", "")]))
+        spans = find_entities(doc_of("Seized in İzmir today."), matcher)
+        assert [(s.text, s.label, s.canonical) for s in spans] == [
+            ("İzmir", "COUNTRY", "i\u0307zmir")
         ]
 
     def test_no_match_inside_words(self):
