@@ -5,9 +5,10 @@ of its tokens, to a ``(label, canonical)`` pair, where the canonical form
 is always lowercase and singular; "Sea  Turtle" has the key ``("sea",
 "turtle")``.  Files are plain CSV with a ``surface,label,canonical``
 header; the canonical column may be left empty to default to the
-casefolded surface.  Loading auto-generates a plural for every key, with
-its last token pluralized, so that "tusk" and "tusks" both resolve to
-the canonical "tusk".
+casefolded surface.  Loading auto-generates a plural for every key whose
+last token is a letter or digit run, with that token pluralized, so that
+"tusk" and "tusks" both resolve to the canonical "tusk"; "U.S." ends in
+punctuation and gets none.
 
 ``load_lexicon`` reads a file's rows into a list, then builds the table
 from them through the same private builder that ``Lexicon.from_rows``
@@ -209,6 +210,8 @@ def _build_table(rows: Iterable[tuple[str, str, str, str]], version: str) -> Lex
 
     table = dict(explicit)
     for key, pair in explicit.items():
+        if not key[-1][0].isalnum():
+            continue  # punctuation is always its own token: no brief holds ".s"
         plural = (*key[:-1], pluralize(key[-1]))
         if plural == key or plural in explicit:
             continue

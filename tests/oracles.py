@@ -226,6 +226,8 @@ def _naive_lexicon_table(rows: list[_LexiconRow], version: str) -> Lexicon:
 
     table = dict(explicit)
     for key, pair in explicit.items():
+        if not re.match(r"[^\W_]", key[-1]):
+            continue  # a punctuation token: its plural is never one token
         plural = key[:-1] + (pluralize(key[-1]),)
         if plural == key or plural in explicit:
             continue
@@ -257,9 +259,10 @@ def tokenized_phrase_table(
 ) -> dict[tuple[str, ...], tuple[str, str]]:
     """The table ``Lexicon.from_rows`` documents for ``(surface, label, canonical)`` rows.
 
-    Each surface is keyed by its ``tokenize`` lowers, and each key with its
-    last token pluralized is a plural; errors are raised as the loader
-    oracle raises them, with each row named by its 1-based position.
+    Each surface is keyed by its ``tokenize`` lowers, and each key whose last
+    token is a letter or digit run gives a plural with that token
+    pluralized; errors are raised as the loader oracle raises them, with
+    each row named by its 1-based position.
     """
     entries = [
         _LexiconRow(surface, label, canonical, origin=f"row {n}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import shutil
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import brieflens
 from brieflens import cli
 from brieflens.cli import main
 from brieflens.corpus import DEFAULT_ABBREVIATIONS, document_from_text, load_report
@@ -25,6 +27,10 @@ from brieflens.resources import default_lexicon_paths
 from brieflens.store import CSV_HEADER, EventStore, SchemaError, import_csv
 
 from conftest import BRIEFS_DIR, GOLD_CSV, damage_table, traced_statements
+
+# where this process imported brieflens from, src/ in a checkout or
+# site-packages once installed: a child process imports the same copy
+PACKAGE_ROOT = Path(brieflens.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -58,13 +64,11 @@ class TestExtract:
 
     def test_repeat_extraction_is_idempotent(self, tmp_path, capsys):
         store = tmp_path / "events.db"
-        run(capsys, "extract", BRIEFS_DIR, "--store", store)
-        with EventStore(store) as s:
-            first = s.content_hash()
-        code, _, _ = run(capsys, "extract", BRIEFS_DIR, "--store", store)
-        assert code == 0
-        with EventStore(store) as s:
-            assert s.content_hash() == first
+        for _ in range(2):
+            code, _, _ = run(capsys, "extract", BRIEFS_DIR, "--store", store)
+            assert code == 0
+            with EventStore(store) as s:
+                assert s.content_hash() == "d9adf4d3b0f6bd38"
 
     def test_segments_like_the_library(self, tmp_path, capsys, monkeypatch):
         text = "Officers met Prof. Mbeki in Gabon. Two tusks were seized."
@@ -89,17 +93,18 @@ class TestExtract:
 
     def test_bad_brief_fails_that_file_only(self, tmp_path, capsys):
         briefs = tmp_path / "briefs"
-        briefs.mkdir()
+        shutil.copytree(BRIEFS_DIR, briefs)
         (briefs / "broken.txt").write_text("No date in this name.\n", encoding="utf-8")
-        (briefs / "ok-2021-03.txt").write_text(
-            "Officers in Togo seized five pangolins.\n", encoding="utf-8"
-        )
         code, out, err = run(capsys, "extract", briefs, "--store", tmp_path / "e.db")
         assert code == 2
-        assert "ok-2021-03: 1 events" in out
-        assert "error: broken.txt:" in err
+        assert out.count(" events\n") == 6 and "demo-2021-06: 2 events" in out
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: broken.txt: report filename 'broken.txt' does not match"
+            " <source>-<YYYY>-<MM>.txt"
+        ]
+        # the other briefs are committed as a run without it would commit them
         with EventStore(tmp_path / "e.db") as s:
-            assert [e.report_id for e in s.events()] == ["ok-2021-03"]
+            assert s.content_hash() == "d9adf4d3b0f6bd38"
 
     def test_store_error_fails_that_brief_only(self, tmp_path, capsys, monkeypatch):
         real_ingest = EventStore.ingest
@@ -296,15 +301,25 @@ class TestEval:
         ]
         report = (out_dir / "eval_report.txt").read_text(encoding="utf-8")
         assert report.splitlines() == self.EXPECTED_LINES
+        # the report is replaced through a temporary file that is gone after
+        assert [p.name for p in out_dir.iterdir()] == ["eval_report.txt"]
 
     def test_eval_against_exported_csv(self, extracted, tmp_path, capsys):
-        pred = tmp_path / "pred.csv"
+        pred, shuffled = tmp_path / "pred.csv", tmp_path / "shuffled.csv"
         run(capsys, "export", pred, "--store", extracted)
-        code, out, _ = run(
-            capsys, "eval", "--gold", GOLD_CSV, "--pred", pred, "--out", tmp_path
-        )
-        assert code == 0
-        assert "detection_rate=1.0000" in out
+        header, *rows = pred.read_text(encoding="utf-8").splitlines(keepends=True)
+        # every other row from the last, then the rest: the two rows of
+        # demo-2021-06 end up apart
+        shuffled.write_text(header + "".join(rows[::-2] + rows[-2::-2]), encoding="utf-8")
+        # the CSV loader scores the exported events as the store's were, and
+        # takes the rows in any order
+        reports = []
+        for source in (["--store", extracted], ["--pred", pred], ["--pred", shuffled]):
+            out_dir = tmp_path / f"eval-{len(reports)}"
+            code, out, _ = run(capsys, "eval", "--gold", GOLD_CSV, *source, "--out", out_dir)
+            assert code == 0 and "detection_rate=1.0000" in out
+            reports.append((out_dir / "eval_report.txt").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_requires_exactly_one_source(self, extracted, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--gold", GOLD_CSV)
@@ -399,6 +414,22 @@ class TestExportAndReport:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("report_id,year,month,")
         assert len(lines) == 8
+        # content_hash is the export's sha256 prefix
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "d9adf4d3b0f6bd38"
+        # a store below the current schema version is replayed into it on
+        # open: the export is unchanged, and the file keeps no free pages
+        conn = sqlite3.connect(extracted)
+        conn.execute("PRAGMA user_version = 0")
+        conn.close()
+        exported = out.read_bytes()
+        assert run(capsys, "export", out, "--store", extracted)[0] == 0
+        assert out.read_bytes() == exported
+        conn = sqlite3.connect(extracted)
+        pragmas = [
+            conn.execute(f"PRAGMA {p}").fetchone()[0] for p in ("user_version", "freelist_count")
+        ]
+        conn.close()
+        assert pragmas == [4, 0]
 
     def test_export_missing_store_is_empty(self, tmp_path, capsys):
         out = tmp_path / "events.csv"
@@ -413,6 +444,39 @@ class TestExportAndReport:
         assert (out_dir / "summary.json").exists()
         page = (out_dir / "dashboard.html").read_text(encoding="utf-8")
         assert 'data-metric="total_events" data-value="7"' in page
+        # the store version is content_hash, a digest of the stored rows
+        assert 'data-metric="store_version">d9adf4d3b0f6bd38<' in page
+
+    @pytest.mark.parametrize(
+        "text,rows",
+        [
+            # "and" joins the following number below 100, and pounds convert
+            # to kilograms through the one unit table
+            ("In Gabon, police seized two hundred and six pounds of ivory and forty-two tusks.",
+             [",gabon,,ivory,,93.440028,", ",gabon,,tusk,42,,"]),
+            # a zero weight is skipped whole, so its 0 never becomes the
+            # arrest count: the event keeps the default of one
+            ("In Gabon, police arrested smugglers with 0 kg of ivory.", [",gabon,,ivory,,,1"]),
+            # a glued decimal unit and a grouped number with a spaced unit
+            # are one weight each, and leave no digit over as a quantity
+            ("In Gabon, 12.5kg of ivory and 1,200 kg of pangolin scales were seized.",
+             [",gabon,,ivory,,12.5,", ",gabon,pangolin,scale,,1200,"]),
+            # the product's cardinal wins over the species' one, an arrest-only
+            # event takes its sentence's first country, and the seizure takes
+            # Gabon from its paragraph
+            ("In Gabon, rangers and officers from Togo arrested 3 suspects. "
+             "Officers seized 2 elephant 3 tusks.",
+             [",gabon,,,,,3", ",gabon,elephant,tusk,3,,"]),
+        ],
+        ids=["number words", "zero weight", "weights", "tie rules"],
+    )
+    def test_brief_exports_rows(self, text, rows, tmp_path, capsys):
+        brief, store, out = tmp_path / "b-2021-01.txt", tmp_path / "b.db", tmp_path / "b.csv"
+        brief.write_text(text + "\n", encoding="utf-8")
+        assert run(capsys, "extract", brief, "--store", store)[0] == 0
+        assert run(capsys, "export", out, "--store", store)[0] == 0
+        exported = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted(exported) == sorted(f"b-2021-01,2021,1{row}" for row in rows)
 
 
 def test_second_writer_fails_while_readers_read(extracted, tmp_path, capsys, shipped_matcher):
@@ -477,10 +541,9 @@ class TestStoppedReport:
         with EventStore(extracted) as store, store.batch():
             store.register_report(late.report_id, late.year, late.month)
             store.ingest(extract_document(late, shipped_matcher))
-        src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
             [sys.executable, "-c", STOP_AT_REPLACE, str(stop_at), str(extracted), str(site)],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 3, done.stderr
@@ -526,11 +589,10 @@ class TestLexiconValidate:
         assert lines[3] == f"merged: {len(shipped_lexicon)} surfaces, no conflicts"
 
     def test_module_entry_point(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run(
             [sys.executable, "-m", "brieflens.cli", "lexicon-validate"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+            capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "merged: 330 surfaces, no conflicts"
@@ -554,10 +616,22 @@ class TestLexiconValidate:
             capsys, "lexicon-validate", "--animals", animals, "--products", products
         )
         assert code == 1 and "no conflicts" not in out
-        assert err.splitlines() == [
-            "merge: INVALID: phrase 'sea turtle' maps to both ('ANIMAL', 'sea turtle')"
-            " and ('PRODUCT', 'turtle shell') across lexicons",
-        ]
+        clash = (
+            "phrase 'sea turtle' maps to both ('ANIMAL', 'sea turtle')"
+            " and ('PRODUCT', 'turtle shell') across lexicons"
+        )
+        assert err.splitlines() == [f"merge: INVALID: {clash}"]
+        # extract runs the same merge, and fails before it opens the store
+        briefs, store = tmp_path / "turtle", tmp_path / "turtle.db"
+        briefs.mkdir()
+        (briefs / "x-2021-01.txt").write_text(
+            "In Gabon, two sea turtles were seized.\n", encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "extract", briefs, "--store", store, "--animals", animals, "--products", products
+        )
+        assert (code, out, err) == (1, "", f"error: {clash}\n")
+        assert not store.exists()
         # within one file, loading names both rows
         products.write_text(
             "surface,label,canonical\nsea turtle,PRODUCT,\nSea  Turtle,PRODUCT,turtle shell\n",
@@ -661,11 +735,21 @@ class TestBadInputs:
             code, _, err = run(capsys, "eval", "--gold", gold, "--pred", pred, "--out", tmp_path)
             assert code == 1 and one_error(err, "latin1.csv"), err
 
-    def test_bad_row_names_its_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("x-2021-13,2021,13,,elephant,,,,", "month 13"),
+            # a weight the export could not write back, as the extractor never yields one
+            ("x-2021-01,2021,1,gabon,,ivory,,nan,", "weight_kg 'nan' is not finite"),
+        ],
+        ids=["month 13", "nan weight"],
+    )
+    def test_bad_row_names_its_file(self, row, message, tmp_path, capsys):
         pred = tmp_path / "p.csv"
-        pred.write_text(f"{CSV_HEADER}\nx-2021-13,2021,13,,elephant,,,,\n", encoding="utf-8")
-        code, _, err = run(capsys, "eval", "--gold", GOLD_CSV, "--pred", pred, "--out", tmp_path)
-        assert code == 1 and one_error(err, "p.csv: row 2: month 13"), err
+        pred.write_text(f"{CSV_HEADER}\n{row}\n", encoding="utf-8")
+        for gold in (GOLD_CSV, pred):
+            code, _, err = run(capsys, "eval", "--gold", gold, "--pred", pred, "--out", tmp_path)
+            assert code == 1 and one_error(err, f"p.csv: row 2: {message}"), err
 
     def test_overlong_field(self, tmp_path, capsys):
         gold = tmp_path / "long.csv"
@@ -766,6 +850,16 @@ class TestByteOrderMark:
         assert exports[0] == exports[1]
         with EventStore(tmp_path / "3.db") as s:
             assert s.content_hash() == "d9adf4d3b0f6bd38"
+
+    def test_heuristics(self, tmp_path, capsys):
+        # a file holding the default window, so the events are the golden ones
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbfquantity_window=2\n")
+        code, _, err = run(capsys, "extract", BRIEFS_DIR, "--store", tmp_path / "bom.db",
+                           "--heuristics", bom)
+        assert code == 0 and err == ""
+        with EventStore(tmp_path / "bom.db") as store:
+            assert store.content_hash() == "d9adf4d3b0f6bd38"
 
     def test_lexicon(self, tmp_path, capsys):
         plain = default_lexicon_paths()["countries"]

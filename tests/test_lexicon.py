@@ -84,13 +84,23 @@ class TestFromRows:
         assert lexicon.entries.get(match_key("GABON")) == ("COUNTRY", "gabon")
 
     def test_keys_are_match_keys(self):
-        lexicon = Lexicon.from_rows([("Sea  Turtle", "ANIMAL", ""), ("Côte d'Ivoire", "COUNTRY", "")])
-        # the canonical defaults to the casefolded surface, spacing kept
+        lexicon = Lexicon.from_rows([
+            ("Sea  Turtle", "ANIMAL", ""),
+            ("Côte d'Ivoire", "COUNTRY", ""),
+            ("guinea-bissau", "COUNTRY", ""),
+            ("U.S.", "COUNTRY", ""),
+        ])
+        # the canonical defaults to the casefolded surface, spacing kept; a
+        # last token of punctuation gets no plural, since "." is always its
+        # own token and ("u", ".", "s", ".s") could never match
         assert lexicon.entries == {
             ("sea", "turtle"): ("ANIMAL", "sea  turtle"),
             ("sea", "turtles"): ("ANIMAL", "sea  turtle"),
             ("côte", "d", "'", "ivoire"): ("COUNTRY", "côte d'ivoire"),
             ("côte", "d", "'", "ivoires"): ("COUNTRY", "côte d'ivoire"),
+            ("guinea-bissau",): ("COUNTRY", "guinea-bissau"),
+            ("guinea-bissaus",): ("COUNTRY", "guinea-bissau"),
+            ("u", ".", "s", "."): ("COUNTRY", "u.s."),
         }
 
     def test_conflicting_duplicate_rejected(self):
