@@ -151,11 +151,20 @@ class Lexicon:
     """Immutable phrase table: ``match_key(surface)`` -> (label, canonical)."""
 
     entries: Mapping[tuple[str, ...], tuple[str, str]]
-    version: str
     n_rows: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def version(self) -> str:
+        """A digest of the table, match keys included, computed when read.
+
+        Equal tables have one version, whatever file, byte-order mark,
+        comments, row order or merge order they came from.
+        """
+        table = repr(sorted(self.entries.items())).encode("utf-8")
+        return hashlib.sha256(table).hexdigest()[:16]
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "Lexicon":
@@ -164,11 +173,10 @@ class Lexicon:
         Explicit rows conflict when two surfaces with one match key map to
         different (label, canonical) pairs.  Auto-generated plurals never
         override an explicit row; two auto plurals that disagree are a
-        conflict as well.  The version is always a digest of the table,
-        keys included.  A row with fewer than two cells, an empty surface
+        conflict as well.  A row with fewer than two cells, an empty surface
         or a surface with no tokens is rejected, with its 1-based position.
         """
-        return _build_table(_given_rows(rows), "")
+        return _build_table(_given_rows(rows))
 
 
 def _given_rows(rows: Iterable[tuple]) -> Iterator[tuple[str, str, str, str]]:
@@ -179,13 +187,12 @@ def _given_rows(rows: Iterable[tuple]) -> Iterator[tuple[str, str, str, str]]:
         yield row[0], row[1], row[2] if len(row) > 2 else "", f"row {position}"
 
 
-def _build_table(rows: Iterable[tuple[str, str, str, str]], version: str) -> Lexicon:
+def _build_table(rows: Iterable[tuple[str, str, str, str]]) -> Lexicon:
     """The one table builder behind ``from_rows`` and ``load_lexicon``.
 
     ``rows`` yields ``(surface, label, canonical, where)``, where ``where``
     names the row in errors.  The rows are all read before any is checked,
-    so a row the reader rejects is reported first, wherever it is.  An
-    empty ``version`` becomes a digest of the table.
+    so a row the reader rejects is reported first, wherever it is.
     """
     rows = list(rows)
     explicit: dict[tuple[str, ...], tuple[str, str]] = {}
@@ -221,10 +228,7 @@ def _build_table(rows: Iterable[tuple[str, str, str, str]], version: str) -> Lex
                 f"auto-generated plural {' '.join(plural)!r} is ambiguous: {known} vs {pair}"
             )
 
-    if not version:
-        digest = hashlib.sha256(repr(sorted(table.items())).encode("utf-8"))
-        version = digest.hexdigest()[:16]
-    return Lexicon(entries=table, version=version, n_rows=len(rows))
+    return Lexicon(entries=table, n_rows=len(rows))
 
 
 def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, str]]:
@@ -253,13 +257,11 @@ def _file_rows(text: str, origin: str) -> Iterator[tuple[str, str, str, str]]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load one lexicon CSV; the version is a digest of the file bytes."""
+    """Load one lexicon CSV."""
     path = Path(path)
-    data = path.read_bytes()
-    version = hashlib.sha256(data).hexdigest()[:16]
-    rows = _file_rows(decode_text(data, path, LexiconError), path.name)
+    rows = _file_rows(decode_text(path.read_bytes(), path, LexiconError), path.name)
     try:
-        return _build_table(rows, version)
+        return _build_table(rows)
     except csv.Error as exc:  # an overlong field
         raise LexiconError(f"{path.name}: {exc}") from exc
 
@@ -267,10 +269,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
 def merge_lexicons(lexicons: Iterable[Lexicon]) -> Lexicon:
     """Merge lexicons into one phrase table; cross-file conflicts are errors."""
     merged: dict[tuple[str, ...], tuple[str, str]] = {}
-    versions: list[str] = []
     n_rows = 0
     for lex in lexicons:
-        versions.append(lex.version)
         n_rows += lex.n_rows
         for key, pair in lex.entries.items():
             known = merged.setdefault(key, pair)
@@ -278,5 +278,4 @@ def merge_lexicons(lexicons: Iterable[Lexicon]) -> Lexicon:
                 raise LexiconError(
                     f"phrase {' '.join(key)!r} maps to both {known} and {pair} across lexicons"
                 )
-    version = hashlib.sha256("+".join(versions).encode("utf-8")).hexdigest()[:16]
-    return Lexicon(entries=merged, version=version, n_rows=n_rows)
+    return Lexicon(entries=merged, n_rows=n_rows)

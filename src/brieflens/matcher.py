@@ -83,13 +83,11 @@ class CompiledMatcher:
     a phrase to the lengths of the phrases starting with it, longest
     first, so the scan tries only those lengths at that token and skips
     every other token after one lookup.  Matching behaviour is a pure
-    function of the lexicon the matcher was compiled from;
-    ``lexicon_version`` records which one that was.
+    function of ``phrases``, so the lexicon's ``version`` names it.
     """
 
     phrases: Mapping[tuple[str, ...], tuple[str, str]]
     first_token_lengths: Mapping[str, tuple[int, ...]]
-    lexicon_version: str
 
 
 def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
@@ -102,7 +100,6 @@ def compile_lexicon(lexicon: Lexicon) -> CompiledMatcher:
         first_token_lengths={
             first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()
         },
-        lexicon_version=lexicon.version,
     )
 
 

@@ -171,18 +171,21 @@ class EventStore:
         self.path = str(path)
         with self._sqlite_errors(f"cannot open event store at {path}: ", "open"):
             self._conn = sqlite3.connect(self.path)
-            # content_hash digests the stored text as bytes, which are the
-            # export's UTF-8 bytes only in a UTF-8 database
-            encoding = self._conn.execute("PRAGMA encoding").fetchone()[0]
-            if encoding != "UTF-8":
+            try:
+                # content_hash digests the stored text as bytes, which are the
+                # export's UTF-8 bytes only in a UTF-8 database
+                encoding = self._conn.execute("PRAGMA encoding").fetchone()[0]
+                if encoding != "UTF-8":
+                    raise StoreError(
+                        f"cannot open event store at {path}: its text encoding is"
+                        f" {encoding}, not UTF-8"
+                    )
+                if self._conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
+                    self._upgrade()
+                self._conn.execute("PRAGMA foreign_keys = ON")
+            except BaseException:
                 self._conn.close()
-                raise StoreError(
-                    f"cannot open event store at {path}: its text encoding is"
-                    f" {encoding}, not UTF-8"
-                )
-            if self._conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
-                self._upgrade()
-            self._conn.execute("PRAGMA foreign_keys = ON")
+                raise
 
     @contextlib.contextmanager
     def _sqlite_errors(self, violation: str = "", action: str = "read") -> Iterator[None]:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import brieflens
 from brieflens.corpus import DEFAULT_ABBREVIATIONS, document_from_text
 from brieflens.lexicon import Lexicon, load_lexicon, merge_lexicons
 from brieflens.matcher import compile_lexicon
@@ -13,6 +14,11 @@ from brieflens.resources import default_lexicon_paths
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 BRIEFS_DIR = FIXTURES_DIR / "briefs"
 GOLD_CSV = FIXTURES_DIR / "gold.csv"
+README = Path(__file__).parents[1] / "README.md"
+
+# where this process imported brieflens from, src/ in a checkout or
+# site-packages once installed: a child process imports the same copy
+PACKAGE_ROOT = Path(brieflens.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")

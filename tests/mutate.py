@@ -253,7 +253,8 @@ def probe(chosen: list[Mutant]) -> dict[str, str]:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):  # test_readme.py runs the README's code
+            shutil.copy2(ROOT / name, work)
         passed, seconds = _pytest(work, ["tests"], None)
         if not passed:
             sys.exit(f"Tier-1 fails on the unmutated copy of {ROOT}; no mutant was run")

@@ -12,13 +12,35 @@ every predicted event against every gold event with a pairwise predicate,
 the corpus evaluator groups both whole sides by report before matching,
 and the number speller is a plain lookup-table composition.  Keep these
 naive; their value is that they share no code with the implementations
-they check.
+they check, except the package functions below.  A fault in one of those
+shows on both sides of a comparison, so only that function's own tests
+can catch it:
+
+- the segmenter and lexicon oracles call ``corpus.tokenize``, checked by
+  ``tests/test_corpus.py::TestTokenize`` and
+  ``::test_equal_token_texts_share_one_string``;
+- the lexicon oracle calls ``lexicon.pluralize``, checked by
+  ``tests/test_lexicon.py::test_pluralize`` and
+  ``::test_shipped_lists_round_trip``;
+- ``naive_arrest_count`` calls ``measures.parse_number``, checked by
+  ``tests/test_measures.py::TestParseNumber``, ``measures.parse_weights``,
+  checked by ``::TestParseWeights`` and ``::TestGluedWeights``, and
+  ``measures.format_weight``, checked by
+  ``tests/test_store.py::TestCsvExport::test_format_weight``;
+- the evaluation oracles call ``evaluation.field_agree``, checked by
+  ``tests/test_evaluation.py::TestFieldAgree``, and
+  ``evaluation.pair_score``, checked by ``::TestPairScore``;
+- ``random_matcher_case`` builds its table with ``Lexicon.from_rows``,
+  which the lexicon oracle checks.
+
+They also take the package's constants (``LEXICON_HEADER``,
+``LEXICON_LABELS``, ``MAX_NUMBER``, ``WEIGHT_UNIT_TOKENS``,
+``COMPARED_FIELDS``) and record types as they are.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import random
 import re
@@ -201,7 +223,7 @@ def _tokenized_key(surface: str) -> tuple[str, ...]:
     return tuple(tok.lower for tok in tokenize(surface))
 
 
-def _naive_lexicon_table(rows: list[_LexiconRow], version: str) -> Lexicon:
+def _naive_lexicon_table(rows: list[_LexiconRow]) -> Lexicon:
     explicit: dict[tuple[str, ...], tuple[str, str]] = {}
     first_of: dict[tuple[str, ...], _LexiconRow] = {}
     for entry in rows:
@@ -237,7 +259,7 @@ def _naive_lexicon_table(rows: list[_LexiconRow], version: str) -> Lexicon:
                 f"auto-generated plural {written!r} is ambiguous: {table[plural]} vs {pair}"
             )
         table[plural] = pair
-    return Lexicon(entries=table, version=version, n_rows=len(rows))
+    return Lexicon(entries=table, n_rows=len(rows))
 
 
 def naive_load_lexicon(path: Path) -> Lexicon:
@@ -251,7 +273,7 @@ def naive_load_lexicon(path: Path) -> Lexicon:
         rows = _naive_lexicon_rows(text, origin=path.name)
     except csv.Error as exc:
         raise LexiconError(f"{path.name}: {exc}") from exc
-    return _naive_lexicon_table(rows, hashlib.sha256(data).hexdigest()[:16])
+    return _naive_lexicon_table(rows)
 
 
 def tokenized_phrase_table(
@@ -268,7 +290,7 @@ def tokenized_phrase_table(
         _LexiconRow(surface, label, canonical, origin=f"row {n}")
         for n, (surface, label, canonical) in enumerate(rows, start=1)
     ]
-    return dict(_naive_lexicon_table(entries, "").entries)
+    return dict(_naive_lexicon_table(entries).entries)
 
 
 def first_token_lengths(

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import brieflens
 from brieflens import cli
 from brieflens.cli import main
 from brieflens.corpus import DEFAULT_ABBREVIATIONS, document_from_text, load_report
@@ -26,11 +25,7 @@ from brieflens.pipeline import extract_document
 from brieflens.resources import default_lexicon_paths
 from brieflens.store import CSV_HEADER, EventStore, SchemaError, import_csv
 
-from conftest import BRIEFS_DIR, GOLD_CSV, damage_table, traced_statements
-
-# where this process imported brieflens from, src/ in a checkout or
-# site-packages once installed: a child process imports the same copy
-PACKAGE_ROOT = Path(brieflens.__file__).resolve().parents[1]
+from conftest import BRIEFS_DIR, GOLD_CSV, PACKAGE_ROOT, damage_table, traced_statements
 
 
 def run(capsys, *argv):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -122,7 +124,7 @@ class TestFromRows:
 
     def test_empty_rows_give_empty_lexicon(self):
         assert len(Lexicon.from_rows([])) == 0
-        assert Lexicon(entries={}, version="").n_rows == 0
+        assert Lexicon(entries={}).n_rows == 0
 
     def test_two_cell_row_takes_the_default_canonical(self):
         lexicon = Lexicon.from_rows([("Tusk", "PRODUCT")])
@@ -196,8 +198,6 @@ class TestLoadLexicon:
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         expected, loaded = load_lexicon(plain), load_lexicon(bom)
         assert (loaded.entries, loaded.n_rows) == (expected.entries, expected.n_rows)
-        # the version digests the file's bytes, mark included
-        assert loaded.version == hashlib.sha256(bom.read_bytes()).hexdigest()[:16]
 
     @pytest.mark.parametrize(
         "content",
@@ -229,12 +229,11 @@ class TestLoadLexicon:
             load_lexicon(path)
 
 
-def test_merge_counts_rows_and_digests_versions():
+def test_merge_counts_rows():
     a = Lexicon.from_rows([("tusk", "PRODUCT", ""), ("ivory", "PRODUCT", "")])
     b = Lexicon.from_rows([("gabon", "COUNTRY", "")])
     merged = merge_lexicons([a, b])
     assert (merged.n_rows, len(merged)) == (3, 5)
-    assert merged.version == hashlib.sha256(f"{a.version}+{b.version}".encode()).hexdigest()[:16]
 
 
 def test_merge_conflicts_across_files():
@@ -242,6 +241,56 @@ def test_merge_conflicts_across_files():
     b = Lexicon.from_rows([("tusk", "ANIMAL", "")])
     with pytest.raises(LexiconError):
         merge_lexicons([a, b])
+
+
+def _rows_reversed(data: bytes) -> bytes:
+    lines = data.splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if line.startswith(b"surface,"))
+    return b"".join(lines[: header + 1] + lines[:header:-1])
+
+
+# copies of a lexicon file that hold the same table
+_SAME_TABLE = {
+    "byte-order mark": lambda data: b"\xef\xbb\xbf" + data,
+    "comment line": lambda data: data + b"# one more comment\n",
+    "reordered rows": _rows_reversed,
+}
+
+
+class TestVersion:
+    """The version digests the table alone, however the table was given."""
+
+    @pytest.mark.parametrize("edit", _SAME_TABLE.values(), ids=_SAME_TABLE.keys())
+    def test_copy_of_a_file(self, tmp_path, edit):
+        plain = default_lexicon_paths()["countries"]
+        copy = tmp_path / "countries.csv"
+        copy.write_bytes(edit(plain.read_bytes()))
+        expected, loaded = load_lexicon(plain), load_lexicon(copy)
+        assert copy.read_bytes() != plain.read_bytes()
+        assert (loaded.entries, loaded.version) == (expected.entries, expected.version)
+
+    def test_file_and_its_rows(self):
+        path = default_lexicon_paths()["countries"]
+        lines = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        rows = [row for row in lines if row and not row[0].startswith("#")][1:]
+        loaded, given = load_lexicon(path), Lexicon.from_rows(rows)
+        assert (loaded.entries, loaded.version) == (given.entries, given.version)
+
+    def test_merge_order(self):
+        lexicons = [load_lexicon(p) for p in default_lexicon_paths().values()]
+        forward, backward = merge_lexicons(lexicons), merge_lexicons(lexicons[::-1])
+        assert (forward.entries, forward.version) == (backward.entries, backward.version)
+
+    def test_a_changed_pair_changes_the_version(self, shipped_lexicon):
+        key, (label, canonical) = min(shipped_lexicon.entries.items())
+        other = "ANIMAL" if label == "COUNTRY" else "COUNTRY"
+        for pair in ((other, canonical), (label, canonical + "s")):
+            changed = replace(shipped_lexicon, entries={**shipped_lexicon.entries, key: pair})
+            assert changed.version != shipped_lexicon.version
+
+    def test_formula(self, shipped_lexicon):
+        table = repr(sorted(shipped_lexicon.entries.items())).encode("utf-8")
+        assert shipped_lexicon.version == hashlib.sha256(table).hexdigest()[:16]
 
 
 def test_shipped_lists_round_trip(shipped_lexicon):

@@ -45,10 +45,6 @@ class TestCompile:
             spans = find_entities(doc_of(text), matcher)
             assert [s.canonical for s in spans] == ["elephant"]
 
-    def test_version_carried(self):
-        lexicon = Lexicon.from_rows([("tusk", "PRODUCT", "")])
-        assert compile_lexicon(lexicon).lexicon_version == lexicon.version
-
     def test_shipped_table_matches_tokenize(self, shipped_matcher):
         # the loader oracle keys each shipped surface by its tokenize lowers
         expected = {}

@@ -199,6 +199,29 @@ class TestBatch:
         assert not store.has_report("c-2021-03") and store.has_report("d-2021-04")
 
 
+def write_utf16_store(path):
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA encoding = 'UTF-16le'")
+    conn.execute("CREATE TABLE t (x)")
+    conn.close()
+
+
+def write_not_a_database(path):
+    path.write_bytes(b"not a database\n" * 100)
+
+
+def write_damaged_old_store(path):
+    # opening it replays it into the current schema, which reads the damage
+    with EventStore(path) as s:
+        s.register_report("a-2021-01", 2021, 1)
+        s.register_report("b-2021-02", 2021, 2)
+        s.ingest(SAMPLE)
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA user_version = 0")
+    conn.close()
+    damage_table(path, "events")
+
+
 class TestDamagedStore:
     """SQLite's errors reach the caller as the store's own, naming the file."""
 
@@ -238,6 +261,34 @@ class TestDamagedStore:
         with damaged("events") as s:
             with pytest.raises(StoreError, match=self.CANNOT.format("write")):
                 s.ingest([ev()])
+
+    @pytest.mark.parametrize(
+        "write,message",
+        [
+            (write_not_a_database, "file is not a database"),
+            (write_utf16_store, "its text encoding is UTF-16le, not UTF-8"),
+            (write_damaged_old_store, "malformed"),
+        ],
+        ids=["not a database", "UTF-16le", "failed upgrade"],
+    )
+    def test_failed_open_closes_its_connection(self, tmp_path, monkeypatch, write, message):
+        """A store that cannot be opened is refused, and no connection to it stays open."""
+        path = tmp_path / "bad.db"
+        write(path)
+        opened = []
+        connect = sqlite3.connect
+
+        def collecting_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", collecting_connect)
+        with pytest.raises(StoreError, match=f"cannot open event store at .*{message}"):
+            EventStore(path)
+        assert opened
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.execute("SELECT 1")
 
 
 class TestCsvExport:
@@ -312,15 +363,6 @@ class TestCsvExport:
             s.export_csv(tmp_path / "accents.csv")
             assert s.content_hash() == file_hash(tmp_path / "accents.csv")
         assert "Côte d'Ivoire" in (tmp_path / "accents.csv").read_text(encoding="utf-8")
-
-    def test_non_utf8_store_refused(self, tmp_path):
-        path = tmp_path / "utf16.db"
-        conn = sqlite3.connect(path)
-        conn.execute("PRAGMA encoding = 'UTF-16le'")
-        conn.execute("CREATE TABLE t (x)")
-        conn.close()
-        with pytest.raises(StoreError, match="UTF-16le, not UTF-8"):
-            EventStore(path)
 
 
 def file_hash(path):
