@@ -25,9 +25,9 @@ One reader takes each number of a sentence, in this order:
    ("0.0000001 kg"), so none of its pieces becomes a quantity or an
    arrest count.
 
-Each reader takes the index of a number's first token and returns its
-value with the index after its last token, where the next read resumes;
-only ``parse_number`` makes a ``NumberMatch`` of them.
+Each reader, ``parse_number`` included, takes the index of a number's
+first token and returns its value with the index after its last token,
+where the next read resumes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .matcher import CARDINAL, WEIGHT, EntitySpan
 
 __all__ = [
     "MAX_NUMBER",
-    "NumberMatch",
     "Weight",
     "format_weight",
     "numeric_spans",
@@ -84,19 +83,6 @@ _TO_KG = {
     for unit in units
 }
 WEIGHT_UNIT_TOKENS = frozenset(_TO_KG)
-
-
-@dataclass(frozen=True, slots=True)
-class NumberMatch:
-    """What ``parse_number`` returns: an int and the token span it consumed."""
-
-    value: int | Decimal
-    start: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
 
 
 @dataclass(frozen=True)
@@ -213,16 +199,13 @@ def _parse_words(texts: Sequence[str], i: int) -> tuple[int, int] | None:
     return value, j
 
 
-def parse_number(tokens: Sequence[Token], start: int = 0) -> NumberMatch | None:
-    """Parse a number starting exactly at ``start``; None when nothing matches."""
+def parse_number(tokens: Sequence[Token], start: int = 0) -> tuple[int, int] | None:
+    """The number starting exactly at ``start`` and the index after it; None when none does."""
     texts = _texts(tokens)
     if not 0 <= start < len(texts):
         return None
     read = _parse_digits(tokens, texts, start) or _parse_words(texts, start)
-    if read is None or read[0] > MAX_NUMBER:
-        return None
-    value, end = read
-    return NumberMatch(value=value, start=start, length=end - start)
+    return None if read is None or read[0] > MAX_NUMBER else read
 
 
 def _read_number(

@@ -51,13 +51,16 @@ def replace_file(dest: str | Path, chunks: Iterable[str]) -> None:
 
     The text goes to ``<dest>.<pid>.tmp`` beside it, which then replaces
     ``dest``.  On any failure the temporary file is removed and ``dest``
-    keeps its earlier bytes.
+    keeps its earlier bytes.  An ``OSError`` with an errno is raised again
+    naming ``dest``, the file the caller gave, not the temporary one.
     """
     partial = Path(f"{dest}.{os.getpid()}.tmp")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
         os.replace(partial, dest)
-    except BaseException:
+    except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(dest)) from exc
         raise

@@ -441,14 +441,15 @@ def _zero_weight_run(tokens: Sequence[Token], i: int) -> int:
     neighbours after plain digits, then digits.  Its unit is glued to the
     number's last token or is the token after it.
     """
-    m = parse_number(tokens, i)
-    if m is None:
+    read = parse_number(tokens, i)
+    if read is None:
         return 0
-    value, end = Decimal(m.value), m.end
+    number, end = read
+    value = Decimal(number)
     if tokens[end - 1].text.isdecimal() and _between(tokens, end, "."):
         fraction = re.fullmatch(r"(\d+)\D*", tokens[end + 1].text)
         if fraction and _unit_after(tokens, end + 1) in _KG_PER_UNIT:
-            value, end = Decimal(f"{m.value}.{fraction[1]}"), end + 2
+            value, end = Decimal(f"{number}.{fraction[1]}"), end + 2
     unit = _unit_after(tokens, end - 1)
     if unit not in _KG_PER_UNIT:
         return 0
@@ -488,16 +489,17 @@ def naive_arrest_count(
         if run:
             i += run
             continue
-        m = parse_number(tokens, i)
-        if m is None:
+        read = parse_number(tokens, i)
+        if read is None:
             i += 1
             continue
-        if not skip.intersection(range(m.start, m.end)):
+        value, end = read
+        if not skip.intersection(range(i, end)):
             for pos in positions:
-                distance = max(m.start - pos, pos - (m.end - 1), 0)
-                if distance <= window and (best is None or (distance, m.start, m.value) < best):
-                    best = (distance, m.start, m.value)
-        i = m.end
+                distance = max(i - pos, pos - (end - 1), 0)
+                if distance <= window and (best is None or (distance, i, value) < best):
+                    best = (distance, i, value)
+        i = end
     return default if best is None else best[2]
 
 

@@ -573,6 +573,56 @@ class TestStoppedReport:
         assert dest == "dashboard.html" and partial.read_bytes() == after["dashboard.html"]
 
 
+# a child that runs `extract` and exits 1 in its second ingest, as a killed
+# process would: no cleanup code runs and the run's transaction stays open
+STOP_AT_SECOND_INGEST = """
+import os, sys
+from brieflens.cli import main
+from brieflens.store import EventStore
+ingest, calls = EventStore.ingest, []
+def stopping_ingest(self, events):
+    calls.append(events)
+    if len(calls) == 2:
+        os._exit(1)
+    return ingest(self, events)
+EventStore.ingest = stopping_ingest
+main(["extract", sys.argv[1], "--store", sys.argv[2]])
+"""
+
+
+def test_stopped_extract_loses_only_its_uncommitted_briefs(extracted, tmp_path, capsys):
+    # the first brief re-extracts a stored report and the others are new,
+    # so any brief of the run that reached the file would change the export
+    briefs = tmp_path / "briefs"
+    briefs.mkdir()
+    for report_id, text in [
+        ("demo-2021-01", "In Togo, police seized 40 pangolin scales."),
+        ("late-2021-07", "In Gabon, rangers seized 12 tusks."),
+        ("late-2021-08", "In Cameroon, police arrested 3 suspects with 20 kg of ivory."),
+    ]:
+        (briefs / f"{report_id}.txt").write_text(text + "\n", encoding="utf-8")
+    whole = tmp_path / "whole.db"
+    shutil.copy(extracted, whole)
+    exports = {name: tmp_path / f"{name}.csv" for name in ("before", "whole", "after")}
+    assert run(capsys, "export", exports["before"], "--store", extracted)[0] == 0
+    assert run(capsys, "extract", briefs, "--store", whole)[0] == 0
+    assert run(capsys, "export", exports["whole"], "--store", whole)[0] == 0
+    assert exports["whole"].read_bytes() != exports["before"].read_bytes()
+    done = subprocess.run(
+        [sys.executable, "-c", STOP_AT_SECOND_INGEST, str(briefs), str(extracted)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    # the first brief was written, uncommitted, when the run stopped
+    assert Path(f"{extracted}-journal").exists()
+    conn = sqlite3.connect(extracted)
+    assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+    conn.close()
+    assert run(capsys, "export", exports["after"], "--store", extracted)[0] == 0
+    assert exports["after"].read_bytes() == exports["before"].read_bytes()
+
+
 class TestLexiconValidate:
     def test_shipped_lists_are_clean(self, capsys, shipped_lexicon):
         code, out, err = run(capsys, "lexicon-validate")
@@ -811,6 +861,18 @@ class TestBadInputs:
         assert sorted(tmp_path.iterdir()) == before
         if earlier is not None:
             assert out.read_bytes() == earlier
+
+
+    @pytest.mark.parametrize("dest", ["missing/x.csv", "taken"])
+    def test_unwritable_export_names_its_destination(self, dest, extracted, tmp_path, capsys):
+        # a missing directory fails the temporary file's open and a directory
+        # in the way fails its rename: either error names the destination
+        (tmp_path / "taken").mkdir()
+        before = sorted(tmp_path.iterdir())
+        code, _, err = run(capsys, "export", tmp_path / dest, "--store", extracted)
+        assert code == 1 and one_error(err, f"'{tmp_path / dest}'"), err
+        assert ".tmp" not in err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestByteOrderMark:

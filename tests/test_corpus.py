@@ -6,7 +6,6 @@ import dataclasses
 import re
 import string
 import sys
-from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +25,6 @@ from brieflens.corpus import (
     tokenize,
 )
 from brieflens.matcher import EntitySpan
-from brieflens.measures import NumberMatch
 from brieflens.pipeline import extract_document
 from brieflens.resources import DATA_DIR
 from brieflens.store import EventStore
@@ -84,7 +82,6 @@ _RECORDS = [
                     (SentenceSpan(4, 9, "Ivory", (_TOKEN,)),), ((0, 1),)),
      "month", 2),
     (EntitySpan(4, 9, "Ivory", "PRODUCT", "ivory", 0, 0), "label", "ANIMAL"),
-    (NumberMatch(Decimal("1.5"), 2, 3), "length", 1),
 ]
 
 

@@ -7,10 +7,12 @@ import gc
 import hashlib
 import io
 import logging
+import os
 import random
 import re
 import shutil
 import sqlite3
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -34,7 +36,7 @@ from brieflens.store import (
     import_csv,
 )
 
-from conftest import GOLD_CSV, damage_table, traced_statements
+from conftest import GOLD_CSV, PACKAGE_ROOT, damage_table, traced_statements
 
 
 def ev(report_id="a-2021-01", year=2021, month=1, **kwargs):
@@ -1064,6 +1066,42 @@ class TestVersion3Migration(TestVersion1Migration):
         with pytest.raises(sqlite3.IntegrityError, match="FOREIGN KEY"):
             conn.execute("INSERT INTO events (report_id, species) VALUES ('zz-2021-05', 'x')")
         conn.close()
+
+
+# a child that opens a store and exits 1 in its replay, before the replay
+# commits, as a killed process would: no cleanup code runs
+STOP_IN_REPLAY = """
+import os, sys
+from brieflens.store import EventStore
+EventStore._refresh_csv_rows = lambda self, report_ids: os._exit(1)
+EventStore(sys.argv[1])
+"""
+
+
+def test_stopped_replay_leaves_the_old_store(tmp_path):
+    stopped = raw_store(tmp_path / "stopped.db", VERSION_3_SCHEMA)
+    whole = raw_store(tmp_path / "whole.db", VERSION_3_SCHEMA)
+    done = subprocess.run(
+        [sys.executable, "-c", STOP_IN_REPLAY, str(stopped)],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    # the replay had rewritten the tables when it stopped
+    assert Path(f"{stopped}-journal").exists()
+    conn = sqlite3.connect(stopped)
+    assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+    assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+    conn.close()
+    states = []
+    for path in (stopped, whole):
+        with EventStore(path) as s:
+            exported = io.StringIO()
+            s.export_csv(exported)
+            states.append((exported.getvalue(), s.summarize()))
+        assert_current(path)
+    assert states[0] == states[1]
+    assert states[0][0] == GOLDEN_CSV
 
 
 class TestReplay:
