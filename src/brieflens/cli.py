@@ -131,6 +131,13 @@ def _collect_brief_paths(inputs: list[Path]) -> list[Path]:
     return paths
 
 
+def _existing_store(path: Path) -> EventStore:
+    """Open the store a read command reads; a missing one is an error, not a new empty store."""
+    if not path.exists():
+        raise FileNotFoundError(f"no event store at {path}")
+    return EventStore(path)
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     lexicon = _load_merged_lexicon(args)
     abbreviations = (
@@ -185,7 +192,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         predicted = sorted(import_csv(args.pred), key=attrgetter("report_id"))
         results = evaluate_corpus(predicted, gold)
     else:
-        with EventStore(args.store) as store:
+        with _existing_store(args.store) as store:
             results = evaluate_corpus(store.iter_events(), gold)
     report = compute_report(results)
     print(report.counts_line())
@@ -198,14 +205,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    with EventStore(args.store) as store:
+    with _existing_store(args.store) as store:
         rows = store.export_csv(args.out)
     print(f"wrote {rows} events to {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with EventStore(args.store) as store:
+    with _existing_store(args.store) as store:
         json_path, html_path = write_report_files(store, args.out)
     print(f"wrote {json_path} and {html_path}")
     return EXIT_OK

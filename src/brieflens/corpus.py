@@ -229,15 +229,17 @@ def document_from_text(
 
 
 def load_abbreviations(path: str | Path) -> tuple[str, ...]:
-    """Read one abbreviation per line; '#' comments and blank lines skipped.
+    """Read one abbreviation per line; blank lines are skipped.
 
-    A missing trailing period is added, since matching is anchored at the
-    sentence terminator.  Text that is not UTF-8 raises ``ValueError``.
+    A '#' starts a comment anywhere on a line, as in a heuristics file, so
+    no abbreviation holds one.  A missing trailing period is added, since
+    matching is anchored at the sentence terminator.  Text that is not
+    UTF-8 raises ``ValueError``.
     """
     items: list[str] = []
     for raw in decode_text(Path(path).read_bytes(), path, ValueError).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if not line.endswith("."):
             line += "."

@@ -87,11 +87,9 @@ WEIGHT_UNIT_TOKENS = frozenset(_TO_KG)
 
 @dataclass(frozen=True)
 class Weight:
-    """A weight normalised to kilograms, keeping the surface value and unit."""
+    """A weight normalised to kilograms."""
 
     value_kg: float
-    original_value: float
-    original_unit: str
 
 
 def format_weight(kg: float) -> str:
@@ -257,43 +255,30 @@ def _iter_numbers(
         i = end
 
 
-def _span(sentence: SentenceSpan, number: tuple[int | Decimal, int, int, str]) -> EntitySpan:
-    """The span of a number from ``_iter_numbers``: a WEIGHT if it has a unit, else a CARDINAL."""
-    value, start, end, unit = number
-    label, canonical = (WEIGHT, repr(_TO_KG[unit](value))) if unit else (CARDINAL, str(value))
-    return EntitySpan.cut(sentence, start, end - 1, label, canonical)
-
-
-def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
-    """Find every ``<number> <unit>`` weight in the sentence.
-
-    The span covers the number tokens plus the unit token, or ends at the
-    token the unit is glued to, and its text is their source slice, spaces
-    as written; the canonical is the exact kilogram value via ``repr`` so
-    it survives a string round trip without loss.
-    """
-    tokens = sentence.tokens
-    texts = _texts(tokens)
-    weights = []
-    for number in _iter_numbers(tokens, texts):
-        value, _, end, unit = number
-        if unit:
-            # digits never change under casefolding, so the unit starts at the
-            # same position in the token's text as in its casefolded form
-            original_unit = tokens[end - 1].text[len(texts[end - 1]) - len(unit) :]
-            weight = Weight(_TO_KG[unit](value), float(value), original_unit)
-            weights.append((_span(sentence, number), weight))
-    return weights
-
-
 def numeric_spans(sentence: SentenceSpan) -> list[EntitySpan]:
     """All numeric spans of a sentence, sorted: weights and cardinals, cut from its text.
 
     A number followed by a unit is a WEIGHT and never doubles as a
     CARDINAL; neither do the pieces of a decimal weight.  No unit token
     parses as a number, so one pass of the number grammar finds every
-    weight and every cardinal.
+    weight and every cardinal.  A WEIGHT span covers the number tokens
+    plus the unit token, or ends at the token the unit is glued to; its
+    canonical is the exact kilogram value via ``repr``, so it survives a
+    string round trip without loss.
     """
     tokens = sentence.tokens
     texts = _texts(tokens)
-    return [_span(sentence, number) for number in _iter_numbers(tokens, texts)]
+    spans = []
+    for value, start, end, unit in _iter_numbers(tokens, texts):
+        label, canonical = (WEIGHT, repr(_TO_KG[unit](value))) if unit else (CARDINAL, str(value))
+        spans.append(EntitySpan.cut(sentence, start, end - 1, label, canonical))
+    return spans
+
+
+def parse_weights(sentence: SentenceSpan) -> list[tuple[EntitySpan, Weight]]:
+    """Each WEIGHT span of ``numeric_spans``, with its kilograms."""
+    return [
+        (span, Weight(float(span.canonical)))
+        for span in numeric_spans(sentence)
+        if span.label == WEIGHT
+    ]

@@ -426,10 +426,24 @@ class TestExportAndReport:
         conn.close()
         assert pragmas == [4, 0]
 
-    def test_export_missing_store_is_empty(self, tmp_path, capsys):
-        out = tmp_path / "events.csv"
-        code, stdout, _ = run(capsys, "export", out, "--store", tmp_path / "fresh.db")
-        assert code == 0 and stdout.startswith("wrote 0 events")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "{tmp}/events.csv"],
+            ["report", "--out", "{tmp}/site"],
+            ["eval", "--gold", str(GOLD_CSV), "--out", "{tmp}/scores"],
+        ],
+        ids=["export", "report", "eval"],
+    )
+    def test_read_command_refuses_a_missing_store(self, argv, tmp_path, capsys):
+        # a mistyped --store is an error, not a new empty store read as no events
+        missing = tmp_path / "typo.db"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, stdout, err = run(capsys, *argv, "--store", missing)
+        assert (code, stdout) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err
+        # neither the store nor the command's output was created
+        assert list(tmp_path.iterdir()) == []
 
     def test_report(self, extracted, tmp_path, capsys):
         out_dir = tmp_path / "site"

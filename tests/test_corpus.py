@@ -289,6 +289,14 @@ class TestAbbreviationFile:
         path.write_text("# comment\nMr.\n\nApprox\n", encoding="utf-8")
         assert load_abbreviations(path) == ("Mr.", "Approx.")
 
+    def test_comment_after_an_abbreviation(self, tmp_path):
+        path = tmp_path / "abbr.txt"
+        path.write_text("Mr. # honorific\nDr.\n", encoding="utf-8")
+        abbreviations = load_abbreviations(path)
+        assert abbreviations == ("Mr.", "Dr.")
+        text = "Police arrested Mr. Mba in Gabon with two tusks."
+        assert len(segment_sentences(text, abbreviations)) == 1
+
     def test_byte_order_mark_at_the_start(self, tmp_path):
         plain = DATA_DIR / "abbreviations.txt"
         bom = tmp_path / "bom.txt"
